@@ -9,6 +9,7 @@ nonzero with a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,15 @@ from .evaluation import (
 )
 from .fixtures import planted_pair, retrieval_fixture
 from .perturb import load_lexicon
-from .retrieval import MODES, RankedRun, RankingConfig, rank, read_run, write_run
+from .retrieval import (
+    MODES,
+    RankedRun,
+    RankingConfig,
+    rank,
+    read_run,
+    splice_runs,
+    write_run,
+)
 from .scoring import VARIANTS, NcdScore, score_batch, select_dependent
 from .windows import extract_windows
 
@@ -126,11 +135,11 @@ def _selection_for(args, index, queries, lexicon) -> Set[str]:
 
 
 def _cmd_run(args) -> int:
+    config = RankingConfig(mu=args.mu, mode=args.mode, top_k=args.top_k)
     index, queries, lexicon = _load_inputs(args)
     selected: Optional[Set[str]] = None
     if args.mode == "selective":
         selected = _selection_for(args, index, queries, lexicon)
-    config = RankingConfig(mu=args.mu, mode=args.mode, top_k=args.top_k)
     run = rank(queries, index, config, selected=selected)
     write_run(run, args.out, tag=args.tag)
     return 0
@@ -147,6 +156,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    plan = CvPlan(
+        mu_grid=tuple(args.mu_grid), theta_grid=tuple(args.theta_grid), measure=args.measure
+    )
     index, queries, lexicon = _load_inputs(args)
     if lexicon is None:
         raise SystemExit("tune requires --lexicon")
@@ -154,19 +166,21 @@ def _cmd_tune(args) -> int:
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
-    run_cache: Dict[Tuple[float, int], RankedRun] = {}
+    # A selective run at (mu, theta) is, query by query, the bow or the fd
+    # run at mu, so each mu is ranked once per mode and every theta splices.
+    # cross_validate walks the grid mu-major: one mu's pair is live at a time.
+    @functools.lru_cache(maxsize=1)
+    def mode_runs(mu: float) -> Tuple[RankedRun, RankedRun]:
+        bow, fd = (
+            rank(queries, index, RankingConfig(mu=mu, mode=mode, top_k=args.top_k))
+            for mode in ("bow", "fd")
+        )
+        return bow, fd
 
     def run_for(mu: float, theta: int) -> RankedRun:
-        key = (mu, theta)
-        if key not in run_cache:
-            selected, _ = select_dependent(scores, theta)
-            config = RankingConfig(mu=mu, mode="selective", top_k=args.top_k)
-            run_cache[key] = rank(queries, index, config, selected=set(selected))
-        return run_cache[key]
+        selected, _ = select_dependent(scores, theta)
+        return splice_runs(*mode_runs(mu), selected)
 
-    plan = CvPlan(
-        mu_grid=tuple(args.mu_grid), theta_grid=tuple(args.theta_grid), measure=args.measure
-    )
     result = cross_validate([q.qid for q in queries], run_for, qrels, plan)
     payload = {
         "measure": result.measure,

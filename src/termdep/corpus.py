@@ -55,16 +55,24 @@ class CorpusFormatError(ValueError):
     """Raised for malformed or duplicate corpus/query/stopword records."""
 
 
+def _has_whitespace(identifier: str) -> bool:
+    # Run and qrels files are split on whitespace, so IDs must not hold any.
+    return any(ch.isspace() for ch in identifier)
+
+
 @dataclass
 class PositionalIndex:
     """Positional inverted index plus the collection statistics ranking needs.
 
-    postings maps term -> list of (doc_id, ascending position list), in
-    document ingestion order.  The index is immutable by convention once
-    built; nothing mutates it after ingestion.
+    postings maps term -> {doc_id: ascending position list}, documents in
+    ingestion order; collection_counts maps term -> its total occurrences.
+    Both are filled in by add_document, so frequency lookups are constant
+    time.  The index is immutable by convention once built; nothing
+    mutates it after ingestion.
     """
 
-    postings: Dict[str, List[Tuple[str, List[int]]]] = field(default_factory=dict)
+    postings: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
+    collection_counts: Dict[str, int] = field(default_factory=dict)
     doc_lengths: Dict[str, int] = field(default_factory=dict)
     doc_tokens: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     total_terms: int = 0
@@ -78,13 +86,13 @@ class PositionalIndex:
         return len(self.postings)
 
     def collection_frequency(self, term: str) -> int:
-        return sum(len(p) for _, p in self.postings.get(term, []))
+        return self.collection_counts.get(term, 0)
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        for d, positions in self.postings.get(term, []):
-            if d == doc_id:
-                return len(positions)
-        return 0
+        by_doc = self.postings.get(term)
+        if by_doc is None:
+            return 0
+        return len(by_doc.get(doc_id, ()))
 
     def add_document(self, doc: Document) -> None:
         if doc.doc_id in self.doc_lengths:
@@ -96,7 +104,8 @@ class PositionalIndex:
         for pos, term in enumerate(doc.tokens):
             positions.setdefault(term, []).append(pos)
         for term, plist in positions.items():
-            self.postings.setdefault(term, []).append((doc.doc_id, plist))
+            self.postings.setdefault(term, {})[doc.doc_id] = plist
+            self.collection_counts[term] = self.collection_counts.get(term, 0) + len(plist)
 
     def documents(self) -> Iterable[Document]:
         for doc_id, tokens in self.doc_tokens.items():
@@ -135,6 +144,8 @@ def ingest_corpus(
             doc_id = record["doc_id"]
             if not isinstance(doc_id, str) or not doc_id:
                 raise CorpusFormatError(f"{path}:{lineno}: doc_id must be a non-empty string")
+            if _has_whitespace(doc_id):
+                raise CorpusFormatError(f"{path}:{lineno}: doc_id {doc_id!r} contains whitespace")
             if not isinstance(record["text"], str):
                 raise CorpusFormatError(f"{path}:{lineno}: text must be a string")
             tokens = tuple(tokenize(record["text"], doc_stop))
@@ -160,6 +171,8 @@ def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]
             qid = qid.strip()
             if not qid:
                 raise CorpusFormatError(f"{path}:{lineno}: empty qid")
+            if _has_whitespace(qid):
+                raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
             if qid in seen:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate qid {qid!r}")
             seen.add(qid)
@@ -194,21 +207,21 @@ def phrase_occurrences(index: PositionalIndex, terms: Sequence[str]) -> Dict[str
     if first is None:
         return {}
     if len(terms) == 1:
-        return {doc_id: len(positions) for doc_id, positions in first}
-    rest_positions: List[Dict[str, Set[int]]] = []
+        return {doc_id: len(positions) for doc_id, positions in first.items()}
+    rest: List[Dict[str, List[int]]] = []
     for term in terms[1:]:
-        plists = index.postings.get(term)
-        if plists is None:
+        by_doc = index.postings.get(term)
+        if by_doc is None:
             return {}
-        rest_positions.append({doc_id: set(p) for doc_id, p in plists})
+        rest.append(by_doc)
     counts: Dict[str, int] = {}
-    for doc_id, positions in first:
+    for doc_id, positions in first.items():
         doc_sets = []
-        for by_doc in rest_positions:
-            posset = by_doc.get(doc_id)
-            if posset is None:
+        for by_doc in rest:
+            later = by_doc.get(doc_id)
+            if later is None:
                 break
-            doc_sets.append(posset)
+            doc_sets.append(set(later))
         else:
             n = sum(
                 1

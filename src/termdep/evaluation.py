@@ -19,27 +19,35 @@ MEASURES = ("map", "ndcg10", "p10")
 
 @dataclass
 class Qrels:
-    """(qid, doc_id) -> relevance grade; negative input grades clamp to 0."""
+    """(qid, doc_id) -> relevance grade; negative input grades clamp to 0.
+
+    The per-qid map of relevant documents is built from judgments at
+    construction, so judgments must be complete before Qrels is made.
+    """
 
     judgments: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    _relevant: Dict[str, Dict[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._relevant = {}
+        for (qid, doc_id), grade in self.judgments.items():
+            by_doc = self._relevant.setdefault(qid, {})
+            if grade > 0:
+                by_doc[doc_id] = grade
 
     def grade(self, qid: str, doc_id: str) -> int:
         return self.judgments.get((qid, doc_id), 0)
 
     def judged_qids(self) -> List[str]:
-        return sorted({qid for qid, _ in self.judgments})
+        return sorted(self._relevant)
 
     def relevant_docs(self, qid: str) -> Dict[str, int]:
-        return {
-            doc_id: grade
-            for (q, doc_id), grade in self.judgments.items()
-            if q == qid and grade > 0
-        }
+        return dict(self._relevant.get(qid, {}))
 
 
 def load_qrels(path: str) -> Qrels:
     """Read `qid 0 doc_id grade` rows; later duplicates overwrite earlier."""
-    qrels = Qrels()
+    judgments: Dict[Tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -52,8 +60,8 @@ def load_qrels(path: str) -> Qrels:
                 grade = int(grade_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: grade must be an integer") from exc
-            qrels.judgments[(qid, doc_id)] = max(0, grade)
-    return qrels
+            judgments[(qid, doc_id)] = max(0, grade)
+    return Qrels(judgments)
 
 
 @dataclass
@@ -146,6 +154,9 @@ class CvPlan:
     def __post_init__(self):
         if not self.mu_grid or not self.theta_grid:
             raise ValueError("mu and theta grids must be non-empty")
+        bad = [mu for mu in self.mu_grid if not (math.isfinite(mu) and mu > 0)]
+        if bad:
+            raise ValueError(f"mu grid entries must be finite and > 0, got {bad[0]}")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if self.folds < 2:

@@ -29,8 +29,8 @@ class RankingConfig:
     top_k: int = 1000
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lambda_t < 0 or self.lambda_o < 0:
@@ -102,7 +102,7 @@ def _candidates(query: Query, index: PositionalIndex) -> List[str]:
     seen: Set[str] = set()
     out: List[str] = []
     for t in set(query.terms):
-        for doc_id, _ in index.postings.get(t, []):
+        for doc_id in index.postings.get(t, ()):
             if doc_id not in seen:
                 seen.add(doc_id)
                 out.append(doc_id)
@@ -158,6 +158,21 @@ def rank(
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         run.results[query.qid] = scored[: config.top_k]
     return run
+
+
+def splice_runs(bow: RankedRun, fd: RankedRun, selected: Iterable[str]) -> RankedRun:
+    """Per query, fd's list if its qid is selected, else bow's.
+
+    Given rank's bow and fd runs at one mu, this equals rank in selective
+    mode at that mu, since selective scores each query as fd or bow alone.
+    """
+    selected_set = set(selected)
+    return RankedRun(
+        results={
+            qid: (fd.results[qid] if qid in selected_set else entries)
+            for qid, entries in bow.results.items()
+        }
+    )
 
 
 def write_run(run: RankedRun, path: str, tag: str) -> None:

@@ -109,18 +109,16 @@ def extract_windows(
     span = len(target)
     windows: List[ContextWindow] = []
     if span == 1:
-        plists = index.postings.get(target[0], [])
-        occurrences = [(doc_id, p) for doc_id, positions in plists for p in positions]
+        plists = index.postings.get(target[0], {})
+        occurrences = [(doc_id, p) for doc_id, positions in plists.items() for p in positions]
     else:
         per_doc = phrase_occurrences(index, target)
         occurrences = []
-        first = index.postings.get(target[0], [])
-        position_of = {doc_id: positions for doc_id, positions in first}
-        for doc_id in (d for d, _ in first):
+        for doc_id, positions in index.postings.get(target[0], {}).items():
             if doc_id not in per_doc:
                 continue
             tokens = index.doc_tokens[doc_id]
-            for p in position_of[doc_id]:
+            for p in positions:
                 if tuple(tokens[p : p + span]) == target:
                     occurrences.append((doc_id, p))
     for doc_id, p in occurrences:

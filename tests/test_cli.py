@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from termdep.cli import DEFAULT_MU_GRID, DEFAULT_THETA_GRID, main
+from termdep.corpus import ingest_corpus, load_queries
+from termdep.evaluation import CvPlan, cross_validate, load_qrels
+from termdep.perturb import load_lexicon
+from termdep.retrieval import RankingConfig, rank
+from termdep.scoring import score_batch, select_dependent
 
 
 def read_report_map(path):
@@ -274,6 +279,15 @@ class TestRunCommand:
         )
         assert sel.read_bytes() == bow.read_bytes()
 
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_rejected(self, retrieval_paths, tmp_path, capsys, mu):
+        out = tmp_path / "x.run"
+        code = main(["run", *base_flags(retrieval_paths), "--mode", "bow", "--mu", mu, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "mu" in err[0]
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def mode_runs(retrieval_paths, tmp_path_factory):
@@ -383,6 +397,83 @@ class TestTuneCommand:
             assert fold["theta"] == 10
             np.testing.assert_allclose(fold["score"], 1.0, atol=1e-9)
         np.testing.assert_allclose(payload["mean_score"], 1.0, atol=1e-9)
+
+    def test_matches_selective_rank_at_every_grid_point(self, retrieval_paths, tmp_path):
+        # tune splices per-mu bow and fd runs; the reference ranks the batch
+        # in selective mode at every (mu, theta), as the grid defines it.
+        mu_grid, theta_grid, measure = (500.0, 2000.0), (0, 3, 7), "ndcg10"
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--measure",
+                measure,
+                "--threads",
+                "1",
+                "--mu-grid",
+                *map(str, mu_grid),
+                "--theta-grid",
+                *map(str, theta_grid),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        index = ingest_corpus(retrieval_paths["corpus"])
+        queries = load_queries(retrieval_paths["queries"])
+        lexicon = load_lexicon(retrieval_paths["lexicon"])
+        scores = score_batch(queries, "vector:tfidf", index, lexicon, n=5, threads=1)
+
+        def run_for(mu, theta):
+            selected, _ = select_dependent(scores, theta)
+            return rank(queries, index, RankingConfig(mu=mu, mode="selective"), selected=selected)
+
+        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid, measure=measure)
+        result = cross_validate(
+            [q.qid for q in queries], run_for, load_qrels(retrieval_paths["qrels"]), plan
+        )
+        payload = {
+            "measure": result.measure,
+            "folds": [
+                {"mu": mu, "theta": theta, "score": score}
+                for (mu, theta), score in zip(result.fold_choices, result.fold_scores)
+            ],
+            "mean_score": result.mean_score,
+            "diagnostics": result.diagnostics,
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_grid_rejected(self, retrieval_paths, tmp_path, capsys, mu):
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--mu-grid",
+                mu,
+                "100",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "mu" in err[0]
+        assert not out.exists()
 
 
 class TestFigureDataCommand:

@@ -46,8 +46,9 @@ class TestPositionalIndex:
         assert index.doc_count == 2
         assert index.total_terms == 5
         assert index.vocab_size == 4
-        assert index.postings["tape"] == [("d1", [1]), ("d2", [0])]
-        assert index.postings["red"] == [("d1", [0])]
+        assert index.postings["tape"] == {"d1": [1], "d2": [0]}
+        assert list(index.postings["tape"]) == ["d1", "d2"]
+        assert index.postings["red"] == {"d1": [0]}
         assert index.doc_lengths == {"d1": 3, "d2": 2}
 
     def test_collection_and_term_frequency(self):
@@ -92,6 +93,14 @@ class TestIngestCorpus:
         with pytest.raises(CorpusFormatError, match=":2"):
             ingest_corpus(str(path))
 
+    @pytest.mark.parametrize("doc_id", ["d 1", "d\t1", " d1", "d1\u00a0"])
+    def test_whitespace_in_doc_id_names_line(self, tmp_path, doc_id):
+        path = tmp_path / "space.jsonl"
+        rows = [{"doc_id": "d0", "text": "a"}, {"doc_id": doc_id, "text": "b"}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(CorpusFormatError, match=r":2: doc_id .* contains whitespace"):
+            ingest_corpus(str(path))
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(CorpusFormatError, match="format"):
             ingest_corpus(str(tmp_path / "x"), format="xml")
@@ -118,6 +127,13 @@ class TestLoadQueries:
         path = tmp_path / "queries.tsv"
         path.write_text("q1 red tape\n")
         with pytest.raises(CorpusFormatError, match=":1"):
+            load_queries(str(path))
+
+    @pytest.mark.parametrize("qid", ["q 1", "q\u00a01"])
+    def test_whitespace_in_qid_names_line(self, tmp_path, qid):
+        path = tmp_path / "queries.tsv"
+        path.write_text(f"q0\ta\n{qid}\tb\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r":2: qid .* contains whitespace"):
             load_queries(str(path))
 
     def test_duplicate_qid_rejected(self, tmp_path):

@@ -223,6 +223,11 @@ class TestCvPlan:
         with pytest.raises(ValueError, match="folds"):
             CvPlan(mu_grid=(100.0,), theta_grid=(1,), folds=1)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"), 0.0, -5.0])
+    def test_invalid_mu_entry_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu grid"):
+            CvPlan(mu_grid=(100.0, mu), theta_grid=(1,))
+
 
 def single_relevant_run(placements):
     """Rank each qid's relevant doc per placements: 1, 2, or absent (0)."""

@@ -73,6 +73,8 @@ class TestRankingConfig:
             ({"lambda_t": -0.1, "lambda_o": 1.1}, "non-negative"),
             ({"lambda_t": 0.6, "lambda_o": 0.6}, "sum to 1"),
             ({"top_k": 0}, "top_k"),
+            ({"mu": float("nan")}, "mu"),
+            ({"mu": float("inf")}, "mu"),
         ],
     )
     def test_invalid_config_rejected(self, kwargs, match):
