@@ -256,7 +256,7 @@ def _add_common_io(p: argparse.ArgumentParser, queries: bool = True) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker threads for batch scoring",
+        help="accepted for compatibility; scoring runs serially and results never depend on it",
     )
 
 

@@ -24,8 +24,8 @@ class SmoothedLM:
     prob covers the model's vocabulary and sums, together with
     unseen_mass, to 1.  unseen_prob is the probability handed to a single
     out-of-vocabulary word; for the Good-Turing model the reserve is split
-    evenly over however many unseen words a comparison introduces, so
-    callers use prob_of(word, n_unseen) during alignment.
+    evenly over however many unseen words a comparison introduces (see
+    aligned_probs).
     """
 
     method: str
@@ -37,14 +37,6 @@ class SmoothedLM:
     @property
     def vocabulary(self) -> Set[str]:
         return set(self.prob)
-
-    def prob_of(self, word: str, n_unseen: int = 1) -> float:
-        p = self.prob.get(word)
-        if p is not None:
-            return p
-        if self.method == "sgt" and n_unseen > 0:
-            return self.unseen_mass / n_unseen
-        return self.unseen_prob
 
 
 @dataclass(frozen=True)
@@ -77,18 +69,33 @@ def laplace_lm(counts: Dict[str, int], vocabulary: Iterable[str]) -> SmoothedLM:
     distribution sum to exactly 1 over the vocabulary, and any word beyond
     it gets unseen_prob = 1/(C + V).
     """
-    vocab = set(vocabulary)
-    if not vocab:
+    vocab = sorted(set(vocabulary))
+    prob = dict(zip(vocab, _laplace_values(counts, vocab)))
+    return SmoothedLM(
+        method="laplace",
+        prob=prob,
+        unseen_mass=0.0,
+        unseen_prob=1.0 / (sum(counts.values()) + len(vocab)),
+    )
+
+
+def _laplace_values(counts: Dict[str, int], vocabulary: Sequence[str]) -> List[float]:
+    """(c_w + 1)/(C + V) for each word of an ordered vocabulary of distinct words."""
+    if not vocabulary:
         raise ValueError("laplace_lm requires a non-empty vocabulary")
-    missing = set(counts) - vocab
+    missing = counts.keys() - vocabulary
     if missing:
         raise ValueError(f"vocabulary must cover counts; missing {sorted(missing)[:3]}")
-    c = sum(counts.values())
-    denom = c + len(vocab)
-    prob = {w: (counts.get(w, 0) + 1) / denom for w in vocab}
-    return SmoothedLM(
-        method="laplace", prob=prob, unseen_mass=0.0, unseen_prob=1.0 / denom
-    )
+    denom = sum(counts.values()) + len(vocabulary)
+    return [(counts.get(w, 0) + 1) / denom for w in vocabulary]
+
+
+def laplace_column(counts: Dict[str, int], vocabulary: Sequence[str]) -> List[float]:
+    """aligned_probs(laplace_lm(counts, vocabulary), vocabulary), built directly.
+
+    `vocabulary` holds distinct words, in the order of the returned column.
+    """
+    return _renormalized(_laplace_values(counts, vocabulary))
 
 
 def _gale_sampson_smoother(ff: Dict[int, int]):
@@ -177,8 +184,19 @@ def aligned_probs(model: SmoothedLM, vocabulary: Sequence[str]) -> List[float]:
     aligned vector is renormalized so it is a proper distribution over
     exactly this vocabulary.
     """
-    n_unseen = sum(1 for w in vocabulary if w not in model.prob)
-    values = [model.prob_of(w, n_unseen) for w in vocabulary]
+    return _renormalized(_aligned_values(model, vocabulary))
+
+
+def _aligned_values(model: SmoothedLM, vocabulary: Sequence[str]) -> List[float]:
+    values = list(map(model.prob.get, vocabulary))
+    n_unseen = values.count(None)
+    if n_unseen:
+        fill = model.unseen_mass / n_unseen if model.method == "sgt" else model.unseen_prob
+        values = [fill if v is None else v for v in values]
+    return values
+
+
+def _renormalized(values: Sequence[float]) -> List[float]:
     total = math.fsum(values)
     if total <= 0.0:
         raise ValueError("aligned model has no probability mass")
@@ -209,17 +227,11 @@ def combine_term_lms(
 ) -> SmoothedLM:
     """Merge per-term models into one distribution over a shared vocabulary.
 
-    qsum / qavg: a model contributes a word's value only when that value
-    lies inside the model's own interquartile band (outlier suppression);
-    per-word contributions are summed or averaged, and words left with no
-    contributor get the smallest positive combined value.  mult multiplies
-    per-word values; median takes the per-word median.  The result is
-    renormalized to sum to 1.
+    The models are aligned on the sorted vocabulary (default: union of
+    their vocabularies) and merged by combine_columns.
     """
     if not models:
         raise ValueError("combine_term_lms requires at least one model")
-    if method not in COMBINATIONS:
-        raise ValueError(f"unknown combination method {method!r}")
     if vocabulary is None:
         vocab_set: Set[str] = set()
         for m in models:
@@ -229,44 +241,57 @@ def combine_term_lms(
         vocab = sorted(set(vocabulary))
     if not vocab:
         raise ValueError("combination vocabulary is empty")
-    columns = [aligned_probs(m, vocab) for m in models]
-    n_words = len(vocab)
+    combined = combine_columns([aligned_probs(m, vocab) for m in models], method)
+    return SmoothedLM(
+        method=models[0].method,
+        prob=dict(zip(vocab, combined)),
+        unseen_mass=0.0,
+        unseen_prob=min(combined),
+    )
+
+
+def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
+    """Merge aligned per-term distributions (one list per term) into one.
+
+    qsum / qavg: a column contributes a word's value only when that value
+    lies inside the column's own interquartile band (outlier suppression);
+    per-word contributions are summed or averaged, and words left with no
+    contributor get the smallest positive combined value.  mult multiplies
+    per-word values; median takes the per-word median.  The result is
+    renormalized to sum to 1.
+    """
+    if method not in COMBINATIONS:
+        raise ValueError(f"unknown combination method {method!r}")
     if method == "mult":
-        combined = [math.prod(col[i] for col in columns) for i in range(n_words)]
+        combined = list(map(math.prod, zip(*columns)))
     elif method == "median":
         combined = []
-        for i in range(n_words):
-            vals = sorted(col[i] for col in columns)
+        for row in zip(*columns):
+            vals = sorted(row)
             mid = len(vals) // 2
             combined.append(
                 vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2.0
             )
     else:
         bands = [_quantile_band(col) for col in columns]
-        combined = []
-        for i in range(n_words):
-            contribs = [
-                col[i]
-                for col, (q1, q3) in zip(columns, bands)
-                if q1 <= col[i] <= q3
+        # An outside value counts as 0.0, which leaves the exactly rounded
+        # fsum of the contributions unchanged.
+        masked = [
+            [v if q1 <= v <= q3 else 0.0 for v in col] for col, (q1, q3) in zip(columns, bands)
+        ]
+        combined = list(map(math.fsum, zip(*masked)))
+        if method == "qavg":
+            inside = [[q1 <= v <= q3 for v in col] for col, (q1, q3) in zip(columns, bands)]
+            combined = [
+                total / n if n else 0.0 for total, n in zip(combined, map(sum, zip(*inside)))
             ]
-            if not contribs:
-                combined.append(0.0)
-            elif method == "qsum":
-                combined.append(math.fsum(contribs))
-            else:
-                combined.append(math.fsum(contribs) / len(contribs))
         positive = [v for v in combined if v > 0.0]
         if not positive:
             raise ValueError("quantile combination produced no contributions")
         floor = min(positive)
         combined = [v if v > 0.0 else floor for v in combined]
     total = math.fsum(combined)
-    prob = {w: v / total for w, v in zip(vocab, combined)}
-    floor_prob = min(prob.values())
-    return SmoothedLM(
-        method=models[0].method, prob=prob, unseen_mass=0.0, unseen_prob=floor_prob
-    )
+    return [v / total for v in combined]
 
 
 def kld(p: SmoothedLM, q: SmoothedLM, vocabulary: Optional[Iterable[str]] = None) -> float:
@@ -280,10 +305,19 @@ def kld(p: SmoothedLM, q: SmoothedLM, vocabulary: Optional[Iterable[str]] = None
         vocab = sorted(p.vocabulary | q.vocabulary)
     else:
         vocab = sorted(set(vocabulary))
-    pp = aligned_probs(p, vocab)
-    qq = aligned_probs(q, vocab)
+    return kld_lists(_aligned_values(p, vocab), _aligned_values(q, vocab))
+
+
+def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
+    """kld of two value lists aligned on one vocabulary.
+
+    Each list is renormalized to sum to 1 first, as aligning a model on a
+    comparison vocabulary does.
+    """
+    pp = _renormalized(p)
+    qq = _renormalized(q)
     for name, vals in (("p", pp), ("q", qq)):
         for v in vals:
             if v <= 0.0:
                 raise ValueError(f"{name} assigns non-positive probability")
-    return math.fsum(a * math.log(a / b) for a, b in zip(pp, qq))
+    return math.fsum([a * math.log(a / b) for a, b in zip(pp, qq)])

@@ -10,14 +10,19 @@ theta least-compositional scoreable queries of a batch.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .corpus import PositionalIndex, Query
-from .langmodel import SmoothedLM, combine_term_lms, kld, laplace_lm, sgt_lm
-from .perturb import SynonymLexicon, perturb
+from .langmodel import (
+    SmoothedLM,
+    aligned_probs,
+    combine_columns,
+    kld_lists,
+    laplace_column,
+    sgt_lm,
+)
+from .perturb import Perturbation, SynonymLexicon, perturb
 from .vectors import SCHEMES, TermVector, build_term_vector, compose_query_vector, cosine_distance
 from .windows import WindowSet, extract_windows
 
@@ -25,6 +30,11 @@ VARIANTS: Tuple[str, ...] = tuple(
     [f"vector:{s}" for s in SCHEMES]
     + [f"lm:{sm}:{cm}" for sm in ("laplace", "sgt") for cm in ("qsum", "qavg", "mult", "median")]
 )
+
+
+# A query's divergence function: one perturbation in, its divergence out,
+# appending any fallback it took to the diagnostics list.
+Divergence = Callable[[Perturbation, List[str]], float]
 
 
 def parse_variant(variant: str) -> Tuple[str, ...]:
@@ -60,150 +70,95 @@ class NcdScore:
         return 1.0 / self.n_q
 
 
-class _WindowCache:
-    """Thread-safe per-term WindowSet cache over one index."""
+class _Batch:
+    """What one variant's batch computes once per term and reuses.
 
-    def __init__(self, index: PositionalIndex, n: int):
+    windows() extracts a term's context windows once.  The variant's
+    family keeps its own per-term memo: a TermVector per term for the
+    vector family (a batch uses one scheme), a Good-Turing model per term
+    for lm:sgt.  Laplace models depend on each comparison's vocabulary,
+    so they are not memoised.  prepare(query) returns the divergence
+    function for that query's perturbations.
+    """
+
+    def __init__(self, variant: str, index: PositionalIndex, n: int):
+        parts = parse_variant(variant)
         self.index = index
         self.n = n
-        self._cache: Dict[str, WindowSet] = {}
-        self._lock = threading.Lock()
+        self._windows: Dict[str, WindowSet] = {}
+        if parts[0] == "vector":
+            self.prepare = self._vector_family(parts[1])
+        else:
+            self.prepare = self._lm_family(parts[1], parts[2])
 
-    def get(self, term: str) -> WindowSet:
-        with self._lock:
-            ws = self._cache.get(term)
+    def windows(self, term: str) -> WindowSet:
+        ws = self._windows.get(term)
         if ws is None:
-            ws = extract_windows(self.index, (term,), n=self.n)
-            with self._lock:
-                self._cache.setdefault(term, ws)
+            ws = self._windows[term] = extract_windows(self.index, (term,), n=self.n)
         return ws
 
-    def has_windows(self, term: str) -> bool:
-        return bool(self.get(term).windows)
+    def _vector_family(self, scheme: str) -> Callable[[Query], Divergence]:
+        vectors: Dict[str, TermVector] = {}
 
+        def vector(term: str) -> TermVector:
+            tv = vectors.get(term)
+            if tv is None:
+                tv = vectors[term] = build_term_vector(self.windows(term), scheme)
+            return tv
 
-def _score_vector(
-    query: Query, scheme: str, cache: _WindowCache, lexicon: SynonymLexicon
-) -> NcdScore:
-    variant = f"vector:{scheme}"
-    if query.m < 2:
-        return NcdScore(query.qid, variant, None, reason="single-term query")
-    perturbations = perturb(query, lexicon)
-    if not perturbations:
-        return NcdScore(query.qid, variant, None, reason="no synonym coverage")
-    term_vectors: Dict[str, TermVector] = {}
-    for term in query.terms:
-        if term in term_vectors:
-            continue
-        ws = cache.get(term)
-        if not ws.windows:
-            return NcdScore(
-                query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
-            )
-        term_vectors[term] = build_term_vector(ws, scheme)
-    v_q = compose_query_vector([term_vectors[t] for t in query.terms])
-    divergences: List[float] = []
-    diagnostics: List[str] = []
-    for p in perturbations:
-        ws = cache.get(p.replacement)
-        if not ws.windows:
-            diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
-            continue
-        replaced = build_term_vector(ws, scheme)
-        parts = [
-            replaced if idx == p.j - 1 else term_vectors[t]
-            for idx, t in enumerate(query.terms)
-        ]
-        v_p = compose_query_vector(parts)
-        d, degenerate = cosine_distance(v_q, v_p)
-        if degenerate:
-            diagnostics.append(
-                f"zero-norm vector comparing against {p.replacement!r}; distance 1.0"
-            )
-        divergences.append(d)
-    if not divergences:
-        return NcdScore(
-            query.qid,
-            variant,
-            None,
-            reason="no usable perturbations",
-            diagnostics=diagnostics,
-        )
-    n_q = sum(divergences) / len(divergences)
-    return NcdScore(query.qid, variant, n_q, divergences, diagnostics=diagnostics)
+        def prepare(query: Query) -> Divergence:
+            v_q = compose_query_vector([vector(t) for t in query.terms])
 
+            def divergence(p: Perturbation, diagnostics: List[str]) -> float:
+                v_p = compose_query_vector([vector(t) for t in p.terms])
+                d, degenerate = cosine_distance(v_q, v_p)
+                if degenerate:
+                    diagnostics.append(
+                        f"zero-norm vector comparing against {p.replacement!r}; distance 1.0"
+                    )
+                return d
 
-def _term_lm(
-    term: str,
-    smoothing: str,
-    cache: _WindowCache,
-    vocabulary: Optional[Set[str]],
-    sgt_memo: Dict[str, SmoothedLM],
-) -> SmoothedLM:
-    counts = cache.get(term).stats.window_cf
-    if smoothing == "laplace":
-        return laplace_lm(counts, vocabulary if vocabulary is not None else set(counts))
-    lm = sgt_memo.get(term)
-    if lm is None:
-        lm = sgt_lm(counts)
-        sgt_memo[term] = lm
-    return lm
+            return divergence
 
+        return prepare
 
-def _score_lm(
-    query: Query,
-    smoothing: str,
-    combination: str,
-    cache: _WindowCache,
-    lexicon: SynonymLexicon,
-    sgt_memo: Dict[str, SmoothedLM],
-) -> NcdScore:
-    variant = f"lm:{smoothing}:{combination}"
-    if query.m < 2:
-        return NcdScore(query.qid, variant, None, reason="single-term query")
-    perturbations = perturb(query, lexicon)
-    if not perturbations:
-        return NcdScore(query.qid, variant, None, reason="no synonym coverage")
-    for term in query.terms:
-        if not cache.has_windows(term):
-            return NcdScore(
-                query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
-            )
-    query_vocab: Set[str] = set()
-    for term in set(query.terms):
-        query_vocab |= set(cache.get(term).stats.window_cf)
-    divergences: List[float] = []
-    diagnostics: List[str] = []
-    for p in perturbations:
-        if not cache.has_windows(p.replacement):
-            diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
-            continue
-        # Union vocabulary of both phrases' windows; Laplace V and the
-        # Good-Turing unseen split are both relative to this comparison.
-        union = set(query_vocab)
-        for term in set(p.terms):
-            union |= set(cache.get(term).stats.window_cf)
-        q_models = [
-            _term_lm(t, smoothing, cache, union, sgt_memo) for t in query.terms
-        ]
-        p_models = [
-            _term_lm(t, smoothing, cache, union, sgt_memo) for t in p.terms
-        ]
-        for m in q_models + p_models:
-            diagnostics.extend(d for d in m.diagnostics if d not in diagnostics)
-        lm_q = combine_term_lms(q_models, combination, vocabulary=union)
-        lm_p = combine_term_lms(p_models, combination, vocabulary=union)
-        divergences.append(kld(lm_q, lm_p, vocabulary=union))
-    if not divergences:
-        return NcdScore(
-            query.qid,
-            variant,
-            None,
-            reason="no usable perturbations",
-            diagnostics=diagnostics,
-        )
-    n_q = sum(divergences) / len(divergences)
-    return NcdScore(query.qid, variant, n_q, divergences, diagnostics=diagnostics)
+    def _lm_family(self, smoothing: str, combination: str) -> Callable[[Query], Divergence]:
+        sgt_memo: Dict[str, SmoothedLM] = {}
+
+        def counts(term: str) -> Dict[str, int]:
+            return self.windows(term).stats.window_cf
+
+        def sgt(term: str) -> SmoothedLM:
+            lm = sgt_memo.get(term)
+            if lm is None:
+                lm = sgt_memo[term] = sgt_lm(counts(term))
+            return lm
+
+        def column(term: str, vocab: List[str]) -> List[float]:
+            if smoothing == "laplace":
+                return laplace_column(counts(term), vocab)
+            return aligned_probs(sgt(term), vocab)
+
+        def prepare(query: Query) -> Divergence:
+            query_vocab: Set[str] = set()
+            for term in set(query.terms):
+                query_vocab.update(counts(term))
+
+            def divergence(p: Perturbation, diagnostics: List[str]) -> float:
+                # Union vocabulary of both phrases' windows; Laplace V and the
+                # Good-Turing unseen split are both relative to this comparison.
+                vocab = sorted(query_vocab.union(counts(p.replacement)))
+                columns = {t: column(t, vocab) for t in {*query.terms, p.replacement}}
+                if smoothing == "sgt":
+                    for t in query.terms + p.terms:
+                        diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
+                lm_q = combine_columns([columns[t] for t in query.terms], combination)
+                lm_p = combine_columns([columns[t] for t in p.terms], combination)
+                return kld_lists(lm_q, lm_p)
+
+            return divergence
+
+        return prepare
 
 
 def score_query(
@@ -212,15 +167,43 @@ def score_query(
     index: PositionalIndex,
     lexicon: SynonymLexicon,
     n: int = 5,
-    _cache: Optional[_WindowCache] = None,
-    _sgt_memo: Optional[Dict[str, SmoothedLM]] = None,
+    _batch: Optional[_Batch] = None,
 ) -> NcdScore:
-    parts = parse_variant(variant)
-    cache = _cache if _cache is not None else _WindowCache(index, n)
-    if parts[0] == "vector":
-        return _score_vector(query, parts[1], cache, lexicon)
-    memo = _sgt_memo if _sgt_memo is not None else {}
-    return _score_lm(query, parts[1], parts[2], cache, lexicon, memo)
+    """N_q of one query: the mean divergence over its usable perturbations.
+
+    A query is unscoreable when it has one term, no synonym coverage, a
+    term with no context windows, or no perturbation whose replacement has
+    windows.  _batch carries the memos score_batch shares across a batch.
+    """
+    batch = _batch if _batch is not None else _Batch(variant, index, n)
+    if query.m < 2:
+        return NcdScore(query.qid, variant, None, reason="single-term query")
+    perturbations = perturb(query, lexicon)
+    if not perturbations:
+        return NcdScore(query.qid, variant, None, reason="no synonym coverage")
+    for term in query.terms:
+        if not batch.windows(term).windows:
+            return NcdScore(
+                query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
+            )
+    divergence = batch.prepare(query)
+    divergences: List[float] = []
+    diagnostics: List[str] = []
+    for p in perturbations:
+        if not batch.windows(p.replacement).windows:
+            diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
+            continue
+        divergences.append(divergence(p, diagnostics))
+    if not divergences:
+        return NcdScore(
+            query.qid,
+            variant,
+            None,
+            reason="no usable perturbations",
+            diagnostics=diagnostics,
+        )
+    n_q = sum(divergences) / len(divergences)
+    return NcdScore(query.qid, variant, n_q, divergences, diagnostics=diagnostics)
 
 
 def score_batch(
@@ -234,25 +217,18 @@ def score_batch(
     """Score every query under one variant; one NcdScore per query, in order.
 
     Per-query failures surface as unscoreable records rather than
-    aborting the batch.  threads > 1 fans queries out over a thread pool;
-    results keep batch order regardless.
+    aborting the batch.  Scoring runs serially: it is pure Python, so
+    threads only contend for the interpreter lock.  threads is accepted
+    for compatibility and does not change results.
     """
-    parse_variant(variant)
-    cache = _WindowCache(index, n)
-    sgt_memo: Dict[str, SmoothedLM] = {}
-
-    def one(query: Query) -> NcdScore:
+    batch = _Batch(variant, index, n)
+    scores: List[NcdScore] = []
+    for query in queries:
         try:
-            return score_query(
-                query, variant, index, lexicon, n, _cache=cache, _sgt_memo=sgt_memo
-            )
+            scores.append(score_query(query, variant, index, lexicon, n, _batch=batch))
         except Exception as exc:
-            return NcdScore(query.qid, variant, None, reason=f"error: {exc}")
-
-    if threads <= 1:
-        return [one(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, queries))
+            scores.append(NcdScore(query.qid, variant, None, reason=f"error: {exc}"))
+    return scores
 
 
 def select_dependent(

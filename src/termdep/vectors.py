@@ -144,9 +144,11 @@ def compose_query_vector(vectors: Sequence[TermVector]) -> QueryVector:
 def cosine_distance(u: QueryVector, v: QueryVector) -> Tuple[float, bool]:
     """1 - cosine similarity over the union support; range [0, 2].
 
-    Returns (distance, degenerate): when either vector has zero norm the
-    similarity is undefined, so the distance falls back to 1.0 and the
-    degenerate flag is set for the caller's diagnostics.
+    Rounding can carry the cosine just past +-1, so the distance is
+    clamped to the range.  Returns (distance, degenerate): when either
+    vector has zero norm the similarity is undefined, so the distance
+    falls back to 1.0 and the degenerate flag is set for the caller's
+    diagnostics.
     """
     norm_u = math.sqrt(math.fsum(x * x for x in u.weights.values()))
     norm_v = math.sqrt(math.fsum(x * x for x in v.weights.values()))
@@ -156,4 +158,4 @@ def cosine_distance(u: QueryVector, v: QueryVector) -> Tuple[float, bool]:
     if len(b) < len(a):
         a, b = b, a
     dot = math.fsum(x * b[k] for k, x in a.items() if k in b)
-    return 1.0 - dot / (norm_u * norm_v), False
+    return min(2.0, max(0.0, 1.0 - dot / (norm_u * norm_v))), False

@@ -9,6 +9,7 @@ from termdep.langmodel import (
     combine_term_lms,
     freq_of_freq,
     kld,
+    laplace_column,
     laplace_lm,
     sgt_lm,
 )
@@ -75,6 +76,17 @@ class TestLaplace:
     def test_vocabulary_must_cover_counts(self):
         with pytest.raises(ValueError, match="cover"):
             laplace_lm({"a": 1}, {"b"})
+        with pytest.raises(ValueError, match="cover"):
+            laplace_column({"a": 1}, ["b"])
+
+    def test_column_is_the_aligned_model(self):
+        # These add-one values do not fsum to exactly 1, so the column keeps
+        # the renormalization that aligning the model applies.
+        counts = {"b": 2, "c": 5, "d": 5, "e": 5}
+        vocab = ["a", "b", "c", "d", "e"]
+        column = laplace_column(counts, vocab)
+        assert column == aligned_probs(laplace_lm(counts, vocab), vocab)
+        assert column != [(counts.get(w, 0) + 1) / (17 + 5) for w in vocab]
 
 
 class TestSimpleGoodTuring:

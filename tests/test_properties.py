@@ -1,10 +1,27 @@
-"""Property tests: spliced tuning runs, index frequencies, run-file I/O."""
+"""Property tests: spliced tuning runs, index frequencies, run-file I/O,
+the list-level LM kernels, and the range of vector divergences."""
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termdep.corpus import Document, PositionalIndex, Query
+from termdep.langmodel import (
+    COMBINATIONS,
+    aligned_probs,
+    combine_columns,
+    combine_term_lms,
+    kld,
+    kld_lists,
+    laplace_column,
+    laplace_lm,
+    sgt_lm,
+)
+from termdep.perturb import SynonymLexicon
 from termdep.retrieval import RankedRun, RankingConfig, rank, read_run, splice_runs, write_run
+from termdep.scoring import score_batch
+from termdep.vectors import SCHEMES
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -96,3 +113,128 @@ def test_run_file_round_trips(tmp_path_factory, results):
     again = path.with_suffix(".again")
     write_run(back, str(again), tag="t")
     assert again.read_bytes() == path.read_bytes()
+
+
+WORDS = tuple("abcdefgh")
+count_tables = st.dictionaries(
+    st.sampled_from(WORDS), st.integers(min_value=1, max_value=6), min_size=1
+)
+
+
+def outcome(compute):
+    """The value computed, or the message of the ValueError raised instead."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def reference_phrase_kld(q_models, p_models, method, vocab):
+    """Combined query distribution and KLD, one word at a time.
+
+    The float operations, in order, that phrase scoring has always
+    performed: align each model on the vocabulary and renormalize, combine
+    and renormalize, renormalize both combined models again, then sum.
+    """
+
+    def normalized(values):
+        total = math.fsum(values)
+        return [v / total for v in values]
+
+    def aligned(model):
+        n_unseen = sum(1 for w in vocab if w not in model.prob)
+        if model.method == "sgt" and n_unseen:
+            fill = model.unseen_mass / n_unseen
+        else:
+            fill = model.unseen_prob
+        return normalized([model.prob.get(w, fill) for w in vocab])
+
+    def band(col):
+        s = sorted(col)
+        ends = []
+        for q in (0.25, 0.75):
+            pos = q * (len(s) - 1)
+            lo, hi = math.floor(pos), math.ceil(pos)
+            ends.append(s[lo] if lo == hi else s[lo] * (1.0 - (pos - lo)) + s[hi] * (pos - lo))
+        return ends
+
+    def combine(models):
+        columns = [aligned(m) for m in models]
+        bands = [band(col) for col in columns]
+        combined = []
+        for i in range(len(vocab)):
+            vals = [col[i] for col in columns]
+            if method == "mult":
+                combined.append(math.prod(vals))
+            elif method == "median":
+                vals.sort()
+                mid = len(vals) // 2
+                combined.append(vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2.0)
+            else:
+                contribs = [v for v, (q1, q3) in zip(vals, bands) if q1 <= v <= q3]
+                total = math.fsum(contribs)
+                if method == "qavg" and contribs:
+                    total /= len(contribs)
+                combined.append(total)
+        if method in ("qsum", "qavg"):
+            positive = [v for v in combined if v > 0.0]
+            if not positive:
+                raise ValueError("quantile combination produced no contributions")
+            floor = min(positive)
+            combined = [v if v > 0.0 else floor for v in combined]
+        return normalized(combined)
+
+    lm_q, lm_p = combine(q_models), combine(p_models)
+    pp, qq = normalized(lm_q), normalized(lm_p)
+    return lm_q, math.fsum(a * math.log(a / b) for a, b in zip(pp, qq))
+
+
+@PROPERTY
+@given(
+    st.lists(count_tables, min_size=1, max_size=4),
+    st.lists(count_tables, min_size=1, max_size=4),
+    st.sets(st.sampled_from(WORDS + ("x", "y"))),
+    st.sampled_from(COMBINATIONS),
+    st.sampled_from(("laplace", "sgt")),
+)
+def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, smoothing):
+    # Scoring's path (columns -> combine_columns -> kld_lists) gives the very
+    # floats of combine_term_lms -> kld on SmoothedLMs, and of the reference.
+    vocab_set = set(extra).union(*q_tables, *p_tables)
+    vocab = sorted(vocab_set)
+    if smoothing == "laplace":
+        q_models = [laplace_lm(c, vocab_set) for c in q_tables]
+        p_models = [laplace_lm(c, vocab_set) for c in p_tables]
+        q_cols = [laplace_column(c, vocab) for c in q_tables]
+        p_cols = [laplace_column(c, vocab) for c in p_tables]
+    else:
+        q_models = [sgt_lm(c) for c in q_tables]
+        p_models = [sgt_lm(c) for c in p_tables]
+        q_cols = [aligned_probs(m, vocab) for m in q_models]
+        p_cols = [aligned_probs(m, vocab) for m in p_models]
+
+    def wrappers():
+        lm_q = combine_term_lms(q_models, method, vocabulary=vocab_set)
+        lm_p = combine_term_lms(p_models, method, vocabulary=vocab_set)
+        return [lm_q.prob[w] for w in vocab], kld(lm_q, lm_p, vocabulary=vocab_set)
+
+    def kernels():
+        combined_q = combine_columns(q_cols, method)
+        return combined_q, kld_lists(combined_q, combine_columns(p_cols, method))
+
+    expected = outcome(lambda: reference_phrase_kld(q_models, p_models, method, vocab))
+    assert outcome(kernels) == expected
+    assert outcome(wrappers) == expected
+
+
+@PROPERTY
+@given(corpora(), query_batches(), st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)))
+def test_vector_divergences_stay_in_cosine_range(corpus, queries, synonyms):
+    _, index = corpus
+    lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
+    for scheme in SCHEMES:
+        for score in score_batch(queries, f"vector:{scheme}", index, lexicon):
+            assert not score.reason.startswith("error:")
+            if score.scoreable:
+                assert 0.0 <= score.n_q <= 2.0
+                assert all(0.0 <= d <= 2.0 for d in score.divergences)

@@ -132,6 +132,19 @@ class TestScoreQueryPlanted:
         assert len(score.divergences) == 1
         assert any("vermillion" in d for d in score.diagnostics)
 
+    @pytest.mark.parametrize("variant", ["lm:sgt:qsum", "lm:sgt:mult"])
+    def test_sgt_fallback_reported_once(self, variant):
+        # "tape" co-occurs only with words seen twice in its windows, so its
+        # Good-Turing model falls back to Laplace in both perturbations.
+        index = PositionalIndex()
+        texts = ["red tape desk", "crimson tape desk"] * 2 + ["red ink pen"]
+        for k, text in enumerate(texts):
+            index.add_document(Document(f"d{k}", tuple(tokenize(text))))
+        lexicon = SynonymLexicon(entries={"red": ["crimson"], "tape": ["ink"]})
+        score = score_query(make_query("q", "red tape"), variant, index, lexicon)
+        assert len(score.divergences) == 2
+        assert score.diagnostics == ["sgt: no hapax legomena; fell back to laplace"]
+
 
 class TestScoreQueryRetrievalFixture:
     def test_dependent_and_compositional_extremes(self):
@@ -169,6 +182,24 @@ class TestScoreBatch:
         assert not scores[0].scoreable
         assert scores[0].reason.startswith("error:")
         assert scores[1].scoreable
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_memos_match_fresh_per_query_scoring(self, planted_state, variant):
+        # score_batch shares windows, term vectors and SGT models across the
+        # batch; each score_query call here starts from empty memos.
+        index, queries, lexicon = planted_state
+        batch = queries + [
+            make_query("x1", "red office"),
+            make_query("x2", "tax"),
+            make_query("x3", "tape red tape"),
+            make_query("x4", "red zeppelin"),
+        ]
+        scores = score_batch(batch, variant, index, lexicon)
+        for query, got in zip(batch, scores):
+            # Dataclass equality: qid, variant, n_q, divergences, reason and
+            # diagnostics, floats compared exactly.
+            assert got == score_query(query, variant, index, lexicon)
+        assert [s.scoreable for s in scores] == [True, True, True, False, True, False]
 
     @pytest.mark.parametrize("variant", ["vector:atc", "lm:sgt:median"])
     def test_thread_count_does_not_change_results(self, planted_state, variant):

@@ -195,6 +195,12 @@ class TestCosineDistance:
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
         assert not degenerate
 
+    def test_rounding_clamped_at_zero(self):
+        # Unclamped, 1 - dot/(|u||v|) for this vector against itself is
+        # -2.2e-16: the rounded norm product falls just short of the dot.
+        u = QueryVector(("t",), {"a": 0.5, "b": 0.3})
+        assert cosine_distance(u, u) == (0.0, False)
+
     def test_disjoint_supports_orthogonal(self):
         u = QueryVector(("t",), {"a": 1.0})
         v = QueryVector(("t",), {"b": 1.0})
