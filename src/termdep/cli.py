@@ -19,20 +19,20 @@ from .corpus import PositionalIndex, ingest_corpus, load_queries, load_stopwords
 from .evaluation import (
     MEASURES,
     CvPlan,
-    cross_validate,
+    MetricReport,
+    cross_validate_reports,
     evaluate,
     load_qrels,
+    splice_reports,
     write_metric_report,
 )
 from .fixtures import planted_pair, retrieval_fixture
 from .perturb import load_lexicon
 from .retrieval import (
     MODES,
-    RankedRun,
     RankingConfig,
     rank,
     read_run,
-    splice_runs,
     write_run,
 )
 from .scoring import VARIANTS, NcdScore, score_batch, select_dependent
@@ -167,21 +167,23 @@ def _cmd_tune(args) -> int:
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
     # A selective run at (mu, theta) is, query by query, the bow or the fd
-    # run at mu, so each mu is ranked once per mode and every theta splices.
-    # cross_validate walks the grid mu-major: one mu's pair is live at a time.
+    # run at mu, and a query's metric row depends on its own list alone, so
+    # each mu is ranked and evaluated once per mode and every theta splices
+    # the two reports.  The grid is walked mu-major, so one mu's pair of
+    # reports is live at a time; the runs are dropped once evaluated.
     @functools.lru_cache(maxsize=1)
-    def mode_runs(mu: float) -> Tuple[RankedRun, RankedRun]:
+    def mode_reports(mu: float) -> Tuple[MetricReport, MetricReport]:
         bow, fd = (
-            rank(queries, index, RankingConfig(mu=mu, mode=mode, top_k=args.top_k))
+            evaluate(rank(queries, index, RankingConfig(mu=mu, mode=mode, top_k=args.top_k)), qrels)
             for mode in ("bow", "fd")
         )
         return bow, fd
 
-    def run_for(mu: float, theta: int) -> RankedRun:
+    def report_for(mu: float, theta: int) -> MetricReport:
         selected, _ = select_dependent(scores, theta)
-        return splice_runs(*mode_runs(mu), selected)
+        return splice_reports(*mode_reports(mu), selected)
 
-    result = cross_validate([q.qid for q in queries], run_for, qrels, plan)
+    result = cross_validate_reports([q.qid for q in queries], report_for, plan)
     payload = {
         "measure": result.measure,
         "folds": [

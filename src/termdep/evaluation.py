@@ -3,14 +3,17 @@
 Graded judgments come from TREC-format qrels; binary relevance for MAP
 and P@10 is grade > 0.  Cross-validation deterministically splits the
 qid-sorted query set round-robin into three folds, tunes (mu, theta) on
-two folds, and reports the mean score of the held-out thirds.
+two folds, and reports the mean score of the held-out thirds.  It reads
+one metric report per grid point; a selective report is spliced from the
+bow and fd reports at its mu (splice_reports), so tuning evaluates each
+mu once per mode rather than once per (mu, theta).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .retrieval import RankedRun
 
@@ -124,10 +127,36 @@ def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
             "p10": _precision_at_10(ranked, relevant),
             "ndcg10": _ndcg_at_10(ranked, relevant),
         }
-    for measure in MEASURES:
-        rows = [m[measure] for m in report.per_query.values()]
-        report.means[measure] = sum(rows) / len(rows) if rows else 0.0
+    report.means = _means(report.per_query)
     return report
+
+
+def _means(per_query: Dict[str, Dict[str, float]]) -> Dict[str, float]:
+    """Each measure's mean over the per-query rows, in their order."""
+    means = {}
+    for measure in MEASURES:
+        rows = [m[measure] for m in per_query.values()]
+        means[measure] = sum(rows) / len(rows) if rows else 0.0
+    return means
+
+
+def splice_reports(bow: MetricReport, fd: MetricReport, selected: Iterable[str]) -> MetricReport:
+    """Per query, fd's metric row if its qid is selected, else bow's.
+
+    Given evaluate's reports of rank's bow and fd runs at one mu, this
+    equals evaluate of splice_runs on those runs: a query's row depends on
+    its own ranked list alone, and both runs hold the same qids in the
+    same order, so they also share their diagnostics.  Rows are shared,
+    not copied.
+    """
+    selected_set = set(selected)
+    per_query = {
+        qid: (fd.per_query[qid] if qid in selected_set else row)
+        for qid, row in bow.per_query.items()
+    }
+    return MetricReport(
+        per_query=per_query, means=_means(per_query), diagnostics=list(bow.diagnostics)
+    )
 
 
 def write_metric_report(report: MetricReport, path: str) -> None:
@@ -184,11 +213,26 @@ def cross_validate(
     qrels: Qrels,
     plan: CvPlan,
 ) -> CvResult:
+    """cross_validate_reports over evaluate(run_for(mu, theta), qrels).
+
+    run_for(mu, theta) must rank the full batch.
+    """
+    return cross_validate_reports(qids, lambda mu, theta: evaluate(run_for(mu, theta), qrels), plan)
+
+
+def cross_validate_reports(
+    qids: Sequence[str],
+    report_for: Callable[[float, int], MetricReport],
+    plan: CvPlan,
+) -> CvResult:
     """Tune (mu, theta) per fold on the other folds, score on the held-out one.
 
-    run_for(mu, theta) must rank the full batch; fold membership only
-    controls which per-query scores feed tuning versus testing.  Grid
-    ties resolve to the smaller mu, then the smaller theta.
+    report_for(mu, theta) must return the metric report of the full batch
+    at that grid point, as evaluate gives it; fold membership only controls
+    which per-query rows feed tuning versus testing.  The grid is walked
+    mu-major, each mu's thetas in ascending order, and report_for is called
+    once per grid point.  Grid ties resolve to the smaller mu, then the
+    smaller theta.
     """
     if len(qids) < plan.folds:
         raise ValueError(f"need at least {plan.folds} queries, got {len(qids)}")
@@ -199,7 +243,7 @@ def cross_validate(
     ]
     per_config: Dict[Tuple[float, int], Dict[str, float]] = {}
     for mu, theta in grid:
-        report = evaluate(run_for(mu, theta), qrels)
+        report = report_for(mu, theta)
         diagnostics.extend(d for d in report.diagnostics if d not in diagnostics)
         per_config[(mu, theta)] = {
             qid: row[plan.measure] for qid, row in report.per_query.items()

@@ -312,7 +312,8 @@ def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
     """kld of two value lists aligned on one vocabulary.
 
     Each list is renormalized to sum to 1 first, as aligning a model on a
-    comparison vocabulary does.
+    comparison vocabulary does.  Rounding can take the sum of a near-equal
+    pair just below 0; KL divergence is non-negative, so it is clamped.
     """
     pp = _renormalized(p)
     qq = _renormalized(q)
@@ -320,4 +321,4 @@ def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
         for v in vals:
             if v <= 0.0:
                 raise ValueError(f"{name} assigns non-positive probability")
-    return math.fsum([a * math.log(a / b) for a, b in zip(pp, qq)])
+    return max(0.0, math.fsum([a * math.log(a / b) for a, b in zip(pp, qq)]))

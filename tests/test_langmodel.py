@@ -9,6 +9,7 @@ from termdep.langmodel import (
     combine_term_lms,
     freq_of_freq,
     kld,
+    kld_lists,
     laplace_column,
     laplace_lm,
     sgt_lm,
@@ -279,6 +280,11 @@ class TestKld:
                 ref_kld(aligned_probs(p, sorted(vocab)), aligned_probs(q, sorted(vocab))),
                 atol=1e-9,
             )
+
+    def test_near_equal_lists_clamp_to_zero(self):
+        # Unclamped, rounding makes this sum -2.47e-17.
+        d = kld_lists([0.2, 0.1, 0.15], [0.19999999999999998, 0.1, 0.14999999999999997])
+        assert d == 0.0
 
     def test_asymmetric_in_general(self):
         vocab = {"a", "b"}

@@ -1,5 +1,6 @@
-"""Property tests: spliced tuning runs, index frequencies, run-file I/O,
-the list-level LM kernels, and the range of vector divergences."""
+"""Property tests: spliced tuning runs and metric reports, ingestion-order
+independence of ranking, index frequencies, run-file I/O, the list-level
+LM kernels, the sign of KLD, and the range of vector divergences."""
 
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termdep.corpus import Document, PositionalIndex, Query
+from termdep.evaluation import Qrels, evaluate, splice_reports
 from termdep.langmodel import (
     COMBINATIONS,
     aligned_probs,
@@ -74,6 +76,54 @@ def test_spliced_run_equals_selective_rank(corpus, queries, mu, top_k, data):
     spliced = splice_runs(bow, fd, selected)
     assert spliced.qids() == selective.qids()
     assert spliced.results == selective.results
+
+
+@PROPERTY
+@given(
+    corpora(),
+    query_batches(),
+    st.floats(min_value=0.5, max_value=20000.0),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_spliced_report_equals_report_of_spliced_run(corpus, queries, mu, top_k, data):
+    docs, index = corpus
+    qids = [q.qid for q in queries]
+    # Judged qids grade every doc, plus one never ranked; a qid left unjudged
+    # or graded all 0 exercises each of evaluate's diagnostics.
+    judged = sorted(data.draw(st.sets(st.sampled_from(qids))))
+    grades = st.integers(min_value=0, max_value=3)
+    doc_ids = [doc_id for doc_id, _ in docs] + ["dx"]
+    qrels = Qrels(data.draw(st.fixed_dictionaries({(q, d): grades for q in judged for d in doc_ids})))
+    selected = data.draw(st.sets(st.sampled_from(qids)))
+    # Any phrase weight will do; heavy ones make fd reorder bow's lists often.
+    lambda_o = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    bow, fd = (
+        rank(
+            queries,
+            index,
+            RankingConfig(mu=mu, mode=mode, top_k=top_k, lambda_t=1.0 - lambda_o, lambda_o=lambda_o),
+        )
+        for mode in ("bow", "fd")
+    )
+    spliced = splice_reports(evaluate(bow, qrels), evaluate(fd, qrels), selected)
+    expected = evaluate(splice_runs(bow, fd, selected), qrels)
+    # Dataclass equality: per-query rows, means and diagnostics, floats exact.
+    assert spliced == expected
+    assert list(spliced.per_query) == list(expected.per_query)
+
+
+@PROPERTY
+@given(corpora(), query_batches(), st.floats(min_value=0.5, max_value=20000.0), st.data())
+def test_ranking_ignores_ingestion_order(corpus, queries, mu, data):
+    docs, index = corpus
+    shuffled = PositionalIndex()
+    for doc_id, tokens in data.draw(st.permutations(docs)):
+        shuffled.add_document(Document(doc_id, tokens))
+    for mode in ("bow", "sd", "fd"):
+        config = RankingConfig(mu=mu, mode=mode, top_k=8)
+        # Statistics are integer counts and ties break by doc_id: exact equality.
+        assert rank(queries, shuffled, config) == rank(queries, index, config)
 
 
 @PROPERTY
@@ -225,6 +275,19 @@ def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, sm
     expected = outcome(lambda: reference_phrase_kld(q_models, p_models, method, vocab))
     assert outcome(kernels) == expected
     assert outcome(wrappers) == expected
+
+
+positive_lists = st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(positive_lists, st.data())
+def test_kld_is_never_negative(p, data):
+    nudged = [math.nextafter(v, data.draw(st.sampled_from((0.0, 2.0)))) for v in p]
+    other = data.draw(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=len(p), max_size=len(p)))
+    for q in (p, nudged, other):
+        assert kld_lists(p, q) >= 0.0
+        assert kld_lists(q, p) >= 0.0
 
 
 @PROPERTY
