@@ -1,17 +1,21 @@
-"""Corpus ingestion, tokenization, and the positional inverted index.
+"""Corpus ingestion, tokenization, and the count-first positional index.
 
 Documents arrive as JSON-lines ({"doc_id": ..., "text": ...}), queries as
-TSV (qid<TAB>text), stopwords as one word per line.  The index keeps full
-position lists per (term, document) so exact ordered phrase matching and
-Dirichlet ranking can share one structure.
+TSV (qid<TAB>text), stopwords as one word per line.  The index is
+count-first, positions inverted on first lookup: ingestion only counts
+tokens, and a term's position lists are built when a query, phrase or
+context window first asks for them, so Dirichlet ranking reads counts and
+exact ordered phrase matching reads positions of the few terms it needs.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -60,22 +64,83 @@ def _has_whitespace(identifier: str) -> bool:
     return any(ch.isspace() for ch in identifier)
 
 
-@dataclass
-class PositionalIndex:
-    """Positional inverted index plus the collection statistics ranking needs.
+class _LazyPostings(Mapping):
+    """Read-only term -> {doc_id: ascending positions}, inverted on first lookup.
 
-    postings maps term -> {doc_id: ascending position list}, documents in
-    ingestion order; collection_counts maps term -> its total occurrences.
-    Both are filled in by add_document, so frequency lookups are constant
-    time.  The index is immutable by convention once built; nothing
-    mutates it after ingestion.
+    A term's entry is built by scanning the per-document counters in
+    ingestion order and locating its positions with tuple.index, then kept
+    until the next add_document.
     """
 
-    postings: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
-    collection_counts: Dict[str, int] = field(default_factory=dict)
-    doc_lengths: Dict[str, int] = field(default_factory=dict)
-    doc_tokens: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    total_terms: int = 0
+    def __init__(self, index: "PositionalIndex"):
+        self._index = index
+        self._memo: Dict[str, Dict[str, List[int]]] = {}
+
+    def __getitem__(self, term: str) -> Dict[str, List[int]]:
+        by_doc = self.get(term)
+        if by_doc is None:
+            raise KeyError(term)
+        return by_doc
+
+    def get(self, term: str, default=None):
+        # Overrides Mapping.get, which would add a frame and raise for absent terms.
+        by_doc = self._memo.get(term)
+        if by_doc is None:
+            if term not in self._index.collection_counts:
+                return default
+            by_doc = self._memo[term] = self._invert(term)
+        return by_doc
+
+    def _invert(self, term: str) -> Dict[str, List[int]]:
+        by_doc: Dict[str, List[int]] = {}
+        doc_tokens = self._index.doc_tokens
+        for doc_id, counts in self._index.doc_counts.items():
+            if term in counts:
+                tokens = doc_tokens[doc_id]
+                positions = []
+                p = -1
+                for _ in range(counts[term]):
+                    p = tokens.index(term, p + 1)
+                    positions.append(p)
+                by_doc[doc_id] = positions
+        return by_doc
+
+    def __contains__(self, term: object) -> bool:
+        # Mapping's default would go through __getitem__ and invert the term.
+        return term in self._index.collection_counts
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.collection_counts)
+
+    def __len__(self) -> int:
+        return len(self._index.collection_counts)
+
+    def clear_memo(self) -> None:
+        self._memo.clear()
+
+
+_NO_COUNTS: Dict[str, int] = {}
+
+
+class PositionalIndex:
+    """Count-first index: token counts at ingestion, positions inverted on first lookup.
+
+    doc_counts maps doc_id -> Counter of its tokens and collection_counts
+    term -> total occurrences, both counted in C by add_document, so
+    frequency lookups are constant time.  postings is a read-only lazy
+    mapping term -> {doc_id: ascending position list}, documents in
+    ingestion order; only the terms looked up are ever inverted.  The index
+    is immutable by convention once built; nothing mutates it after
+    ingestion.
+    """
+
+    def __init__(self) -> None:
+        self.doc_counts: Dict[str, Counter] = {}
+        self.collection_counts: Counter = Counter()
+        self.doc_lengths: Dict[str, int] = {}
+        self.doc_tokens: Dict[str, Tuple[str, ...]] = {}
+        self.total_terms = 0
+        self.postings = _LazyPostings(self)
 
     @property
     def doc_count(self) -> int:
@@ -83,29 +148,23 @@ class PositionalIndex:
 
     @property
     def vocab_size(self) -> int:
-        return len(self.postings)
+        return len(self.collection_counts)
 
     def collection_frequency(self, term: str) -> int:
         return self.collection_counts.get(term, 0)
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        by_doc = self.postings.get(term)
-        if by_doc is None:
-            return 0
-        return len(by_doc.get(doc_id, ()))
+        return self.doc_counts.get(doc_id, _NO_COUNTS).get(term, 0)
 
     def add_document(self, doc: Document) -> None:
         if doc.doc_id in self.doc_lengths:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
         self.doc_lengths[doc.doc_id] = doc.length
         self.doc_tokens[doc.doc_id] = doc.tokens
+        self.doc_counts[doc.doc_id] = Counter(doc.tokens)
+        self.collection_counts.update(doc.tokens)
         self.total_terms += doc.length
-        positions: Dict[str, List[int]] = {}
-        for pos, term in enumerate(doc.tokens):
-            positions.setdefault(term, []).append(pos)
-        for term, plist in positions.items():
-            self.postings.setdefault(term, {})[doc.doc_id] = plist
-            self.collection_counts[term] = self.collection_counts.get(term, 0) + len(plist)
+        self.postings.clear_memo()
 
     def documents(self) -> Iterable[Document]:
         for doc_id, tokens in self.doc_tokens.items():
@@ -195,39 +254,37 @@ def load_stopwords(path: str) -> Set[str]:
     return words
 
 
-def phrase_occurrences(index: PositionalIndex, terms: Sequence[str]) -> Dict[str, int]:
-    """Count exact ordered, uninterrupted occurrences of `terms` per document.
+def phrase_positions(index: PositionalIndex, terms: Sequence[str]) -> Dict[str, List[int]]:
+    """Start positions of exact ordered, uninterrupted occurrences of `terms`.
 
-    A single term reduces to plain term frequency.  Documents with zero
-    occurrences are omitted from the result.
+    The one phrase matcher: documents in ingestion order, positions
+    ascending, documents without an occurrence omitted.  A single term
+    gives its postings entry itself, which callers must not mutate.
     """
     if not terms:
-        raise ValueError("phrase_occurrences requires at least one term")
+        raise ValueError("phrase matching requires at least one term")
     first = index.postings.get(terms[0])
     if first is None:
         return {}
     if len(terms) == 1:
-        return {doc_id: len(positions) for doc_id, positions in first.items()}
-    rest: List[Dict[str, List[int]]] = []
-    for term in terms[1:]:
-        by_doc = index.postings.get(term)
-        if by_doc is None:
-            return {}
-        rest.append(by_doc)
-    counts: Dict[str, int] = {}
+        return first
+    rest = tuple(terms[1:])
+    if not all(t in index.collection_counts for t in rest):
+        return {}
+    end = len(terms)
+    starts: Dict[str, List[int]] = {}
     for doc_id, positions in first.items():
-        doc_sets = []
-        for by_doc in rest:
-            later = by_doc.get(doc_id)
-            if later is None:
-                break
-            doc_sets.append(set(later))
-        else:
-            n = sum(
-                1
-                for p in positions
-                if all(p + offset + 1 in doc_sets[offset] for offset in range(len(doc_sets)))
-            )
-            if n:
-                counts[doc_id] = n
-    return counts
+        tokens = index.doc_tokens[doc_id]
+        hits = [p for p in positions if tokens[p + 1 : p + end] == rest]
+        if hits:
+            starts[doc_id] = hits
+    return starts
+
+
+def phrase_occurrences(index: PositionalIndex, terms: Sequence[str]) -> Dict[str, int]:
+    """Count exact ordered, uninterrupted occurrences of `terms` per document.
+
+    The count view of phrase_positions: a single term reduces to plain term
+    frequency, and documents with zero occurrences are omitted.
+    """
+    return {doc_id: len(starts) for doc_id, starts in phrase_positions(index, terms).items()}

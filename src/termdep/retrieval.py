@@ -184,8 +184,13 @@ def write_run(run: RankedRun, path: str, tag: str) -> None:
 
 
 def read_run(path: str) -> RankedRun:
-    """Read a TREC run file back into a RankedRun (tag discarded)."""
+    """Read a TREC run file back into a RankedRun (tag discarded).
+
+    A row with the wrong field count, a score that is not a finite number,
+    or a (qid, doc_id) pair seen before is rejected with its path:line.
+    """
     run = RankedRun()
+    listed_by_qid: Dict[str, Set[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -193,6 +198,18 @@ def read_run(path: str) -> RankedRun:
                 continue
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
-            qid, _, doc_id, _, score, _ = parts
-            run.results.setdefault(qid, []).append((doc_id, float(score)))
+            qid, _, doc_id, _, raw, _ = parts
+            try:
+                score = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score {raw!r} is not a number") from None
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {raw!r} is not finite")
+            listed = listed_by_qid.get(qid)
+            if listed is None:
+                listed = listed_by_qid[qid] = set()
+            if doc_id in listed:
+                raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} repeated for qid {qid!r}")
+            listed.add(doc_id)
+            run.results.setdefault(qid, []).append((doc_id, score))
     return run

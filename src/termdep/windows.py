@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import PositionalIndex, phrase_occurrences
+from .corpus import PositionalIndex, phrase_positions
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,9 @@ def extract_windows(
     target = tuple(target)
     span = len(target)
     windows: List[ContextWindow] = []
-    if span == 1:
-        plists = index.postings.get(target[0], {})
-        occurrences = [(doc_id, p) for doc_id, positions in plists.items() for p in positions]
-    else:
-        per_doc = phrase_occurrences(index, target)
-        occurrences = []
-        for doc_id, positions in index.postings.get(target[0], {}).items():
-            if doc_id not in per_doc:
-                continue
-            tokens = index.doc_tokens[doc_id]
-            for p in positions:
-                if tuple(tokens[p : p + span]) == target:
-                    occurrences.append((doc_id, p))
+    occurrences = [
+        (doc_id, p) for doc_id, starts in phrase_positions(index, target).items() for p in starts
+    ]
     for doc_id, p in occurrences:
         tokens = index.doc_tokens[doc_id]
         lo = max(0, p - n)

@@ -350,6 +350,30 @@ class TestEvalFlow:
         assert "q99" in capsys.readouterr().err
 
 
+class TestEvalRejectsBadRuns:
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["q1 Q0 d1 1 -1.0 t", "q1 Q0 d1 2 -2.0 t"], 2, "doc_id 'd1' repeated for qid 'q1'"),
+            (["q1 Q0 d1 1 nan t"], 1, "score 'nan' is not finite"),
+            (["q1 Q0 d2 1 -1.0 t", "q1 Q0 d1 2 inf t"], 2, "score 'inf' is not finite"),
+            (["q1 Q0 d1 1 abc t"], 1, "score 'abc' is not a number"),
+        ],
+    )
+    def test_exit_2_with_one_located_error_and_no_report(
+        self, tmp_path, capsys, rows, line, message
+    ):
+        run = tmp_path / "bad.run"
+        run.write_text("\n".join(rows) + "\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq1 0 d2 0\n")
+        report = tmp_path / "report.csv"
+        code = main(["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {run}:{line}: {message}"]
+        assert not report.exists()
+
+
 class TestTuneCommand:
     def test_grid_defaults(self):
         assert DEFAULT_MU_GRID == (

@@ -1,14 +1,16 @@
 """Property tests: spliced tuning runs and metric reports, ingestion-order
-independence of ranking, index frequencies, run-file I/O, the list-level
-LM kernels, the sign of KLD, and the range of vector divergences."""
+independence of ranking, the count-first index (frequencies, lazily
+inverted postings, the phrase matcher, phrase windows), run-file I/O, the
+range of metrics on runs read back, the list-level LM kernels, the sign of
+KLD, and the range of vector divergences."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termdep.corpus import Document, PositionalIndex, Query
-from termdep.evaluation import Qrels, evaluate, splice_reports
+from termdep.corpus import Document, PositionalIndex, Query, phrase_positions
+from termdep.evaluation import MEASURES, Qrels, evaluate, splice_reports
 from termdep.langmodel import (
     COMBINATIONS,
     aligned_probs,
@@ -24,12 +26,20 @@ from termdep.perturb import SynonymLexicon
 from termdep.retrieval import RankedRun, RankingConfig, rank, read_run, splice_runs, write_run
 from termdep.scoring import score_batch
 from termdep.vectors import SCHEMES
+from termdep.windows import extract_windows
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
 
 VOCAB = ("a", "b", "c", "d", "e")
 ABSENT = "zz"  # never in a document: exercises the zero-frequency floor
+
+
+def build_index(docs):
+    index = PositionalIndex()
+    for doc_id, tokens in docs:
+        index.add_document(Document(doc_id, tokens))
+    return index
 
 
 @st.composite
@@ -40,10 +50,7 @@ def corpora(draw):
         (doc_id, tuple(draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=15))))
         for doc_id in names
     ]
-    index = PositionalIndex()
-    for doc_id, tokens in docs:
-        index.add_document(Document(doc_id, tokens))
-    return docs, index
+    return docs, build_index(docs)
 
 
 @st.composite
@@ -142,6 +149,94 @@ def test_frequencies_match_brute_force_counts(corpus):
     assert index.term_frequency("a", "no-such-doc") == 0
 
 
+def brute_force_starts(docs, phrase):
+    """{doc_id: start positions of `phrase`} by slicing every offset, in doc order."""
+    span = len(phrase)
+    starts = {}
+    for doc_id, tokens in docs:
+        hits = [p for p in range(len(tokens) - span + 1) if tokens[p : p + span] == phrase]
+        if hits:
+            starts[doc_id] = hits
+    return starts
+
+
+phrases = st.lists(st.sampled_from(VOCAB + (ABSENT,)), min_size=1, max_size=3).map(tuple)
+
+
+@PROPERTY
+@given(corpora(), st.permutations(VOCAB + (ABSENT,)))
+def test_postings_equal_brute_force_in_any_lookup_order(corpus, order):
+    docs, index = corpus
+    for term in order:
+        expected = brute_force_starts(docs, (term,))
+        if expected:
+            assert index.postings[term] == expected
+            assert list(index.postings[term]) == list(expected)
+        else:
+            assert term not in index.postings
+            assert index.postings.get(term) is None
+    # A second pass reads the memo and must agree with the first.
+    assert dict(index.postings.items()) == {
+        t: brute_force_starts(docs, (t,)) for t in VOCAB if any(t in tokens for _, tokens in docs)
+    }
+    assert list(index.postings) == list(index.collection_counts)
+
+
+@PROPERTY
+@given(corpora(), st.data())
+def test_add_document_after_lookup_leaves_nothing_stale(corpus, data):
+    docs, _ = corpus
+    cut = data.draw(st.integers(min_value=0, max_value=len(docs)))
+    index = build_index(docs[:cut])
+    for term in data.draw(st.lists(st.sampled_from(VOCAB + (ABSENT,)))):
+        index.postings.get(term)
+        phrase_positions(index, (term, term))
+    for doc_id, tokens in docs[cut:]:
+        index.add_document(Document(doc_id, tokens))
+    fresh = build_index(docs)
+    assert index.vocab_size == fresh.vocab_size
+    assert index.total_terms == fresh.total_terms
+    for term in VOCAB + (ABSENT,):
+        assert index.postings.get(term) == fresh.postings.get(term)
+        assert index.collection_frequency(term) == fresh.collection_frequency(term)
+        for doc_id, _ in docs:
+            assert index.term_frequency(term, doc_id) == fresh.term_frequency(term, doc_id)
+
+
+@PROPERTY
+@given(corpora(), phrases)
+def test_phrase_positions_equal_brute_force_scan(corpus, phrase):
+    docs, index = corpus
+    expected = brute_force_starts(docs, phrase)
+    got = phrase_positions(index, phrase)
+    assert got == expected
+    assert list(got) == list(expected)
+
+
+@PROPERTY
+@given(
+    corpora(),
+    phrases.filter(lambda p: len(p) >= 2),
+    st.integers(min_value=0, max_value=4),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+)
+def test_phrase_windows_equal_token_slice_reference(corpus, phrase, n, max_windows):
+    docs, index = corpus
+    expected = []
+    for doc_id, starts in brute_force_starts(docs, phrase).items():
+        tokens = dict(docs)[doc_id]
+        for p in starts:
+            lo, hi = max(0, p - n), min(len(tokens), p + len(phrase) + n)
+            counts = {}
+            for t in tokens[lo:hi]:
+                counts[t] = counts.get(t, 0) + 1
+            expected.append((doc_id, p, counts, hi - lo))
+    if max_windows is not None:
+        expected = expected[:max_windows]
+    ws = extract_windows(index, phrase, n=n, max_windows=max_windows)
+    assert [(w.doc_id, w.position, w.counts, w.size) for w in ws.windows] == expected
+
+
 # Valid IDs are what ingestion and query loading accept: non-empty, no whitespace.
 ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
     lambda s: not any(ch.isspace() for ch in s)
@@ -149,8 +244,12 @@ ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=
 scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+# A run lists each doc_id at most once per qid; read_run rejects repeats.
+ranked_lists = st.lists(st.tuples(ids, scores), min_size=1, max_size=5, unique_by=lambda e: e[0])
+
+
 @PROPERTY
-@given(st.dictionaries(ids, st.lists(st.tuples(ids, scores), min_size=1, max_size=5), max_size=5))
+@given(st.dictionaries(ids, ranked_lists, max_size=5))
 def test_run_file_round_trips(tmp_path_factory, results):
     path = tmp_path_factory.mktemp("run") / "x.run"
     write_run(RankedRun(results=results), str(path), tag="t")
@@ -163,6 +262,45 @@ def test_run_file_round_trips(tmp_path_factory, results):
     again = path.with_suffix(".again")
     write_run(back, str(again), tag="t")
     assert again.read_bytes() == path.read_bytes()
+
+
+JUDGED_DOCS = ("d0", "d1", "d2", "d3")
+judged_entries = st.tuples(st.sampled_from(JUDGED_DOCS), scores)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        ids,
+        # Mostly valid lists; the rest may list a doc_id twice, which counted
+        # twice would lift MAP above 1.
+        st.one_of(
+            st.lists(judged_entries, min_size=1, max_size=4, unique_by=lambda e: e[0]),
+            st.lists(judged_entries, min_size=2, max_size=6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.data(),
+)
+def test_metrics_of_a_run_read_back_lie_in_unit_interval(tmp_path_factory, results, data):
+    qids = sorted(results)
+    doc_ids = JUDGED_DOCS + ("dx",)
+    grades = st.integers(min_value=0, max_value=3)
+    qrels = Qrels(data.draw(st.fixed_dictionaries({(q, d): grades for q in qids for d in doc_ids})))
+    path = tmp_path_factory.mktemp("run") / "x.run"
+    write_run(RankedRun(results=results), str(path), tag="t")
+    try:
+        back = read_run(str(path))
+    except ValueError as exc:
+        # Only a doc_id listed twice for one qid may stop the read.
+        assert "repeated" in str(exc)
+        assert any(len({d for d, _ in entries}) < len(entries) for entries in results.values())
+        return
+    report = evaluate(back, qrels)
+    for row in list(report.per_query.values()) + [report.means]:
+        assert set(row) == set(MEASURES)
+        assert all(0.0 <= value <= 1.0 for value in row.values())
 
 
 WORDS = tuple("abcdefgh")

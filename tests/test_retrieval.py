@@ -372,6 +372,26 @@ class TestRunIO:
         with pytest.raises(ValueError, match=r":1:"):
             read_run(str(path))
 
+    def test_read_rejects_repeated_doc_id(self, tmp_path):
+        # Counted twice, d1 would give MAP 2.0 when it is the only relevant doc.
+        path = tmp_path / "dup.run"
+        path.write_text("q1 Q0 d1 1 -1.0 t\nq2 Q0 d1 1 -1.0 t\nq1 Q0 d1 2 -2.0 t\n")
+        with pytest.raises(ValueError, match=r"dup\.run:3: doc_id 'd1' repeated for qid 'q1'"):
+            read_run(str(path))
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "Infinity", "NaN"])
+    def test_read_rejects_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "nan.run"
+        path.write_text(f"q1 Q0 d1 1 -1.0 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(ValueError, match=rf"nan\.run:2: score '{score}' is not finite"):
+            read_run(str(path))
+
+    def test_read_rejects_unparsable_score(self, tmp_path):
+        path = tmp_path / "abc.run"
+        path.write_text("q1 Q0 d1 1 abc t\n")
+        with pytest.raises(ValueError, match=r"abc\.run:1: score 'abc' is not a number"):
+            read_run(str(path))
+
     def test_read_skips_blank_lines(self, tmp_path):
         path = tmp_path / "ok.run"
         path.write_text("q1 Q0 doc 1 -1.000000 tag\n\n")
