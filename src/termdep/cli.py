@@ -9,7 +9,6 @@ nonzero with a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -32,6 +31,7 @@ from .retrieval import (
     MODES,
     RankingConfig,
     rank,
+    rank_mu_grid,
     read_run,
     write_run,
 )
@@ -159,29 +159,34 @@ def _cmd_tune(args) -> int:
     plan = CvPlan(
         mu_grid=tuple(args.mu_grid), theta_grid=tuple(args.theta_grid), measure=args.measure
     )
+    config = RankingConfig(top_k=args.top_k)
     index, queries, lexicon = _load_inputs(args)
     if lexicon is None:
         raise SystemExit("tune requires --lexicon")
+    if len(queries) < plan.folds:
+        raise ValueError(f"need at least {plan.folds} queries, got {len(queries)}")
     qrels = load_qrels(args.qrels)
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
+    # Selection at theta is the first theta entries of one ordering.
+    ordered, _ = select_dependent(scores, len(scores))
     # A selective run at (mu, theta) is, query by query, the bow or the fd
     # run at mu, and a query's metric row depends on its own list alone, so
-    # each mu is ranked and evaluated once per mode and every theta splices
-    # the two reports.  The grid is walked mu-major, so one mu's pair of
-    # reports is live at a time; the runs are dropped once evaluated.
-    @functools.lru_cache(maxsize=1)
-    def mode_reports(mu: float) -> Tuple[MetricReport, MetricReport]:
-        bow, fd = (
-            evaluate(rank(queries, index, RankingConfig(mu=mu, mode=mode, top_k=args.top_k)), qrels)
-            for mode in ("bow", "fd")
-        )
-        return bow, fd
+    # each mu is ranked once in both modes, evaluated once per mode, and
+    # every theta splices the two reports.  cross_validate_reports walks the
+    # grid mu-major in ascending mu, so the distinct mus in ascending order
+    # arrive in the order it asks for them; the runs are dropped once
+    # evaluated, and one mu's pair of reports is live at a time.
+    runs = rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config)
+    live: Dict[float, Tuple[MetricReport, MetricReport]] = {}
 
     def report_for(mu: float, theta: int) -> MetricReport:
-        selected, _ = select_dependent(scores, theta)
-        return splice_reports(*mode_reports(mu), selected)
+        if mu not in live:
+            live.clear()
+            ranked_mu, bow, fd = next(runs)
+            live[ranked_mu] = evaluate(bow, qrels), evaluate(fd, qrels)
+        return splice_reports(*live[mu], ordered[:theta])
 
     result = cross_validate_reports([q.qid for q in queries], report_for, plan)
     payload = {

@@ -186,6 +186,9 @@ class CvPlan:
         bad = [mu for mu in self.mu_grid if not (math.isfinite(mu) and mu > 0)]
         if bad:
             raise ValueError(f"mu grid entries must be finite and > 0, got {bad[0]}")
+        negative = [theta for theta in self.theta_grid if theta < 0]
+        if negative:
+            raise ValueError(f"theta grid entries must be >= 0, got {negative[0]}")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if self.folds < 2:

@@ -5,13 +5,21 @@ ordered adjacent-bigram features; fd mixes in the whole query as one
 exact phrase; selective applies fd to a chosen qid set and bow to the
 rest.  All scores are log-space sums, so they are finite, comparable,
 and never exponentiated.
+
+Ranking reads the index once per query into a feature table: the
+candidates, their |D|, and per query term and phrase its P(.|C) and a
+count column over the candidates.  None of it depends on mu, so one
+arithmetic pass turns a table and a mu into unigram and mixed scores.
+rank builds the tables and makes one pass; rank_mu_grid builds them once
+and makes one pass per mu of a tuning grid, scoring bow and fd together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .corpus import PositionalIndex, Query, phrase_occurrences
 
@@ -51,27 +59,102 @@ class RankedRun:
         return list(self.results)
 
 
-def _epsilon(index: PositionalIndex) -> float:
-    # Floor for zero collection frequency; keeps log scores finite.
-    return 1.0 / (2.0 * index.total_terms)
+def _p_c(count: int, index: PositionalIndex) -> float:
+    # P(x|C) of a term or phrase counted `count` times in the collection;
+    # a zero count takes the floor 1/(2|C|), which keeps log scores finite.
+    return count / index.total_terms if count > 0 else 1.0 / (2.0 * index.total_terms)
+
+
+class _FeatureTable:
+    """Everything ranking one query reads from the index; nothing depends on mu.
+
+    docs are the candidates in _candidates order and doc_lens their |D|;
+    terms holds (c(t,q), P(t|C), tf column) per distinct query term in
+    first-occurrence order; phrases holds (P(p|C), count column) per
+    phrase feature.  Columns align with docs.
+    """
+
+    __slots__ = ("docs", "doc_lens", "terms", "phrases")
+
+    def __init__(
+        self,
+        query: Query,
+        docs: List[str],
+        index: PositionalIndex,
+        phrase_maps: Sequence[Dict[str, int]] = (),
+    ):
+        self.docs = docs
+        self.doc_lens = [index.doc_lengths[doc_id] for doc_id in docs]
+        doc_counts = index.doc_counts
+        self.terms = [
+            (
+                c_tq,
+                _p_c(index.collection_frequency(t), index),
+                [doc_counts[doc_id].get(t, 0) for doc_id in docs],
+            )
+            for t, c_tq in Counter(query.terms).items()
+        ]
+        self.phrases = [
+            (_p_c(sum(per_doc.values()), index), [per_doc.get(doc_id, 0) for doc_id in docs])
+            for per_doc in phrase_maps
+        ]
+
+
+def _table(query: Query, index: PositionalIndex, mode: str) -> _FeatureTable:
+    """The feature table of a query ranked in mode bow, sd or fd."""
+    if query.m < 2 or mode == "bow":
+        phrases: List[Sequence[str]] = []
+    elif mode == "sd":
+        phrases = [query.terms[i : i + 2] for i in range(query.m - 1)]
+    else:
+        phrases = [query.terms]
+    maps = [phrase_occurrences(index, terms) for terms in phrases]
+    return _FeatureTable(query, _candidates(query, index), index, maps)
+
+
+def _scores(
+    table: _FeatureTable, mu: float, lambda_t: float, lambda_o: float
+) -> Tuple[List[float], Optional[List[float]]]:
+    """The unigram score of every candidate at mu and, if the query has
+    phrase features, its mixed dependence score (None otherwise).
+
+    The unigram score starts at 0.0 and adds c(t,q) * log((c(t,D) +
+    mu*P(t|C)) / (|D| + mu)) term by term; the phrase part is the sum of
+    the phrase log-probabilities over their count; the mixture is
+    lambda_t * unigram + lambda_o * phrase part.
+    """
+    log = math.log
+    denoms = [doc_len + mu for doc_len in table.doc_lens]
+    unigram = [0.0] * len(denoms)
+    for c_tq, p_c, tf in table.terms:
+        mu_p = mu * p_c
+        unigram = [u + c_tq * log((c + mu_p) / d) for u, c, d in zip(unigram, tf, denoms)]
+    if not table.phrases:
+        return unigram, None
+    columns = []
+    for p_c, counts in table.phrases:
+        mu_p = mu * p_c
+        columns.append([log((c + mu_p) / d) for c, d in zip(counts, denoms)])
+    n = len(columns)
+    mixed = [
+        lambda_t * u + lambda_o * (sum(parts) / n) for u, parts in zip(unigram, zip(*columns))
+    ]
+    return unigram, mixed
+
+
+def _ranked(docs: List[str], scores: List[float], top_k: int) -> List[Tuple[str, float]]:
+    # Descending score, ties by doc_id ascending, at most top_k entries;
+    # negating a float is exact, so the scores come back unchanged.
+    order = sorted([(-score, doc_id) for doc_id, score in zip(docs, scores)])
+    return [(doc_id, -neg) for neg, doc_id in order[:top_k]]
 
 
 def score_unigram_ql(
     query: Query, doc_id: str, index: PositionalIndex, mu: float
 ) -> float:
     """Sum over query terms of c(t,q) * log((c(t,D) + mu*P(t|C)) / (|D| + mu))."""
-    doc_len = index.doc_lengths[doc_id]
-    eps = _epsilon(index)
-    score = 0.0
-    counts: Dict[str, int] = {}
-    for t in query.terms:
-        counts[t] = counts.get(t, 0) + 1
-    for t, c_tq in counts.items():
-        cf = index.collection_frequency(t)
-        p_c = cf / index.total_terms if cf > 0 else eps
-        c_td = index.term_frequency(t, doc_id)
-        score += c_tq * math.log((c_td + mu * p_c) / (doc_len + mu))
-    return score
+    unigram, _ = _scores(_FeatureTable(query, [doc_id], index), mu, 1.0, 0.0)
+    return unigram[0]
 
 
 def score_phrase_feature(
@@ -90,12 +173,9 @@ def score_phrase_feature(
         raise ValueError("phrase feature requires at least two terms")
     if per_doc is None:
         per_doc = phrase_occurrences(index, terms)
-    doc_len = index.doc_lengths[doc_id]
-    collection_count = sum(per_doc.values())
-    eps = _epsilon(index)
-    p_c = collection_count / index.total_terms if collection_count > 0 else eps
+    p_c = _p_c(sum(per_doc.values()), index)
     c_pd = per_doc.get(doc_id, 0)
-    return math.log((c_pd + mu * p_c) / (doc_len + mu))
+    return math.log((c_pd + mu * p_c) / (index.doc_lengths[doc_id] + mu))
 
 
 def _candidates(query: Query, index: PositionalIndex) -> List[str]:
@@ -134,30 +214,40 @@ def rank(
         mode = config.mode
         if mode == "selective":
             mode = "fd" if query.qid in selected_set else "bow"
-        docs = _candidates(query, index)
-        phrase_maps: List[Tuple[Sequence[str], Dict[str, int]]] = []
-        if query.m >= 2:
-            if mode == "sd":
-                for i in range(query.m - 1):
-                    pair = query.terms[i : i + 2]
-                    phrase_maps.append((pair, phrase_occurrences(index, pair)))
-            elif mode == "fd":
-                phrase_maps.append((query.terms, phrase_occurrences(index, query.terms)))
-        scored: List[Tuple[str, float]] = []
-        for doc_id in docs:
-            unigram = score_unigram_ql(query, doc_id, index, config.mu)
-            if query.m < 2 or mode == "bow":
-                score = unigram
-            else:
-                phrase_part = sum(
-                    score_phrase_feature(terms, doc_id, index, config.mu, per_doc)
-                    for terms, per_doc in phrase_maps
-                ) / len(phrase_maps)
-                score = config.lambda_t * unigram + config.lambda_o * phrase_part
-            scored.append((doc_id, score))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        run.results[query.qid] = scored[: config.top_k]
+        table = _table(query, index, mode)
+        unigram, mixed = _scores(table, config.mu, config.lambda_t, config.lambda_o)
+        run.results[query.qid] = _ranked(
+            table.docs, unigram if mixed is None else mixed, config.top_k
+        )
     return run
+
+
+def rank_mu_grid(
+    queries: Sequence[Query],
+    index: PositionalIndex,
+    mu_grid: Iterable[float],
+    config: RankingConfig,
+) -> Iterator[Tuple[float, RankedRun, RankedRun]]:
+    """Yield (mu, bow run, fd run) for each mu of mu_grid, in its order.
+
+    Each pair equals rank in bow and in fd mode with config's weights and
+    top_k at that mu (config's own mu and mode are not used).  The
+    features are gathered once per query before the first mu; each mu is
+    then one arithmetic pass that scores bow and fd together.  A mu's runs
+    are dropped as the next mu starts, so a caller that drops its own
+    before asking for the next mu holds one mu's runs at a time.
+    """
+    tables = [(query.qid, _table(query, index, "fd")) for query in queries]
+    for mu in mu_grid:
+        at_mu = replace(config, mu=mu)
+        bow, fd = RankedRun(), RankedRun()
+        for qid, table in tables:
+            unigram, mixed = _scores(table, at_mu.mu, at_mu.lambda_t, at_mu.lambda_o)
+            bow.results[qid] = _ranked(table.docs, unigram, at_mu.top_k)
+            fd.results[qid] = (
+                bow.results[qid] if mixed is None else _ranked(table.docs, mixed, at_mu.top_k)
+            )
+        yield mu, bow, fd
 
 
 def splice_runs(bow: RankedRun, fd: RankedRun, selected: Iterable[str]) -> RankedRun:

@@ -476,6 +476,120 @@ class TestTuneCommand:
             fh.write("\n")
         assert out.read_bytes() == reference.read_bytes()
 
+    def test_unsorted_grids_with_repeats_match_selective_rank(self, retrieval_paths, tmp_path):
+        # Repeated mu and theta entries: tune ranks each distinct mu once,
+        # while cross_validate walks the sorted grid with every repeat.
+        mu_grid, theta_grid = (2000.0, 500.0, 2000.0), (7, 0, 3, 3)
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--mu-grid",
+                "2000",
+                "500",
+                "2000",
+                "--theta-grid",
+                "7",
+                "0",
+                "3",
+                "3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        index = ingest_corpus(retrieval_paths["corpus"])
+        queries = load_queries(retrieval_paths["queries"])
+        lexicon = load_lexicon(retrieval_paths["lexicon"])
+        scores = score_batch(queries, "vector:tfidf", index, lexicon, n=5)
+
+        def run_for(mu, theta):
+            selected, _ = select_dependent(scores, theta)
+            return rank(queries, index, RankingConfig(mu=mu, mode="selective"), selected=selected)
+
+        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
+        result = cross_validate(
+            [q.qid for q in queries], run_for, load_qrels(retrieval_paths["qrels"]), plan
+        )
+        payload = {
+            "measure": result.measure,
+            "folds": [
+                {"mu": mu, "theta": theta, "score": score}
+                for (mu, theta), score in zip(result.fold_choices, result.fold_scores)
+            ],
+            "mean_score": result.mean_score,
+            "diagnostics": result.diagnostics,
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_negative_theta_rejected_before_loading_inputs(
+        self, retrieval_paths, tmp_path, capsys, monkeypatch
+    ):
+        def no_load(args):
+            raise AssertionError("inputs loaded before the grid was checked")
+
+        monkeypatch.setattr("termdep.cli._load_inputs", no_load)
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--theta-grid",
+                "3",
+                "-1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "theta" in err[0]
+        assert not out.exists()
+
+    def test_fewer_queries_than_folds_rejected_before_scoring(
+        self, retrieval_paths, tmp_path, capsys, monkeypatch
+    ):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("queries scored before their count was checked")
+
+        monkeypatch.setattr("termdep.cli.score_batch", no_scoring)
+        rows = (retrieval_paths["dir"] / "queries.tsv").read_text().splitlines()
+        queries = tmp_path / "two.tsv"
+        queries.write_text("\n".join(rows[:2]) + "\n")
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                "--corpus",
+                retrieval_paths["corpus"],
+                "--queries",
+                str(queries),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need at least 3 queries, got 2"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("mu", ["nan", "inf"])
     def test_non_finite_mu_grid_rejected(self, retrieval_paths, tmp_path, capsys, mu):
         out = tmp_path / "tune.json"

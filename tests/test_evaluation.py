@@ -230,6 +230,10 @@ class TestCvPlan:
         with pytest.raises(ValueError, match="mu grid"):
             CvPlan(mu_grid=(100.0, mu), theta_grid=(1,))
 
+    def test_negative_theta_entry_rejected(self):
+        with pytest.raises(ValueError, match="theta grid"):
+            CvPlan(mu_grid=(100.0,), theta_grid=(3, -1))
+
 
 def single_relevant_run(placements):
     """Rank each qid's relevant doc per placements: 1, 2, or absent (0)."""

@@ -1,5 +1,6 @@
-"""Property tests: spliced tuning runs and metric reports, ingestion-order
-independence of ranking, the count-first index (frequencies, lazily
+"""Property tests: the feature-table ranking against the per-document loop
+it replaced, the mu-grid runs against rank, spliced tuning runs and metric
+reports, ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
 range of metrics on runs read back, the list-level LM kernels, the sign of
 KLD, and the range of vector divergences."""
@@ -23,7 +24,16 @@ from termdep.langmodel import (
     sgt_lm,
 )
 from termdep.perturb import SynonymLexicon
-from termdep.retrieval import RankedRun, RankingConfig, rank, read_run, splice_runs, write_run
+from termdep.corpus import phrase_occurrences
+from termdep.retrieval import (
+    RankedRun,
+    RankingConfig,
+    rank,
+    rank_mu_grid,
+    read_run,
+    splice_runs,
+    write_run,
+)
 from termdep.scoring import score_batch
 from termdep.vectors import SCHEMES
 from termdep.windows import extract_windows
@@ -118,6 +128,129 @@ def test_spliced_report_equals_report_of_spliced_run(corpus, queries, mu, top_k,
     # Dataclass equality: per-query rows, means and diagnostics, floats exact.
     assert spliced == expected
     assert list(spliced.per_query) == list(expected.per_query)
+
+
+def reference_rank(queries, index, config, selected=()):
+    """rank as a per-document loop: every feature read per (query, document)."""
+    eps = 1.0 / (2.0 * index.total_terms)
+
+    def unigram_ql(query, doc_id):
+        doc_len = index.doc_lengths[doc_id]
+        score = 0.0
+        counts = {}
+        for t in query.terms:
+            counts[t] = counts.get(t, 0) + 1
+        for t, c_tq in counts.items():
+            cf = index.collection_frequency(t)
+            p_c = cf / index.total_terms if cf > 0 else eps
+            c_td = index.term_frequency(t, doc_id)
+            score += c_tq * math.log((c_td + config.mu * p_c) / (doc_len + config.mu))
+        return score
+
+    def phrase_feature(doc_id, per_doc):
+        doc_len = index.doc_lengths[doc_id]
+        collection_count = sum(per_doc.values())
+        p_c = collection_count / index.total_terms if collection_count > 0 else eps
+        c_pd = per_doc.get(doc_id, 0)
+        return math.log((c_pd + config.mu * p_c) / (doc_len + config.mu))
+
+    run = RankedRun()
+    for query in queries:
+        mode = config.mode
+        if mode == "selective":
+            mode = "fd" if query.qid in selected else "bow"
+        docs = []
+        for t in set(query.terms):
+            for doc_id in index.postings.get(t, ()):
+                if doc_id not in docs:
+                    docs.append(doc_id)
+        phrase_maps = []
+        if query.m >= 2:
+            if mode == "sd":
+                for i in range(query.m - 1):
+                    phrase_maps.append(phrase_occurrences(index, query.terms[i : i + 2]))
+            elif mode == "fd":
+                phrase_maps.append(phrase_occurrences(index, query.terms))
+        scored = []
+        for doc_id in docs:
+            unigram = unigram_ql(query, doc_id)
+            if query.m < 2 or mode == "bow":
+                score = unigram
+            else:
+                phrase_part = sum(phrase_feature(doc_id, per_doc) for per_doc in phrase_maps) / len(
+                    phrase_maps
+                )
+                score = config.lambda_t * unigram + config.lambda_o * phrase_part
+            scored.append((doc_id, score))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        run.results[query.qid] = scored[: config.top_k]
+    return run
+
+
+@st.composite
+def mixed_batches(draw):
+    """A drawn batch plus a single-term query, a query repeating a term and
+    a query holding a term absent from every document."""
+    queries = draw(query_batches())
+    term = draw(st.sampled_from(VOCAB))
+    other = draw(st.sampled_from(VOCAB))
+    for qid, terms in (
+        ("single", (term,)),
+        ("repeat", (term, other, term)),
+        ("absent", (other, ABSENT, term)),
+    ):
+        queries.append(Query(qid, " ".join(terms), terms))
+    return queries
+
+
+def drawn_weights(data):
+    lambda_o = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    return {"lambda_t": 1.0 - lambda_o, "lambda_o": lambda_o}
+
+
+@PROPERTY
+@given(
+    corpora(),
+    mixed_batches(),
+    st.floats(min_value=0.5, max_value=20000.0),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_feature_pass_equals_per_document_loop(corpus, queries, mu, top_k, data):
+    _, index = corpus
+    weights = drawn_weights(data)
+    selected = data.draw(st.sets(st.sampled_from([q.qid for q in queries])))
+    for mode in ("bow", "sd", "fd", "selective"):
+        config = RankingConfig(mu=mu, mode=mode, top_k=top_k, **weights)
+        run = rank(queries, index, config, selected=selected)
+        expected = reference_rank(queries, index, config, selected)
+        # Same float operations in the same order: exact equality.
+        assert run.results == expected.results
+        assert run.qids() == expected.qids()
+
+
+@PROPERTY
+@given(
+    corpora(),
+    mixed_batches(),
+    st.lists(st.floats(min_value=0.5, max_value=20000.0), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_mu_grid_runs_equal_rank_at_every_mu(corpus, queries, mus, top_k, data):
+    _, index = corpus
+    weights = drawn_weights(data)
+    # An unsorted grid that repeats at least one mu.
+    grid = data.draw(st.permutations(mus + [data.draw(st.sampled_from(mus))]))
+    config = RankingConfig(top_k=top_k, **weights)
+    seen = []
+    for mu, bow, fd in rank_mu_grid(queries, index, grid, config):
+        seen.append(mu)
+        for mode, run in (("bow", bow), ("fd", fd)):
+            expected = rank(queries, index, RankingConfig(mu=mu, mode=mode, top_k=top_k, **weights))
+            assert run.results == expected.results
+            assert run.qids() == expected.qids()
+    assert seen == grid
 
 
 @PROPERTY

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from termdep.retrieval import (
     RankedRun,
     RankingConfig,
     rank,
+    rank_mu_grid,
     read_run,
     score_phrase_feature,
     score_unigram_ql,
@@ -242,6 +244,25 @@ class TestRank:
             assert {d for d, _ in entries} == {
                 doc_id for doc_id, toks in raw.items() if set(terms) & set(toks)
             }
+
+
+class TestRankMuGrid:
+    def test_previous_runs_dropped_before_next_mu(self, small_index):
+        runs = rank_mu_grid(
+            [make_query("q1", "red tape")], small_index, [100.0, 200.0], RankingConfig()
+        )
+        _, bow, fd = next(runs)
+        refs = [weakref.ref(bow), weakref.ref(fd)]
+        del bow, fd
+        next(runs)
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_invalid_mu_rejected(self, small_index):
+        runs = rank_mu_grid(
+            [make_query("q1", "red tape")], small_index, [float("nan")], RankingConfig()
+        )
+        with pytest.raises(ValueError, match="mu"):
+            next(runs)
 
 
 class TestModeIdentities:
