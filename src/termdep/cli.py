@@ -18,7 +18,6 @@ from .corpus import PositionalIndex, ingest_corpus, load_queries, load_stopwords
 from .evaluation import (
     MEASURES,
     CvPlan,
-    MetricReport,
     cross_validate_reports,
     evaluate,
     load_qrels,
@@ -173,22 +172,18 @@ def _cmd_tune(args) -> int:
     ordered, _ = select_dependent(scores, len(scores))
     # A selective run at (mu, theta) is, query by query, the bow or the fd
     # run at mu, and a query's metric row depends on its own list alone, so
-    # each mu is ranked once in both modes, evaluated once per mode, and
-    # every theta splices the two reports.  cross_validate_reports walks the
-    # grid mu-major in ascending mu, so the distinct mus in ascending order
-    # arrive in the order it asks for them; the runs are dropped once
-    # evaluated, and one mu's pair of reports is live at a time.
-    runs = rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config)
-    live: Dict[float, Tuple[MetricReport, MetricReport]] = {}
-
-    def report_for(mu: float, theta: int) -> MetricReport:
-        if mu not in live:
-            live.clear()
-            ranked_mu, bow, fd = next(runs)
-            live[ranked_mu] = evaluate(bow, qrels), evaluate(fd, qrels)
-        return splice_reports(*live[mu], ordered[:theta])
-
-    result = cross_validate_reports([q.qid for q in queries], report_for, plan)
+    # each distinct mu is ranked once in both modes, evaluated once per
+    # mode, and every theta splices the two reports.  Each mu's runs are
+    # dropped once evaluated; only the reports are kept.
+    reports = {
+        mu: (evaluate(bow, qrels), evaluate(fd, qrels))
+        for mu, bow, fd in rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config)
+    }
+    result = cross_validate_reports(
+        [q.qid for q in queries],
+        lambda mu, theta: splice_reports(*reports[mu], ordered[:theta]),
+        plan,
+    )
     payload = {
         "measure": result.measure,
         "folds": [

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -166,26 +166,20 @@ class PositionalIndex:
         self.total_terms += doc.length
         self.postings.clear_memo()
 
-    def documents(self) -> Iterable[Document]:
-        for doc_id, tokens in self.doc_tokens.items():
-            yield Document(doc_id, tokens)
-
 
 def ingest_corpus(
     path: str,
-    format: str = "jsonl",
     stopwords: Optional[Set[str]] = None,
     stop_documents: bool = False,
 ) -> PositionalIndex:
-    """Read a corpus file into a PositionalIndex.
+    """Read a JSON-lines corpus file into a PositionalIndex.
 
-    Only the JSON-lines format is defined: one object per line with string
-    fields "doc_id" and "text".  Documents are tokenized without stopword
-    removal unless stop_documents is set (the stopword list is meant for
-    queries; stopping documents is an opt-in for window extraction).
+    One object per line with string fields "doc_id" and "text".  Documents
+    are tokenized without stopword removal unless stop_documents is set
+    (the stopword list is meant for queries; stopping documents is an
+    opt-in for window extraction).  A corpus that yields no tokens is
+    rejected: every collection probability would divide by zero.
     """
-    if format != "jsonl":
-        raise CorpusFormatError(f"unknown corpus format {format!r}")
     index = PositionalIndex()
     doc_stop = stopwords if stop_documents else None
     with open(path, "r", encoding="utf-8") as fh:
@@ -212,6 +206,8 @@ def ingest_corpus(
                 index.add_document(Document(doc_id, tokens))
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+    if index.total_terms == 0:
+        raise CorpusFormatError(f"{path}: corpus holds no tokens")
     return index
 
 

@@ -129,7 +129,7 @@ def _gale_sampson_smoother(ff: Dict[int, int]):
     return lambda r: math.exp(a + b * math.log(r))
 
 
-def sgt_lm(counts: Dict[str, int], vocabulary: Optional[Iterable[str]] = None) -> SmoothedLM:
+def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
     """Simple Good-Turing estimates from a count multiset.
 
     Expected counts come from the Turing estimates (r+1)N_{r+1}/N_r until
@@ -138,15 +138,14 @@ def sgt_lm(counts: Dict[str, int], vocabulary: Optional[Iterable[str]] = None) -
     is used.  Raw seen probabilities r*/C and the raw unseen reserve
     ff_1/C are then renormalized over their common total so everything
     sums to 1.  Without hapaxes the unseen reserve would be zero, so the
-    model falls back to Laplace (with a diagnostic) over `vocabulary` or,
-    failing that, the counts' own support.
+    model falls back to Laplace (with a diagnostic) over the counts' own
+    support.
     """
     if not counts:
         raise ValueError("sgt_lm requires at least one nonzero count")
     table = freq_of_freq(counts)
     if table.ff_1 == 0:
-        vocab = set(vocabulary) if vocabulary is not None else set(counts)
-        lm = laplace_lm(counts, vocab | set(counts))
+        lm = laplace_lm(counts, counts)
         lm.diagnostics.append("sgt: no hapax legomena; fell back to laplace")
         return lm
     ff = table.ff

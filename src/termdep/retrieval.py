@@ -12,6 +12,7 @@ count column over the candidates.  None of it depends on mu, so one
 arithmetic pass turns a table and a mu into unigram and mixed scores.
 rank builds the tables and makes one pass; rank_mu_grid builds them once
 and makes one pass per mu of a tuning grid, scoring bow and fd together.
+They are the only way to a score: no per-document score view exists.
 """
 
 from __future__ import annotations
@@ -76,14 +77,16 @@ class _FeatureTable:
 
     __slots__ = ("docs", "doc_lens", "terms", "phrases")
 
-    def __init__(
-        self,
-        query: Query,
-        docs: List[str],
-        index: PositionalIndex,
-        phrase_maps: Sequence[Dict[str, int]] = (),
-    ):
-        self.docs = docs
+    def __init__(self, query: Query, index: PositionalIndex, mode: str):
+        """The table of `query` ranked in mode bow, sd or fd."""
+        if query.m < 2 or mode == "bow":
+            phrases: List[Sequence[str]] = []
+        elif mode == "sd":
+            phrases = [query.terms[i : i + 2] for i in range(query.m - 1)]
+        else:
+            phrases = [query.terms]
+        maps = [phrase_occurrences(index, terms) for terms in phrases]
+        self.docs = docs = _candidates(query, index)
         self.doc_lens = [index.doc_lengths[doc_id] for doc_id in docs]
         doc_counts = index.doc_counts
         self.terms = [
@@ -96,20 +99,8 @@ class _FeatureTable:
         ]
         self.phrases = [
             (_p_c(sum(per_doc.values()), index), [per_doc.get(doc_id, 0) for doc_id in docs])
-            for per_doc in phrase_maps
+            for per_doc in maps
         ]
-
-
-def _table(query: Query, index: PositionalIndex, mode: str) -> _FeatureTable:
-    """The feature table of a query ranked in mode bow, sd or fd."""
-    if query.m < 2 or mode == "bow":
-        phrases: List[Sequence[str]] = []
-    elif mode == "sd":
-        phrases = [query.terms[i : i + 2] for i in range(query.m - 1)]
-    else:
-        phrases = [query.terms]
-    maps = [phrase_occurrences(index, terms) for terms in phrases]
-    return _FeatureTable(query, _candidates(query, index), index, maps)
 
 
 def _scores(
@@ -149,35 +140,6 @@ def _ranked(docs: List[str], scores: List[float], top_k: int) -> List[Tuple[str,
     return [(doc_id, -neg) for neg, doc_id in order[:top_k]]
 
 
-def score_unigram_ql(
-    query: Query, doc_id: str, index: PositionalIndex, mu: float
-) -> float:
-    """Sum over query terms of c(t,q) * log((c(t,D) + mu*P(t|C)) / (|D| + mu))."""
-    unigram, _ = _scores(_FeatureTable(query, [doc_id], index), mu, 1.0, 0.0)
-    return unigram[0]
-
-
-def score_phrase_feature(
-    terms: Sequence[str],
-    doc_id: str,
-    index: PositionalIndex,
-    mu: float,
-    per_doc: Optional[Dict[str, int]] = None,
-) -> float:
-    """Dirichlet log-probability of one exact ordered uninterrupted phrase.
-
-    per_doc lets callers reuse a precomputed phrase_occurrences map when
-    scoring the same phrase against many documents.
-    """
-    if len(terms) < 2:
-        raise ValueError("phrase feature requires at least two terms")
-    if per_doc is None:
-        per_doc = phrase_occurrences(index, terms)
-    p_c = _p_c(sum(per_doc.values()), index)
-    c_pd = per_doc.get(doc_id, 0)
-    return math.log((c_pd + mu * p_c) / (index.doc_lengths[doc_id] + mu))
-
-
 def _candidates(query: Query, index: PositionalIndex) -> List[str]:
     seen: Set[str] = set()
     out: List[str] = []
@@ -214,7 +176,7 @@ def rank(
         mode = config.mode
         if mode == "selective":
             mode = "fd" if query.qid in selected_set else "bow"
-        table = _table(query, index, mode)
+        table = _FeatureTable(query, index, mode)
         unigram, mixed = _scores(table, config.mu, config.lambda_t, config.lambda_o)
         run.results[query.qid] = _ranked(
             table.docs, unigram if mixed is None else mixed, config.top_k
@@ -237,7 +199,7 @@ def rank_mu_grid(
     are dropped as the next mu starts, so a caller that drops its own
     before asking for the next mu holds one mu's runs at a time.
     """
-    tables = [(query.qid, _table(query, index, "fd")) for query in queries]
+    tables = [(query.qid, _FeatureTable(query, index, "fd")) for query in queries]
     for mu in mu_grid:
         at_mu = replace(config, mu=mu)
         bow, fd = RankedRun(), RankedRun()

@@ -5,13 +5,14 @@ smoothing x combination pair ("lm:sgt:qsum"); 5 + 8 = 13 in total.  Each
 query's score N_q is the mean semantic divergence between the query
 phrase and its one-synonym perturbations; higher N_q = less
 compositional = stronger term dependence.  select_dependent picks the
-theta least-compositional scoreable queries of a batch.
+theta least-compositional scoreable queries of a batch, theta being a
+count of queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .corpus import PositionalIndex, Query
 from .langmodel import (
@@ -83,6 +84,8 @@ class _Batch:
 
     def __init__(self, variant: str, index: PositionalIndex, n: int):
         parts = parse_variant(variant)
+        if n < 0:
+            raise ValueError(f"window half-width must be >= 0, got {n}")
         self.index = index
         self.n = n
         self._windows: Dict[str, WindowSet] = {}
@@ -216,8 +219,10 @@ def score_batch(
 ) -> List[NcdScore]:
     """Score every query under one variant; one NcdScore per query, in order.
 
-    Per-query failures surface as unscoreable records rather than
-    aborting the batch.  Scoring runs serially: it is pure Python, so
+    A ValueError raised while scoring one query surfaces as that query's
+    unscoreable record rather than aborting the batch; any other exception
+    is a fault and propagates.  A negative window half-width n is rejected
+    before any query is scored.  Scoring runs serially: it is pure Python, so
     threads only contend for the interpreter lock.  threads is accepted
     for compatibility and does not change results.
     """
@@ -226,37 +231,26 @@ def score_batch(
     for query in queries:
         try:
             scores.append(score_query(query, variant, index, lexicon, n, _batch=batch))
-        except Exception as exc:
+        except ValueError as exc:
             scores.append(NcdScore(query.qid, variant, None, reason=f"error: {exc}"))
     return scores
 
 
-def select_dependent(
-    scores: Sequence[NcdScore],
-    theta: Union[int, float],
-) -> Tuple[List[str], List[str]]:
+def select_dependent(scores: Sequence[NcdScore], theta: int) -> Tuple[List[str], List[str]]:
     """Pick the theta least-compositional (highest N_q) scoreable queries.
 
-    theta is an absolute count, or a float in [0, 1] read as a fraction of
-    the batch and floored.  Returns (selected qids in descending N_q
-    order, diagnostics).  Ties break by qid ascending; unscoreable
-    queries are never selected; a theta beyond the scoreable count selects
-    all scoreable queries with a diagnostic.
+    theta is a count of queries and must be non-negative.  Returns
+    (selected qids in descending N_q order, diagnostics).  Ties break by
+    qid ascending; unscoreable queries are never selected; a theta beyond
+    the scoreable count selects all scoreable queries with a diagnostic.
     """
-    if isinstance(theta, float):
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError(f"fractional theta must be in [0, 1], got {theta}")
-        count = int(theta * len(scores))
-    else:
-        if theta < 0:
-            raise ValueError(f"theta must be non-negative, got {theta}")
-        count = theta
+    if theta < 0:
+        raise ValueError(f"theta must be non-negative, got {theta}")
     scoreable = [s for s in scores if s.scoreable]
     diagnostics: List[str] = []
-    if count > len(scoreable):
+    if theta > len(scoreable):
         diagnostics.append(
-            f"theta={count} exceeds {len(scoreable)} scoreable queries; selecting all"
+            f"theta={theta} exceeds {len(scoreable)} scoreable queries; selecting all"
         )
-        count = len(scoreable)
     ranked = sorted(scoreable, key=lambda s: (-s.n_q, s.qid))
-    return [s.qid for s in ranked[:count]], diagnostics
+    return [s.qid for s in ranked[:theta]], diagnostics

@@ -5,7 +5,8 @@ mi, okapi, tfidf.  All logarithms are natural.  weight() evaluates the
 raw per-window formula from explicit statistics; for atc the cosine
 normalization over the windows containing the term is applied when the
 term vector is built, so the per-window atc weights of any term with a
-nonzero norm satisfy sum(w^2) == 1.
+nonzero norm satisfy sum(w^2) == 1.  A term vector's component for a
+context term is the mean of its weights over the windows containing it.
 """
 
 from __future__ import annotations
@@ -96,23 +97,16 @@ def window_weight(scheme: str, ws: WindowSet, window_index: int, term: str) -> f
     )
 
 
-def build_term_vector(
-    ws: WindowSet,
-    scheme: str,
-    absent_as_zero: bool = False,
-) -> TermVector:
+def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
     """Vector representation of ws.target under `scheme`.
 
     The component for context term t' is the mean of its per-window
-    weights.  By default the mean runs over the windows where t' actually
-    occurs; absent_as_zero divides by the total window count instead,
-    treating absences as zero-weight occurrences.
+    weights over the windows where t' actually occurs.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     if not ws.windows:
         raise ValueError(f"target {' '.join(ws.target)!r} has no context windows")
-    n_windows = ws.stats.n_windows
     vec: Dict[str, float] = {}
     for term in ws.stats.windows_containing:
         ids = ws.windows_for(term)
@@ -120,8 +114,7 @@ def build_term_vector(
         if scheme == "atc":
             norm = math.sqrt(math.fsum(v * v for v in raw))
             raw = [v / norm for v in raw] if norm > 0.0 else [0.0 for _ in raw]
-        denom = n_windows if absent_as_zero else len(ids)
-        vec[term] = math.fsum(raw) / denom
+        vec[term] = math.fsum(raw) / len(ids)
     return TermVector(term=" ".join(ws.target), weights=vec)
 
 

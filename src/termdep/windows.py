@@ -2,14 +2,15 @@
 
 A window spans n tokens either side of an occurrence (2n+1 tokens for a
 single term, 2n+len(phrase) for a phrase), clipped at document boundaries.
-Every occurrence yields its own window; duplicates are kept.  The center
-tokens count toward the window's content, so sum(counts.values()) == size.
+Every occurrence yields its own window: none is dropped and duplicates
+are kept.  The center tokens count toward the window's content, so
+sum(counts.values()) == size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .corpus import PositionalIndex, phrase_positions
 
@@ -80,26 +81,17 @@ class WindowSet:
             total_mass=total,
         )
 
-    @property
-    def vocabulary(self) -> List[str]:
-        return sorted(self.stats.windows_containing)
-
     def windows_for(self, term: str) -> List[int]:
         """Indices of windows containing `term`, in extraction order."""
         return self._containing_ids.get(term, [])
 
 
-def extract_windows(
-    index: PositionalIndex,
-    target: Sequence[str],
-    n: int = 5,
-    max_windows: Optional[int] = None,
-) -> WindowSet:
+def extract_windows(index: PositionalIndex, target: Sequence[str], n: int = 5) -> WindowSet:
     """Collect the context windows of every occurrence of `target`.
 
     target is a term (length 1) or an exact ordered phrase.  Windows are
     gathered in document ingestion order, positions ascending within a
-    document.  max_windows, when set, truncates after that many windows.
+    document.
     """
     if not target:
         raise ValueError("extract_windows requires a non-empty target")
@@ -119,6 +111,4 @@ def extract_windows(
         for t in tokens[lo:hi]:
             counts[t] = counts.get(t, 0) + 1
         windows.append(ContextWindow(doc_id=doc_id, position=p, counts=counts, size=hi - lo))
-        if max_windows is not None and len(windows) >= max_windows:
-            break
     return WindowSet(target=target, windows=windows)

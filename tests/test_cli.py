@@ -172,6 +172,30 @@ class TestScoreCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_negative_window_fails_the_call(self, planted_paths, tmp_path, capsys):
+        # Rejected once for the batch, not absorbed as unscoreable rows.
+        out = tmp_path / "scores.csv"
+        code = main(
+            [
+                "score",
+                *base_flags(planted_paths),
+                "--lexicon",
+                planted_paths["lexicon"],
+                "--variant",
+                "vector:tfidf",
+                "--window",
+                "-1",
+                "--theta",
+                "1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "half-width" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_variant_rejected_by_parser(self, planted_paths, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -278,6 +302,28 @@ class TestRunCommand:
             ]
         )
         assert sel.read_bytes() == bow.read_bytes()
+
+    def test_corpus_without_tokens_fails_at_load(self, retrieval_paths, tmp_path, capsys):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text(json.dumps({"doc_id": "d1", "text": "!!!"}) + "\n")
+        out = tmp_path / "bow.run"
+        code = main(
+            [
+                "run",
+                "--corpus",
+                str(corpus),
+                "--queries",
+                retrieval_paths["queries"],
+                "--mode",
+                "bow",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {corpus}: corpus holds no tokens"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("mu", ["nan", "inf"])
     def test_non_finite_mu_rejected(self, retrieval_paths, tmp_path, capsys, mu):
@@ -588,6 +634,28 @@ class TestTuneCommand:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: need at least 3 queries, got 2"]
+        assert not out.exists()
+
+    def test_negative_window_fails_the_call(self, retrieval_paths, tmp_path, capsys):
+        # Without the check every query is unscoreable and tune selects nobody.
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--window",
+                "-1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "half-width" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("mu", ["nan", "inf"])

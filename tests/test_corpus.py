@@ -101,9 +101,14 @@ class TestIngestCorpus:
         with pytest.raises(CorpusFormatError, match=r":2: doc_id .* contains whitespace"):
             ingest_corpus(str(path))
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(CorpusFormatError, match="format"):
-            ingest_corpus(str(tmp_path / "x"), format="xml")
+    @pytest.mark.parametrize("text", ["", '{"doc_id": "d1", "text": "!!!"}\n'])
+    def test_corpus_without_tokens_rejected(self, tmp_path, text):
+        # No documents, or documents that tokenize to nothing: |C| = 0 would
+        # divide every collection probability by zero.
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match="corpus holds no tokens"):
+            ingest_corpus(str(path))
 
     def test_stopwords_apply_to_documents_only_when_asked(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -16,8 +16,6 @@ from termdep.retrieval import (
     rank,
     rank_mu_grid,
     read_run,
-    score_phrase_feature,
-    score_unigram_ql,
     write_run,
 )
 
@@ -89,33 +87,42 @@ class TestRankingConfig:
             config.mu = 2000.0
 
 
+def bow_scores(query, index, mu):
+    """rank's bow score of every candidate document, by doc_id."""
+    return dict(rank([query], index, RankingConfig(mu=mu)).results[query.qid])
+
+
+def phrase_scores(query, index, mu):
+    """rank's fd score of every candidate with all weight on the phrase
+    feature: for a two-term query, exactly its phrase log-probability."""
+    config = RankingConfig(mu=mu, mode="fd", lambda_t=0.0, lambda_o=1.0)
+    return dict(rank([query], index, config).results[query.qid])
+
+
 class TestUnigramScore:
     def test_hand_value(self):
         # c(t,D)=2, |D|=10, P(t|C)=2/200=0.01, mu=100 -> log(3/110).
         filler = " ".join(f"f{k}" for k in range(190))
         index = build_index([("d1", "t t a b c d e f g h"), ("dx", filler)])
         assert index.total_terms == 200
-        got = score_unigram_ql(make_query("q1", "t"), "d1", index, mu=100.0)
-        np.testing.assert_allclose(got, math.log(3.0 / 110.0), atol=1e-12)
+        got = bow_scores(make_query("q1", "t"), index, mu=100.0)
+        assert list(got) == ["d1"]
+        np.testing.assert_allclose(got["d1"], math.log(3.0 / 110.0), atol=1e-12)
 
     def test_repeated_term_counts_twice(self):
         index = build_index([("d1", "t t a b c d e f g h"), ("d2", "a b t c d")])
-        one = score_unigram_ql(make_query("q1", "t"), "d1", index, mu=50.0)
-        two = score_unigram_ql(make_query("q2", "t t"), "d1", index, mu=50.0)
-        np.testing.assert_allclose(two, 2.0 * one, atol=1e-12)
+        one = bow_scores(make_query("q1", "t"), index, mu=50.0)
+        two = bow_scores(make_query("q2", "t t"), index, mu=50.0)
+        np.testing.assert_allclose(two["d1"], 2.0 * one["d1"], atol=1e-12)
 
     def test_absent_term_uses_floor(self):
+        # "zz" is in no document, so it adds log(eps*mu/(|D|+mu)) to the
+        # score of d1, a candidate through "a": c(a,d1)=1, P(a|C)=3/10.
         index = build_index([("d1", "a b c d e"), ("d2", "a a b c d")])
         eps = 1.0 / (2.0 * index.total_terms)
-        got = score_unigram_ql(make_query("q1", "zz"), "d1", index, mu=100.0)
-        np.testing.assert_allclose(got, math.log(eps * 100.0 / 105.0), atol=1e-12)
-
-    def test_disjoint_doc_still_finite(self):
-        index = build_index([("d1", "a b c"), ("d2", "x y z")])
-        got = score_unigram_ql(make_query("q1", "x"), "d1", index, mu=10.0)
-        assert math.isfinite(got)
-        expected = math.log(10.0 * (1.0 / 6.0) / 13.0)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        got = bow_scores(make_query("q1", "a zz"), index, mu=100.0)
+        want = math.log((1.0 + 100.0 * 0.3) / 105.0) + math.log(eps * 100.0 / 105.0)
+        np.testing.assert_allclose(got["d1"], want, atol=1e-12)
 
     def test_random_corpora_match_reference(self):
         rng = np.random.default_rng(404)
@@ -129,11 +136,13 @@ class TestUnigramScore:
             raw = [(doc_id, tokenize(text)) for doc_id, text in docs]
             terms = list(rng.choice(vocab + ["zz"], size=int(rng.integers(1, 4))))
             mu = float(rng.uniform(10.0, 3000.0))
-            query = make_query("q", " ".join(terms))
+            got = bow_scores(make_query("q", " ".join(terms)), index, mu)
+            candidates = [doc_id for doc_id, tokens in raw if set(terms) & set(tokens)]
+            assert sorted(got) == sorted(candidates)
             for doc_id, doc_tokens in raw:
-                got = score_unigram_ql(query, doc_id, index, mu)
-                want = ref_dirichlet_score(terms, doc_tokens, [t for _, t in raw], mu)
-                np.testing.assert_allclose(got, want, atol=1e-9)
+                if doc_id in got:
+                    want = ref_dirichlet_score(terms, doc_tokens, [t for _, t in raw], mu)
+                    np.testing.assert_allclose(got[doc_id], want, atol=1e-9)
 
 
 class TestPhraseFeature:
@@ -145,14 +154,14 @@ class TestPhraseFeature:
             [("d1", "red tape a b c d e f g h"), ("d2", f"red tape {filler}")]
         )
         assert index.total_terms == 2000
-        got = score_phrase_feature(("red", "tape"), "d1", index, mu=1000.0)
-        np.testing.assert_allclose(got, math.log(2.0 / 1010.0), atol=1e-12)
+        got = phrase_scores(make_query("q1", "red tape"), index, mu=1000.0)
+        np.testing.assert_allclose(got["d1"], math.log(2.0 / 1010.0), atol=1e-12)
 
     def test_absent_phrase_uses_floor(self):
         index = build_index([("d1", "red a tape b c"), ("d2", "tape red x y z")])
         eps = 1.0 / (2.0 * index.total_terms)
-        got = score_phrase_feature(("red", "tape"), "d1", index, mu=100.0)
-        np.testing.assert_allclose(got, math.log(eps * 100.0 / 105.0), atol=1e-12)
+        got = phrase_scores(make_query("q1", "red tape"), index, mu=100.0)
+        np.testing.assert_allclose(got["d1"], math.log(eps * 100.0 / 105.0), atol=1e-12)
 
     def test_more_occurrences_score_higher(self):
         index = build_index(
@@ -162,25 +171,8 @@ class TestPhraseFeature:
                 ("d3", "red tape x y z w v u"),
             ]
         )
-        scores = [
-            score_phrase_feature(("red", "tape"), d, index, mu=500.0)
-            for d in ("d1", "d2", "d3")
-        ]
-        assert scores[0] > scores[1] > scores[2]
-
-    def test_precomputed_map_matches(self):
-        from termdep.corpus import phrase_occurrences
-
-        index = build_index([("d1", "a b c a b"), ("d2", "b a b a")])
-        per_doc = phrase_occurrences(index, ("a", "b"))
-        direct = score_phrase_feature(("a", "b"), "d1", index, mu=100.0)
-        reused = score_phrase_feature(("a", "b"), "d1", index, mu=100.0, per_doc=per_doc)
-        assert direct == reused
-
-    def test_short_phrase_rejected(self):
-        index = build_index([("d1", "a b c")])
-        with pytest.raises(ValueError, match="two terms"):
-            score_phrase_feature(("a",), "d1", index, mu=100.0)
+        got = phrase_scores(make_query("q1", "red tape"), index, mu=500.0)
+        assert got["d1"] > got["d2"] > got["d3"]
 
 
 class TestRank:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from termdep import scoring
 from termdep.corpus import Document, PositionalIndex, Query, tokenize
 from termdep.fixtures import planted_pair, retrieval_fixture
 from termdep.perturb import SynonymLexicon
@@ -16,6 +17,7 @@ from termdep.scoring import (
     score_query,
     select_dependent,
 )
+from termdep.vectors import cosine_distance
 
 
 def build_state(fixture):
@@ -172,16 +174,34 @@ class TestScoreBatch:
         assert [s.scoreable for s in scores] == [True, False, True, False]
         assert all(s.variant == "vector:okapi" for s in scores)
 
-    def test_per_query_errors_isolated(self, planted_state):
-        # A poisoned lexicon entry raises inside one query's scoring; the
-        # batch must absorb it as an unscoreable record and keep going.
-        index, _, _ = planted_state
-        lexicon = SynonymLexicon(entries={"red": 42, "office": ["bureau"]})
+    @staticmethod
+    def poison_red(monkeypatch, error):
+        # The divergence kernel raises `error` for queries holding "red".
+        def cosine(u, v):
+            if "red" in u.terms:
+                raise error("poisoned kernel")
+            return cosine_distance(u, v)
+
+        monkeypatch.setattr(scoring, "cosine_distance", cosine)
+
+    def test_per_query_errors_isolated(self, planted_state, monkeypatch):
+        # A ValueError raised inside one query's scoring is absorbed as an
+        # unscoreable record and the batch keeps going.
+        index, _, lexicon = planted_state
+        self.poison_red(monkeypatch, ValueError)
         batch = [make_query("b1", "red tape"), make_query("b2", "tax office")]
         scores = score_batch(batch, "vector:tfidf", index, lexicon)
         assert not scores[0].scoreable
-        assert scores[0].reason.startswith("error:")
+        assert scores[0].reason == "error: poisoned kernel"
         assert scores[1].scoreable
+
+    def test_faults_propagate(self, planted_state, monkeypatch):
+        # Any other exception is a fault, not an unscoreable query.
+        index, _, lexicon = planted_state
+        self.poison_red(monkeypatch, TypeError)
+        batch = [make_query("b1", "tax office"), make_query("b2", "red tape")]
+        with pytest.raises(TypeError, match="poisoned kernel"):
+            score_batch(batch, "vector:tfidf", index, lexicon)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_memos_match_fresh_per_query_scoring(self, planted_state, variant):
@@ -248,16 +268,7 @@ class TestSelectDependent:
         assert len(notes) == 1
         assert "scoreable" in notes[0]
 
-    def test_fractional_theta_floors(self):
-        scores = scores_from([0.1, 0.2, 0.3, 0.4, 0.5])
-        selected, _ = select_dependent(scores, 0.5)
-        assert len(selected) == 2
-        selected, _ = select_dependent(scores, 1.0)
-        assert len(selected) == 5
-
     def test_invalid_theta_rejected(self):
-        with pytest.raises(ValueError, match="fractional theta"):
-            select_dependent(scores_from([0.5]), 1.5)
         with pytest.raises(ValueError, match="non-negative"):
             select_dependent(scores_from([0.5]), -1)
 

@@ -111,13 +111,6 @@ class TestBuildTermVector:
         ref = math.log(1 * 4 / (1 * 2))
         np.testing.assert_allclose(tv.weights["b"], ref)
 
-    def test_absent_as_zero_divides_by_all_windows(self):
-        docs = [("d1", ["a", "b"]), ("d2", ["a", "c"])]
-        ws = windows_for(docs, "a", n=1)
-        default = build_term_vector(ws, "mi")
-        spread = build_term_vector(ws, "mi", absent_as_zero=True)
-        np.testing.assert_allclose(spread.weights["b"], default.weights["b"] / 2)
-
     def test_atc_weights_unit_norm_per_term(self):
         rng = np.random.default_rng(5)
         vocab = [f"w{i}" for i in range(6)]

@@ -58,11 +58,6 @@ class TestExtractWindows:
         assert ws.windows == []
         assert ws.stats.n_windows == 0
 
-    def test_max_windows_truncates(self):
-        docs = [("d1", ["a"] * 10)]
-        ws = extract_windows(make_index(docs), ["a"], n=0, max_windows=3)
-        assert len(ws.windows) == 3
-
     def test_rejects_bad_arguments(self):
         index = make_index([("d1", ["a"])])
         with pytest.raises(ValueError):
