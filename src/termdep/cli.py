@@ -50,6 +50,12 @@ def _write_scores_csv(scores: Sequence[NcdScore], path: str) -> None:
             fh.write(f"{s.qid},{s.variant},{n_q},{str(s.scoreable).lower()},{tail}\n")
 
 
+def _check_theta(theta: Optional[int]) -> None:
+    """Reject a negative selection size before any input is read."""
+    if theta is not None and theta < 0:
+        raise ValueError(f"theta must be non-negative, got {theta}")
+
+
 def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     index = ingest_corpus(args.corpus, stopwords=stopwords, stop_documents=args.stop_documents)
@@ -98,6 +104,7 @@ def _cmd_windows(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _check_theta(args.theta)
     index, queries, lexicon = _load_inputs(args)
     if lexicon is None:
         raise SystemExit("score requires --lexicon")
@@ -135,6 +142,7 @@ def _selection_for(args, index, queries, lexicon) -> Set[str]:
 
 def _cmd_run(args) -> int:
     config = RankingConfig(mu=args.mu, mode=args.mode, top_k=args.top_k)
+    _check_theta(args.theta)
     index, queries, lexicon = _load_inputs(args)
     selected: Optional[Set[str]] = None
     if args.mode == "selective":

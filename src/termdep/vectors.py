@@ -2,11 +2,13 @@
 
 Five weighting schemes score a context term inside one window: atc, ltu,
 mi, okapi, tfidf.  All logarithms are natural.  weight() evaluates the
-raw per-window formula from explicit statistics; for atc the cosine
-normalization over the windows containing the term is applied when the
-term vector is built, so the per-window atc weights of any term with a
-nonzero norm satisfy sum(w^2) == 1.  A term vector's component for a
-context term is the mean of its weights over the windows containing it.
+raw per-window formula from explicit statistics; it is the one-window
+case of the kernel build_term_vector runs once per context term over the
+windows containing it.  For atc the cosine normalization over those
+windows is applied when the term vector is built, so the per-window atc
+weights of any term with a nonzero norm satisfy sum(w^2) == 1.  A term
+vector's component for a context term is the mean of its weights over
+the windows containing it.
 """
 
 from __future__ import annotations
@@ -59,24 +61,62 @@ def weight(
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     if av_m <= 0:
         raise ValueError(f"av_m must be > 0, got {av_m}")
+    if scheme == "atc" and max_f < 1:
+        raise ValueError(f"max_f must be >= 1, got {max_f}")
+    if scheme == "mi" and (cf_t is None or total_mass is None):
+        raise ValueError("mi weighting requires cf_t and total_mass")
+    # One window, holding the term f_it times.
+    return _term_weights(
+        scheme, n_windows, av_m, total_mass, "", n_t, cf_t, (0,), ({"": f_it},), (m_i,), (max_f,)
+    )[0]
+
+
+def _term_weights(
+    scheme: str,
+    n_windows: int,
+    av_m: float,
+    total_mass: Optional[int],
+    term: str,
+    n_t: int,
+    cf_t: Optional[int],
+    ids: Sequence[int],
+    counts: Sequence[Dict[str, int]],
+    sizes: Sequence[int],
+    max_f: Sequence[int],
+) -> List[float]:
+    """Raw weights of `term` in each window i of `ids`, in order.
+
+    Window i holds the term f = counts[i][term] times; its size is
+    sizes[i] and its peak frequency max_f[i].  The five formulas live
+    here: the term's own factors (idf, cf_t) are taken once, and only the
+    per-window part runs per window.  The caller has checked the
+    arguments (weight()) or read them off a window set, where they hold
+    by construction (build_term_vector()).
+    """
     if scheme == "atc":
-        if max_f < 1:
-            raise ValueError(f"max_f must be >= 1, got {max_f}")
-        return (0.5 + 0.5 * f_it / max_f) * math.log(n_windows / n_t)
+        idf = math.log(n_windows / n_t)
+        return [(0.5 + 0.5 * f / max_f[i]) * idf for i in ids for f in (counts[i][term],)]
     if scheme == "ltu":
-        return (math.log(f_it) + 1.0) * math.log(n_windows / n_t) / (
-            0.8 + 0.2 * m_i / av_m
-        )
+        idf = math.log(n_windows / n_t)
+        return [
+            (math.log(f) + 1.0) * idf / (0.8 + 0.2 * sizes[i] / av_m)
+            for i in ids
+            for f in (counts[i][term],)
+        ]
     if scheme == "mi":
-        if cf_t is None or total_mass is None:
-            raise ValueError("mi weighting requires cf_t and total_mass")
-        return math.log(f_it * total_mass / (cf_t * m_i))
+        return [
+            math.log(f * total_mass / (cf_t * sizes[i])) for i in ids for f in (counts[i][term],)
+        ]
     if scheme == "okapi":
-        return (f_it / (0.5 + 1.5 * m_i / av_m + f_it)) * math.log(
-            (n_windows - n_t + 0.5) / (f_it + 0.5)
-        )
+        absent = n_windows - n_t + 0.5
+        return [
+            (f / (0.5 + 1.5 * sizes[i] / av_m + f)) * math.log(absent / (f + 0.5))
+            for i in ids
+            for f in (counts[i][term],)
+        ]
     if scheme == "tfidf":
-        return math.log(f_it) * math.log(n_windows / n_t)
+        idf = math.log(n_windows / n_t)
+        return [math.log(f) * idf for i in ids for f in (counts[i][term],)]
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
@@ -101,20 +141,28 @@ def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
     """Vector representation of ws.target under `scheme`.
 
     The component for context term t' is the mean of its per-window
-    weights over the windows where t' actually occurs.
+    weights over the windows where t' actually occurs.  The window set's
+    statistics are read once; each term's weights are one kernel call.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     if not ws.windows:
         raise ValueError(f"target {' '.join(ws.target)!r} has no context windows")
+    stats = ws.stats
+    n_windows, av_m, total_mass, max_f = stats.n_windows, stats.av_m, stats.total_mass, stats.max_f
+    cf = stats.window_cf
+    counts = [w.counts for w in ws.windows]
+    sizes = [w.size for w in ws.windows]
     vec: Dict[str, float] = {}
-    for term in ws.stats.windows_containing:
+    for term, n_t in stats.windows_containing.items():
         ids = ws.windows_for(term)
-        raw = [window_weight(scheme, ws, i, term) for i in ids]
+        raw = _term_weights(
+            scheme, n_windows, av_m, total_mass, term, n_t, cf[term], ids, counts, sizes, max_f
+        )
         if scheme == "atc":
             norm = math.sqrt(math.fsum(v * v for v in raw))
             raw = [v / norm for v in raw] if norm > 0.0 else [0.0 for _ in raw]
-        vec[term] = math.fsum(raw) / len(ids)
+        vec[term] = math.fsum(raw) / n_t
     return TermVector(term=" ".join(ws.target), weights=vec)
 
 

@@ -52,7 +52,12 @@ class WindowStats:
 
 @dataclass
 class WindowSet:
-    """Windows for one target term or phrase plus their cached statistics."""
+    """Windows for one target term or phrase plus their cached statistics.
+
+    One pass over the windows' counts collects, per context term in order
+    of first appearance, the ascending ids of the windows containing it
+    and its total count; n(t) is the length of its id list.
+    """
 
     target: Tuple[str, ...]
     windows: List[ContextWindow]
@@ -60,7 +65,8 @@ class WindowSet:
     _containing_ids: Dict[str, List[int]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        containing: Dict[str, int] = {}
+        containing_ids = self._containing_ids
+        get = containing_ids.get
         cf: Dict[str, int] = {}
         max_f: List[int] = []
         total = 0
@@ -68,15 +74,19 @@ class WindowSet:
             max_f.append(max(w.counts.values()) if w.counts else 0)
             total += w.size
             for term, c in w.counts.items():
-                containing[term] = containing.get(term, 0) + 1
-                cf[term] = cf.get(term, 0) + c
-                self._containing_ids.setdefault(term, []).append(i)
+                ids = get(term)
+                if ids is None:
+                    containing_ids[term] = [i]
+                    cf[term] = c
+                else:
+                    ids.append(i)
+                    cf[term] += c
         n = len(self.windows)
         self.stats = WindowStats(
             n_windows=n,
             av_m=(total / n) if n else 0.0,
             max_f=max_f,
-            windows_containing=containing,
+            windows_containing={t: len(ids) for t, ids in containing_ids.items()},
             window_cf=cf,
             total_mass=total,
         )

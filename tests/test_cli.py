@@ -50,6 +50,19 @@ def base_flags(paths):
     return ["--corpus", paths["corpus"], "--queries", paths["queries"]]
 
 
+def forbid_loading_and_scoring(monkeypatch):
+    """Make reading the inputs or scoring a query fail the test."""
+
+    def no_load(args):
+        raise AssertionError("inputs loaded before theta was checked")
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("queries scored before theta was checked")
+
+    monkeypatch.setattr("termdep.cli._load_inputs", no_load)
+    monkeypatch.setattr("termdep.cli.score_batch", no_scoring)
+
+
 class TestFixtureCommand:
     def test_planted_files_written(self, planted_paths, capsys):
         out = planted_paths["dir"]
@@ -196,6 +209,29 @@ class TestScoreCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "half-width" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_theta_rejected_before_scoring(
+        self, planted_paths, tmp_path, capsys, monkeypatch
+    ):
+        forbid_loading_and_scoring(monkeypatch)
+        code = main(
+            [
+                "score",
+                *base_flags(planted_paths),
+                "--lexicon",
+                planted_paths["lexicon"],
+                "--variant",
+                "vector:tfidf",
+                "--theta",
+                "-1",
+                "--out",
+                str(tmp_path / "scores.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: theta must be non-negative, got -1"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_variant_rejected_by_parser(self, planted_paths, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -302,6 +338,29 @@ class TestRunCommand:
             ]
         )
         assert sel.read_bytes() == bow.read_bytes()
+
+    def test_negative_theta_rejected_before_scoring(
+        self, planted_paths, tmp_path, capsys, monkeypatch
+    ):
+        forbid_loading_and_scoring(monkeypatch)
+        code = main(
+            [
+                "run",
+                *base_flags(planted_paths),
+                "--mode",
+                "selective",
+                "--lexicon",
+                planted_paths["lexicon"],
+                "--theta",
+                "-1",
+                "--out",
+                str(tmp_path / "sel.run"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: theta must be non-negative, got -1"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_corpus_without_tokens_fails_at_load(self, retrieval_paths, tmp_path, capsys):
         corpus = tmp_path / "empty.jsonl"

@@ -7,7 +7,8 @@ KLD, and the range of vector divergences."""
 
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termdep.corpus import Document, PositionalIndex, Query, phrase_positions
@@ -35,8 +36,10 @@ from termdep.retrieval import (
     write_run,
 )
 from termdep.scoring import score_batch
-from termdep.vectors import SCHEMES
+from termdep.vectors import SCHEMES, build_term_vector, weight
 from termdep.windows import extract_windows
+
+from oracles import brute_force_window_stats, brute_force_windows
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -569,3 +572,82 @@ def test_vector_divergences_stay_in_cosine_range(corpus, queries, synonyms):
             if score.scoreable:
                 assert 0.0 <= score.n_q <= 2.0
                 assert all(0.0 <= d <= 2.0 for d in score.divergences)
+
+
+# Repeated tokens give a context term counts above 1 that differ between
+# windows; clipping at document edges gives windows of different sizes.
+REPEATS = [("d0", ("a", "b", "a", "a", "c", "b")), ("d1", ("b", "a", "a")), ("d2", ("c", "c", "a"))]
+
+
+@PROPERTY
+@given(corpora(), phrases, st.integers(min_value=0, max_value=6))
+@example(corpus=(REPEATS, build_index(REPEATS)), target=("a",), n=2)
+def test_window_stats_equal_brute_force(corpus, target, n):
+    docs, index = corpus
+    ws = extract_windows(index, target, n=n)
+    ref_windows = brute_force_windows(docs, target, n)
+    ref = brute_force_window_stats(ref_windows)
+    stats = ws.stats
+    assert stats.n_windows == ref["n_windows"]
+    assert stats.av_m == ref["av_m"]
+    assert stats.max_f == ref["max_f"]
+    assert stats.total_mass == sum(size for *_, size in ref_windows)
+    # Both statistics keep the order in which the terms first appear.
+    assert list(stats.windows_containing.items()) == list(ref["windows_containing"].items())
+    cf = {}
+    for _, _, counts, _ in ref_windows:
+        for t, c in counts.items():
+            cf[t] = cf.get(t, 0) + c
+    assert list(stats.window_cf.items()) == list(cf.items())
+    for term in VOCAB + (ABSENT,):
+        ids = [i for i, (_, _, counts, _) in enumerate(ref_windows) if term in counts]
+        assert ws.windows_for(term) == ids  # ascending, each window once
+
+
+def reference_term_vector(ws, scheme):
+    """The loop build_term_vector replaced: one weight() call per (window, term)."""
+    windows = ws.windows
+    total = sum(w.size for w in windows)
+    vec = {}
+    for term in dict.fromkeys(t for w in windows for t in w.counts):
+        ids = [i for i, w in enumerate(windows) if term in w.counts]
+        raw = [
+            weight(
+                scheme,
+                f_it=windows[i].counts[term],
+                n_t=len(ids),
+                n_windows=len(windows),
+                m_i=windows[i].size,
+                av_m=total / len(windows),
+                max_f=max(windows[i].counts.values()),
+                cf_t=sum(windows[j].counts[term] for j in ids),
+                total_mass=total,
+            )
+            for i in ids
+        ]
+        if scheme == "atc":
+            norm = math.sqrt(math.fsum(v * v for v in raw))
+            raw = [v / norm for v in raw] if norm > 0.0 else [0.0 for _ in raw]
+        vec[term] = math.fsum(raw) / len(ids)
+    return vec
+
+
+@PROPERTY
+@given(corpora(), phrases, st.integers(min_value=0, max_value=6))
+@example(corpus=(REPEATS, build_index(REPEATS)), target=("a",), n=2)
+@example(corpus=(REPEATS, build_index(REPEATS)), target=("a",), n=0)
+def test_term_vector_equals_per_pair_weight_loop(corpus, target, n):
+    _, index = corpus
+    ws = extract_windows(index, target, n=n)
+    for scheme in SCHEMES:
+        if not ws.windows:
+            with pytest.raises(ValueError, match="no context windows"):
+                build_term_vector(ws, scheme)
+            continue
+        got = build_term_vector(ws, scheme).weights
+        want = reference_term_vector(ws, scheme)
+        assert got == want
+        assert list(got) == list(want)
+        if len(target) == 1 and scheme == "atc":
+            # The target is in every window: idf 0, a zero atc norm.
+            assert got[target[0]] == 0.0
