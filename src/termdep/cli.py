@@ -14,7 +14,13 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .corpus import PositionalIndex, ingest_corpus, load_queries, load_stopwords
+from .corpus import (
+    PositionalIndex,
+    _has_whitespace,
+    ingest_corpus,
+    load_queries,
+    load_stopwords,
+)
 from .evaluation import (
     MEASURES,
     CvPlan,
@@ -54,6 +60,12 @@ def _check_theta(theta: Optional[int]) -> None:
     """Reject a negative selection size before any input is read."""
     if theta is not None and theta < 0:
         raise ValueError(f"theta must be non-negative, got {theta}")
+
+
+def _check_tag(tag: str) -> None:
+    """Reject a run tag that would not read back as one whitespace-free field."""
+    if not tag or _has_whitespace(tag):
+        raise ValueError(f"--tag must be non-empty and hold no whitespace, got {tag!r}")
 
 
 def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
@@ -143,6 +155,7 @@ def _selection_for(args, index, queries, lexicon) -> Set[str]:
 def _cmd_run(args) -> int:
     config = RankingConfig(mu=args.mu, mode=args.mode, top_k=args.top_k)
     _check_theta(args.theta)
+    _check_tag(args.tag)
     index, queries, lexicon = _load_inputs(args)
     selected: Optional[Set[str]] = None
     if args.mode == "selective":
@@ -207,11 +220,29 @@ def _cmd_tune(args) -> int:
     return 0
 
 
+def _parse_sweep(items: Sequence[str]) -> List[Tuple[int, str]]:
+    """Split each THETA=RUNFILE item, THETA a non-negative integer, before any file is read."""
+    sweep = []
+    for item in items:
+        theta_s, sep, path = item.partition("=")
+        if not sep or not (theta_s.isascii() and theta_s.isdigit()):
+            raise SystemExit(
+                f"--sweep expects THETA=RUNFILE with a non-negative integer THETA, got {item!r}"
+            )
+        sweep.append((int(theta_s), path))
+    return sweep
+
+
 def _cmd_figure_data(args) -> int:
+    sweep = _parse_sweep(args.sweep)
+    compare = bool(args.run_a and args.run_b)
+    if not compare and not sweep:
+        raise SystemExit("figure-data needs --run-a/--run-b and/or --sweep entries")
     qrels = load_qrels(args.qrels)
-    os.makedirs(args.out, exist_ok=True)
-    wrote = False
-    if args.run_a and args.run_b:
+    # Every run is read and evaluated before anything is written, so a
+    # failed call leaves no output behind.
+    deltas: List[Tuple[str, float]] = []
+    if compare:
         report_a = evaluate(read_run(args.run_a), qrels)
         report_b = evaluate(read_run(args.run_b), qrels)
         shared = sorted(set(report_a.per_query) & set(report_b.per_query))
@@ -220,27 +251,20 @@ def _cmd_figure_data(args) -> int:
             for qid in shared
         ]
         deltas.sort(key=lambda pair: (-pair[1], pair[0]))
+    rows = sorted(
+        (theta, evaluate(read_run(path), qrels).means[args.measure]) for theta, path in sweep
+    )
+    os.makedirs(args.out, exist_ok=True)
+    if compare:
         with open(os.path.join(args.out, "delta.csv"), "w", encoding="utf-8") as fh:
             fh.write(f"qid,delta_{args.measure}\n")
             for qid, delta in deltas:
                 fh.write(f"{qid},{delta:.6f}\n")
-        wrote = True
-    if args.sweep:
-        rows: List[Tuple[int, float]] = []
-        for item in args.sweep:
-            if "=" not in item:
-                raise SystemExit(f"--sweep expects THETA=RUNFILE, got {item!r}")
-            theta_s, path = item.split("=", 1)
-            report = evaluate(read_run(path), qrels)
-            rows.append((int(theta_s), report.means[args.measure]))
-        rows.sort()
+    if sweep:
         with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
             fh.write(f"theta,mean_{args.measure}\n")
             for theta, value in rows:
                 fh.write(f"{theta},{value:.6f}\n")
-        wrote = True
-    if not wrote:
-        raise SystemExit("figure-data needs --run-a/--run-b and/or --sweep entries")
     return 0
 
 

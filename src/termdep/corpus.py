@@ -11,22 +11,30 @@ exact ordered phrase matching reads positions of the few terms it needs.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+class _Separators(dict):
+    """str.translate table: a-z and 0-9 map to themselves, every other code point to a space."""
+
+    def __missing__(self, code_point: int) -> str:
+        return " "
+
+
+_SEPARATORS = _Separators((ord(c), c) for c in "abcdefghijklmnopqrstuvwxyz0123456789")
 
 
 def tokenize(text: str, stopwords: Optional[Set[str]] = None) -> List[str]:
-    """Lowercase and split on non-alphanumeric runs; digits kept, no stemming.
+    """Lowercase, then take the maximal [a-z0-9] runs; no stemming.
 
-    When a stopword set is given, matching tokens are dropped.  Empty input
-    yields an empty list.
+    Every other character separates tokens, non-ASCII letters and digits
+    included.  When a stopword set is given, matching tokens are dropped.
+    Empty input yields an empty list.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = text.lower().translate(_SEPARATORS).split()
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens

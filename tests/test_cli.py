@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,10 +55,10 @@ def forbid_loading_and_scoring(monkeypatch):
     """Make reading the inputs or scoring a query fail the test."""
 
     def no_load(args):
-        raise AssertionError("inputs loaded before theta was checked")
+        raise AssertionError("inputs loaded before the arguments were checked")
 
     def no_scoring(*args, **kwargs):
-        raise AssertionError("queries scored before theta was checked")
+        raise AssertionError("queries scored before the arguments were checked")
 
     monkeypatch.setattr("termdep.cli._load_inputs", no_load)
     monkeypatch.setattr("termdep.cli.score_batch", no_scoring)
@@ -262,6 +263,20 @@ class TestRunCommand:
         out = tmp_path / "tagged.run"
         main(["run", *base_flags(planted_paths), "--mode", "fd", "--tag", "mytag", "--out", str(out)])
         assert all(line.split()[5] == "mytag" for line in out.read_text().splitlines())
+
+    @pytest.mark.parametrize("tag", ["my tag", "", "a\tb", "a\x1cb", "a\u00a0b"])
+    def test_unreadable_tag_rejected_before_loading(
+        self, planted_paths, tmp_path, capsys, monkeypatch, tag
+    ):
+        # read_run splits rows on str.split() whitespace, so such a tag would
+        # give a run file that eval rejects.
+        forbid_loading_and_scoring(monkeypatch)
+        out = tmp_path / "tagged.run"
+        code = main(["run", *base_flags(planted_paths), "--mode", "bow", "--tag", tag, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --tag must be non-empty and hold no whitespace, got {tag!r}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_selective_from_file_matches_on_the_fly(self, planted_paths, tmp_path):
         selected = tmp_path / "sel.txt"
@@ -805,3 +820,57 @@ class TestFigureDataCommand:
                     str(tmp_path / "x"),
                 ]
             )
+
+    @pytest.mark.parametrize("item", ["abc=x.run", "-1=x.run", "=x.run", "1.5=x.run", "\u0663=x.run"])
+    def test_bad_sweep_theta_rejected_before_any_output(
+        self, retrieval_paths, mode_runs, tmp_path, monkeypatch, item
+    ):
+        def no_read(path):
+            raise AssertionError("a run file was read before --sweep was checked")
+
+        monkeypatch.setattr("termdep.cli.read_run", no_read)
+        out = tmp_path / "fig"
+        with pytest.raises(SystemExit, match=re.escape(repr(item))):
+            main(
+                [
+                    "figure-data",
+                    "--qrels",
+                    retrieval_paths["qrels"],
+                    "--run-a",
+                    str(mode_runs["fd"]),
+                    "--run-b",
+                    str(mode_runs["bow"]),
+                    "--sweep",
+                    f"0={mode_runs['bow']}",
+                    f"--sweep={item}",  # "-1=..." alone would parse as an option
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert not out.exists()
+
+    def test_unreadable_sweep_run_leaves_no_output(
+        self, retrieval_paths, mode_runs, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.run"
+        bad.write_text("q01 Q0 d1 1 0.5\n")
+        out = tmp_path / "fig"
+        code = main(
+            [
+                "figure-data",
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--run-a",
+                str(mode_runs["fd"]),
+                "--run-b",
+                str(mode_runs["bow"]),
+                "--sweep",
+                f"3={bad}",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}:1: expected 6 whitespace-separated fields"]
+        assert not out.exists()

@@ -1,17 +1,19 @@
-"""Property tests: the feature-table ranking against the per-document loop
-it replaced, the mu-grid runs against rank, spliced tuning runs and metric
-reports, ingestion-order independence of ranking, the count-first index (frequencies, lazily
+"""Property tests: the tokenizer against the regex it replaced, the
+feature-table ranking against the per-document loop it replaced, the
+mu-grid runs against rank, spliced tuning runs and metric reports,
+ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
 range of metrics on runs read back, the list-level LM kernels, the sign of
 KLD, and the range of vector divergences."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from termdep.corpus import Document, PositionalIndex, Query, phrase_positions
+from termdep.corpus import Document, PositionalIndex, Query, phrase_positions, tokenize
 from termdep.evaluation import MEASURES, Qrels, evaluate, splice_reports
 from termdep.langmodel import (
     COMBINATIONS,
@@ -267,6 +269,27 @@ def test_ranking_ignores_ingestion_order(corpus, queries, mu, data):
         config = RankingConfig(mu=mu, mode=mode, top_k=8)
         # Statistics are integer counts and ties break by doc_id: exact equality.
         assert rank(queries, shuffled, config) == rank(queries, index, config)
+
+
+def reference_tokens(text, stopwords=None):
+    """The regex tokenizer tokenize replaced: maximal [a-z0-9] runs of the lowercased text."""
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    return [t for t in tokens if t not in stopwords] if stopwords else tokens
+
+
+@PROPERTY
+@given(
+    st.text(),
+    st.none() | st.sets(st.text(alphabet="abk0123", min_size=1, max_size=2), max_size=5),
+)
+@example(text="\u212a", stopwords=None)  # Kelvin sign: lowercases to ASCII "k"
+@example(text="\u0130stanbul", stopwords=None)  # lowercases to "i" + combining dot
+@example(text="stra\u00dfe", stopwords=None)
+@example(text="a\u00a0b\x1cc\x1dd\x1ee\x1ff", stopwords=None)  # str.split whitespace
+@example(text="\u0663 \uff41 a\u0663b", stopwords=None)  # isalnum(), yet not [a-z0-9]
+@example(text="A-b, 0k K k", stopwords={"k", "0k"})
+def test_tokenize_equals_regex_reference(text, stopwords):
+    assert tokenize(text, stopwords) == reference_tokens(text, stopwords)
 
 
 @PROPERTY
