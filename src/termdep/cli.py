@@ -24,10 +24,10 @@ from .corpus import (
 from .evaluation import (
     MEASURES,
     CvPlan,
-    cross_validate_reports,
+    _check_fold_count,
+    cross_validate_table,
     evaluate,
     load_qrels,
-    splice_reports,
     write_metric_report,
 )
 from .fixtures import planted_pair, retrieval_fixture
@@ -183,28 +183,31 @@ def _cmd_tune(args) -> int:
     index, queries, lexicon = _load_inputs(args)
     if lexicon is None:
         raise SystemExit("tune requires --lexicon")
-    if len(queries) < plan.folds:
-        raise ValueError(f"need at least {plan.folds} queries, got {len(queries)}")
+    _check_fold_count(len(queries), plan)
     qrels = load_qrels(args.qrels)
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
-    # Selection at theta is the first theta entries of one ordering.
+    # Selection at theta is the first theta entries of one ordering; an
+    # unscoreable query is not in it, so it is never selected.
     ordered, _ = select_dependent(scores, len(scores))
-    # A selective run at (mu, theta) is, query by query, the bow or the fd
-    # run at mu, and a query's metric row depends on its own list alone, so
-    # each distinct mu is ranked once in both modes, evaluated once per
-    # mode, and every theta splices the two reports.  Each mu's runs are
-    # dropped once evaluated; only the reports are kept.
-    reports = {
-        mu: (evaluate(bow, qrels), evaluate(fd, qrels))
-        for mu, bow, fd in rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config)
-    }
-    result = cross_validate_reports(
-        [q.qid for q in queries],
-        lambda mu, theta: splice_reports(*reports[mu], ordered[:theta]),
-        plan,
-    )
+    position = {qid: i for i, qid in enumerate(ordered)}
+    # A selective run at (mu, theta) is, query by query, the fd run at mu
+    # if the query is selected, else the bow run, and a query's metric value
+    # depends on its own list alone: each distinct mu is ranked once in both
+    # modes and evaluated once per mode, and its runs are dropped at once.
+    values: Dict[Tuple[float, int], Dict[str, float]] = {}
+    diagnostics: List[str] = []
+    for mu, bow, fd in rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config):
+        bow_report, fd_report = evaluate(bow, qrels), evaluate(fd, qrels)
+        diagnostics.extend(d for d in bow_report.diagnostics if d not in diagnostics)
+        fd_value = {qid: row[plan.measure] for qid, row in fd_report.per_query.items()}
+        for theta in set(plan.theta_grid):
+            values[(mu, theta)] = {
+                qid: fd_value[qid] if position.get(qid, theta) < theta else row[plan.measure]
+                for qid, row in bow_report.per_query.items()
+            }
+    result = cross_validate_table([q.qid for q in queries], values, plan, diagnostics)
     payload = {
         "measure": result.measure,
         "folds": [
@@ -234,8 +237,10 @@ def _parse_sweep(items: Sequence[str]) -> List[Tuple[int, str]]:
 
 
 def _cmd_figure_data(args) -> int:
+    compare = args.run_a is not None
+    if compare != (args.run_b is not None):
+        raise ValueError("figure-data needs --run-a and --run-b together")
     sweep = _parse_sweep(args.sweep)
-    compare = bool(args.run_a and args.run_b)
     if not compare and not sweep:
         raise SystemExit("figure-data needs --run-a/--run-b and/or --sweep entries")
     qrels = load_qrels(args.qrels)

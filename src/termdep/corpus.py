@@ -249,12 +249,23 @@ def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]
 
 
 def load_stopwords(path: str) -> Set[str]:
+    """One word per line, blank lines skipped; each must tokenize to one token.
+
+    A line such as `don't` or `naive` spelt with a diaeresis splits into
+    several tokens, none of them the word, so it could never match and is
+    rejected with its path:line.
+    """
     words: Set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            tokens = tokenize(line)
+            if len(tokens) != 1:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: stopword {line.strip()!r} is not exactly one token"
+                )
+            words.add(tokens[0])
     return words
 
 

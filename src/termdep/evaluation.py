@@ -3,17 +3,18 @@
 Graded judgments come from TREC-format qrels; binary relevance for MAP
 and P@10 is grade > 0.  Cross-validation deterministically splits the
 qid-sorted query set round-robin into three folds, tunes (mu, theta) on
-two folds, and reports the mean score of the held-out thirds.  It reads
-one metric report per grid point; a selective report is spliced from the
-bow and fd reports at its mu (splice_reports), so tuning evaluates each
-mu once per mode rather than once per (mu, theta).
+two folds, and reports the mean score of the held-out thirds.  It reads a
+value table: per grid point, each evaluated query's value of the tuned
+measure.  cross_validate fills the table by evaluating one run per grid
+point; a caller that knows the runs' structure, such as tune's selective
+runs, may fill it any way that gives the same values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .retrieval import RankedRun
 
@@ -127,36 +128,10 @@ def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
             "p10": _precision_at_10(ranked, relevant),
             "ndcg10": _ndcg_at_10(ranked, relevant),
         }
-    report.means = _means(report.per_query)
-    return report
-
-
-def _means(per_query: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """Each measure's mean over the per-query rows, in their order."""
-    means = {}
     for measure in MEASURES:
-        rows = [m[measure] for m in per_query.values()]
-        means[measure] = sum(rows) / len(rows) if rows else 0.0
-    return means
-
-
-def splice_reports(bow: MetricReport, fd: MetricReport, selected: Iterable[str]) -> MetricReport:
-    """Per query, fd's metric row if its qid is selected, else bow's.
-
-    Given evaluate's reports of rank's bow and fd runs at one mu, this
-    equals evaluate of splice_runs on those runs: a query's row depends on
-    its own ranked list alone, and both runs hold the same qids in the
-    same order, so they also share their diagnostics.  Rows are shared,
-    not copied.
-    """
-    selected_set = set(selected)
-    per_query = {
-        qid: (fd.per_query[qid] if qid in selected_set else row)
-        for qid, row in bow.per_query.items()
-    }
-    return MetricReport(
-        per_query=per_query, means=_means(per_query), diagnostics=list(bow.diagnostics)
-    )
+        rows = [m[measure] for m in report.per_query.values()]
+        report.means[measure] = sum(rows) / len(rows) if rows else 0.0
+    return report
 
 
 def write_metric_report(report: MetricReport, path: str) -> None:
@@ -210,51 +185,62 @@ def assign_folds(qids: Sequence[str], folds: int = 3) -> List[List[str]]:
     return [ordered[i::folds] for i in range(folds)]
 
 
+def _check_fold_count(n_queries: int, plan: CvPlan) -> None:
+    """Reject a batch too small to give every fold a query."""
+    if n_queries < plan.folds:
+        raise ValueError(f"need at least {plan.folds} queries, got {n_queries}")
+
+
+def _grid(plan: CvPlan) -> List[Tuple[float, int]]:
+    """The grid mu-major, each mu's thetas ascending, repeated entries kept."""
+    return [(mu, theta) for mu in sorted(plan.mu_grid) for theta in sorted(plan.theta_grid)]
+
+
 def cross_validate(
     qids: Sequence[str],
     run_for: Callable[[float, int], RankedRun],
     qrels: Qrels,
     plan: CvPlan,
 ) -> CvResult:
-    """cross_validate_reports over evaluate(run_for(mu, theta), qrels).
+    """cross_validate_table over evaluate(run_for(mu, theta), qrels).
 
-    run_for(mu, theta) must rank the full batch.
+    run_for(mu, theta) must rank the full batch.  It is called once per
+    grid point, in the grid's mu-major order; the diagnostics are every
+    report's, first occurrence kept.
     """
-    return cross_validate_reports(qids, lambda mu, theta: evaluate(run_for(mu, theta), qrels), plan)
+    _check_fold_count(len(qids), plan)
+    values: Dict[Tuple[float, int], Dict[str, float]] = {}
+    diagnostics: List[str] = []
+    for mu, theta in _grid(plan):
+        report = evaluate(run_for(mu, theta), qrels)
+        diagnostics.extend(d for d in report.diagnostics if d not in diagnostics)
+        values[(mu, theta)] = {qid: row[plan.measure] for qid, row in report.per_query.items()}
+    return cross_validate_table(qids, values, plan, diagnostics)
 
 
-def cross_validate_reports(
+def cross_validate_table(
     qids: Sequence[str],
-    report_for: Callable[[float, int], MetricReport],
+    values: Mapping[Tuple[float, int], Mapping[str, float]],
     plan: CvPlan,
+    diagnostics: Sequence[str],
 ) -> CvResult:
     """Tune (mu, theta) per fold on the other folds, score on the held-out one.
 
-    report_for(mu, theta) must return the metric report of the full batch
-    at that grid point, as evaluate gives it; fold membership only controls
-    which per-query rows feed tuning versus testing.  The grid is walked
-    mu-major, each mu's thetas in ascending order, and report_for is called
-    once per grid point.  Grid ties resolve to the smaller mu, then the
-    smaller theta.
+    values[(mu, theta)] maps each evaluated qid to its plan.measure value
+    at that grid point; a qid it lacks (unjudged, or with no relevant
+    document) is left out of the fold means.  Fold membership only
+    controls which values feed tuning versus testing.  Grid ties resolve
+    to the smaller mu, then the smaller theta.  diagnostics is copied into
+    the result.
     """
-    if len(qids) < plan.folds:
-        raise ValueError(f"need at least {plan.folds} queries, got {len(qids)}")
+    _check_fold_count(len(qids), plan)
     folds = assign_folds(qids, plan.folds)
-    diagnostics: List[str] = []
-    grid: List[Tuple[float, int]] = [
-        (mu, theta) for mu in sorted(plan.mu_grid) for theta in sorted(plan.theta_grid)
-    ]
-    per_config: Dict[Tuple[float, int], Dict[str, float]] = {}
-    for mu, theta in grid:
-        report = report_for(mu, theta)
-        diagnostics.extend(d for d in report.diagnostics if d not in diagnostics)
-        per_config[(mu, theta)] = {
-            qid: row[plan.measure] for qid, row in report.per_query.items()
-        }
+    grid = _grid(plan)
 
     def fold_mean(config: Tuple[float, int], members: Sequence[str]) -> float:
-        values = [per_config[config][q] for q in members if q in per_config[config]]
-        return sum(values) / len(values) if values else 0.0
+        row = values[config]
+        picked = [row[q] for q in members if q in row]
+        return sum(picked) / len(picked) if picked else 0.0
 
     choices: List[Tuple[float, int]] = []
     scores: List[float] = []
@@ -273,5 +259,5 @@ def cross_validate_reports(
         fold_choices=choices,
         fold_scores=scores,
         mean_score=sum(scores) / len(scores),
-        diagnostics=diagnostics,
+        diagnostics=list(diagnostics),
     )

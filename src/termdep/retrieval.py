@@ -212,21 +212,6 @@ def rank_mu_grid(
         yield mu, bow, fd
 
 
-def splice_runs(bow: RankedRun, fd: RankedRun, selected: Iterable[str]) -> RankedRun:
-    """Per query, fd's list if its qid is selected, else bow's.
-
-    Given rank's bow and fd runs at one mu, this equals rank in selective
-    mode at that mu, since selective scores each query as fd or bow alone.
-    """
-    selected_set = set(selected)
-    return RankedRun(
-        results={
-            qid: (fd.results[qid] if qid in selected_set else entries)
-            for qid, entries in bow.results.items()
-        }
-    )
-
-
 def write_run(run: RankedRun, path: str, tag: str) -> None:
     """Write TREC run rows `qid Q0 doc_id rank score tag`, 6-decimal scores."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -16,6 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .corpus import PositionalIndex, Query
 from .langmodel import (
+    COMBINATIONS,
+    SMOOTHINGS,
     SmoothedLM,
     aligned_probs,
     combine_columns,
@@ -29,7 +31,7 @@ from .windows import WindowSet, extract_windows
 
 VARIANTS: Tuple[str, ...] = tuple(
     [f"vector:{s}" for s in SCHEMES]
-    + [f"lm:{sm}:{cm}" for sm in ("laplace", "sgt") for cm in ("qsum", "qavg", "mult", "median")]
+    + [f"lm:{sm}:{cm}" for sm in SMOOTHINGS for cm in COMBINATIONS]
 )
 
 

@@ -64,6 +64,32 @@ def forbid_loading_and_scoring(monkeypatch):
     monkeypatch.setattr("termdep.cli.score_batch", no_scoring)
 
 
+def tune_reference(paths, plan, path):
+    """Write, at path, the tune.json of cross_validate over selective rank at every grid point."""
+    index = ingest_corpus(paths["corpus"])
+    queries = load_queries(paths["queries"])
+    scores = score_batch(queries, "vector:tfidf", index, load_lexicon(paths["lexicon"]), n=5)
+
+    def run_for(mu, theta):
+        selected, _ = select_dependent(scores, theta)
+        return rank(queries, index, RankingConfig(mu=mu, mode="selective"), selected=selected)
+
+    result = cross_validate([q.qid for q in queries], run_for, load_qrels(paths["qrels"]), plan)
+    payload = {
+        "measure": result.measure,
+        "folds": [
+            {"mu": mu, "theta": theta, "score": score}
+            for (mu, theta), score in zip(result.fold_choices, result.fold_scores)
+        ],
+        "mean_score": result.mean_score,
+        "diagnostics": result.diagnostics,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 class TestFixtureCommand:
     def test_planted_files_written(self, planted_paths, capsys):
         out = planted_paths["dir"]
@@ -399,6 +425,27 @@ class TestRunCommand:
         assert err == [f"error: {corpus}: corpus holds no tokens"]
         assert not out.exists()
 
+    def test_stopword_that_is_not_one_token_fails_at_load(self, retrieval_paths, tmp_path, capsys):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\ndon't\n")
+        out = tmp_path / "bow.run"
+        code = main(
+            [
+                "run",
+                *base_flags(retrieval_paths),
+                "--stopwords",
+                str(stopwords),
+                "--mode",
+                "bow",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {stopwords}:2: stopword \"don't\" is not exactly one token"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("mu", ["nan", "inf"])
     def test_non_finite_mu_rejected(self, retrieval_paths, tmp_path, capsys, mu):
         out = tmp_path / "x.run"
@@ -568,32 +615,8 @@ class TestTuneCommand:
             ]
         )
         assert code == 0
-        index = ingest_corpus(retrieval_paths["corpus"])
-        queries = load_queries(retrieval_paths["queries"])
-        lexicon = load_lexicon(retrieval_paths["lexicon"])
-        scores = score_batch(queries, "vector:tfidf", index, lexicon, n=5, threads=1)
-
-        def run_for(mu, theta):
-            selected, _ = select_dependent(scores, theta)
-            return rank(queries, index, RankingConfig(mu=mu, mode="selective"), selected=selected)
-
         plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid, measure=measure)
-        result = cross_validate(
-            [q.qid for q in queries], run_for, load_qrels(retrieval_paths["qrels"]), plan
-        )
-        payload = {
-            "measure": result.measure,
-            "folds": [
-                {"mu": mu, "theta": theta, "score": score}
-                for (mu, theta), score in zip(result.fold_choices, result.fold_scores)
-            ],
-            "mean_score": result.mean_score,
-            "diagnostics": result.diagnostics,
-        }
-        reference = tmp_path / "reference.json"
-        with open(reference, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        reference = tune_reference(retrieval_paths, plan, tmp_path / "reference.json")
         assert out.read_bytes() == reference.read_bytes()
 
     def test_unsorted_grids_with_repeats_match_selective_rank(self, retrieval_paths, tmp_path):
@@ -623,32 +646,56 @@ class TestTuneCommand:
             ]
         )
         assert code == 0
-        index = ingest_corpus(retrieval_paths["corpus"])
-        queries = load_queries(retrieval_paths["queries"])
-        lexicon = load_lexicon(retrieval_paths["lexicon"])
-        scores = score_batch(queries, "vector:tfidf", index, lexicon, n=5)
-
-        def run_for(mu, theta):
-            selected, _ = select_dependent(scores, theta)
-            return rank(queries, index, RankingConfig(mu=mu, mode="selective"), selected=selected)
-
         plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
-        result = cross_validate(
-            [q.qid for q in queries], run_for, load_qrels(retrieval_paths["qrels"]), plan
+        reference = tune_reference(retrieval_paths, plan, tmp_path / "reference.json")
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_unjudged_zero_and_unscoreable_queries_match_selective_rank(
+        self, retrieval_paths, tmp_path
+    ):
+        # q02 has no qrels rows and q05 only grade-0 rows, so evaluate drops
+        # one and excludes the other, each with a diagnostic tune.json keeps;
+        # q01 loses its lexicon entry, so it is unscoreable and never selected.
+        with open(retrieval_paths["qrels"], encoding="utf-8") as fh:
+            rows = [line.split() for line in fh]
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text(
+            "".join(
+                f"{qid} {zero} {doc_id} {0 if qid == 'q05' else grade}\n"
+                for qid, zero, doc_id, grade in rows
+                if qid != "q02"
+            )
         )
-        payload = {
-            "measure": result.measure,
-            "folds": [
-                {"mu": mu, "theta": theta, "score": score}
-                for (mu, theta), score in zip(result.fold_choices, result.fold_scores)
-            ],
-            "mean_score": result.mean_score,
-            "diagnostics": result.diagnostics,
-        }
-        reference = tmp_path / "reference.json"
-        with open(reference, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        lexicon = tmp_path / "lexicon.tsv"
+        with open(retrieval_paths["lexicon"], encoding="utf-8") as fh:
+            lexicon.write_text("".join(line for line in fh if not line.startswith("term01a")))
+        paths = {**retrieval_paths, "qrels": str(qrels), "lexicon": str(lexicon)}
+        mu_grid, theta_grid = (500.0, 2000.0), (0, 3, 7, 30)
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(paths),
+                "--lexicon",
+                paths["lexicon"],
+                "--qrels",
+                paths["qrels"],
+                "--mu-grid",
+                *map(str, mu_grid),
+                "--theta-grid",
+                *map(str, theta_grid),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics == [
+            "qid q02 has no judgments; dropped",
+            "qid q05 has no relevant documents; excluded",
+        ]
+        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
+        reference = tune_reference(paths, plan, tmp_path / "reference.json")
         assert out.read_bytes() == reference.read_bytes()
 
     def test_negative_theta_rejected_before_loading_inputs(
@@ -806,6 +853,34 @@ class TestFigureDataCommand:
             main(
                 ["figure-data", "--qrels", retrieval_paths["qrels"], "--out", str(tmp_path / "x")]
             )
+
+    @pytest.mark.parametrize("given", ["--run-a", "--run-b"])
+    def test_one_of_run_a_and_run_b_rejected_before_reading(
+        self, retrieval_paths, mode_runs, tmp_path, capsys, monkeypatch, given
+    ):
+        def no_read(path):
+            raise AssertionError("a file was read before --run-a/--run-b were checked")
+
+        monkeypatch.setattr("termdep.cli.read_run", no_read)
+        monkeypatch.setattr("termdep.cli.load_qrels", no_read)
+        out = tmp_path / "fig"
+        code = main(
+            [
+                "figure-data",
+                "--qrels",
+                retrieval_paths["qrels"],
+                given,
+                str(mode_runs["bow"]),
+                "--sweep",
+                f"0={mode_runs['bow']}",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: figure-data needs --run-a and --run-b together"]
+        assert not out.exists()
 
     def test_malformed_sweep_rejected(self, retrieval_paths, mode_runs, tmp_path):
         with pytest.raises(SystemExit, match="THETA=RUNFILE"):

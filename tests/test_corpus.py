@@ -160,6 +160,15 @@ def test_load_stopwords(tmp_path):
     assert load_stopwords(str(path)) == {"the", "of", "and"}
 
 
+@pytest.mark.parametrize("word", ["don't", "na\u00efve", "two words", "---"])
+def test_stopword_that_is_not_one_token_rejected(tmp_path, word):
+    path = tmp_path / "stop.txt"
+    path.write_text(f"the\n\n{word}\nof\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_stopwords(str(path))
+    assert str(excinfo.value).startswith(f"{path}:3: stopword ")
+
+
 class TestPhraseOccurrences:
     def test_single_term_is_term_frequency(self):
         index = make_index([("d1", "a b a"), ("d2", "c")])

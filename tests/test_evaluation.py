@@ -11,13 +11,12 @@ from termdep.evaluation import (
     Qrels,
     assign_folds,
     cross_validate,
-    cross_validate_reports,
+    cross_validate_table,
     evaluate,
     load_qrels,
-    splice_reports,
     write_metric_report,
 )
-from termdep.retrieval import RankedRun, splice_runs
+from termdep.retrieval import RankedRun
 
 from oracles import ref_metrics
 
@@ -331,40 +330,33 @@ class TestCrossValidate:
         assert any("q5" in d for d in result.diagnostics)
         assert any("q6" in d for d in result.diagnostics)
 
-    def test_reports_variant_equals_run_variant(self):
+    def test_table_variant_equals_run_variant(self):
+        # cross_validate evaluates run_for once per grid point, mu-major,
+        # and tunes on the table of those values; a table filled by hand
+        # with the same values, and the same diagnostics, gives an equal result.
         table = {1: {"q1": 1, "q2": 2, "q3": 1, "q4": 0, "q5": 2, "q6": 1}}
         table[2] = {q: (p % 2) + 1 for q, p in table[1].items()}
-
-        def run_for(mu, theta):
-            return single_relevant_run(table[theta])
-
-        plan = CvPlan(mu_grid=(100.0, 500.0), theta_grid=(1, 2))
-        expected = cross_validate(self.QIDS, run_for, self.qrels(), plan)
         calls = []
 
-        def report_for(mu, theta):
+        def run_for(mu, theta):
             calls.append((mu, theta))
-            return evaluate(run_for(mu, theta), self.qrels())
+            return single_relevant_run(table[theta])
 
-        assert cross_validate_reports(self.QIDS, report_for, plan) == expected
+        qrels = qrels_of({(q, f"{q}-rel"): 1 for q in self.QIDS[:5]})
+        plan = CvPlan(mu_grid=(500.0, 100.0), theta_grid=(2, 1))
+        result = cross_validate(self.QIDS, run_for, qrels, plan)
         assert calls == [(100.0, 1), (100.0, 2), (500.0, 1), (500.0, 2)]
+        ap = {0: 0.0, 1: 1.0, 2: 0.5}
+        values = {
+            (mu, theta): {q: ap[p] for q, p in table[theta].items() if q != "q6"}
+            for mu in (100.0, 500.0)
+            for theta in (1, 2)
+        }
+        diagnostics = ["qid q6 has no judgments; dropped"]
+        assert result.diagnostics == diagnostics
+        assert cross_validate_table(self.QIDS, values, plan, diagnostics) == result
 
-
-class TestSpliceReports:
-    # bow ranks each relevant doc second, fd ranks it first; q4 has no
-    # relevant doc and q5 no judgments, so each raises a diagnostic.
-    QRELS = qrels_of({("q1", "r1"): 1, ("q2", "r2"): 2, ("q3", "r3"): 1, ("q4", "x"): 0})
-    BOW = run_of({q: ["x", f"r{q[1]}"] for q in ("q3", "q1", "q4", "q5", "q2")})
-    FD = run_of({q: [f"r{q[1]}", "x"] for q in ("q3", "q1", "q4", "q5", "q2")})
-
-    def test_selected_rows_come_from_fd(self):
-        bow, fd = evaluate(self.BOW, self.QRELS), evaluate(self.FD, self.QRELS)
-        spliced = splice_reports(bow, fd, {"q1", "q4", "q5"})
-        assert list(spliced.per_query) == ["q3", "q1", "q2"]
-        assert spliced.per_query["q1"] == fd.per_query["q1"]
-        assert spliced.per_query["q2"] == bow.per_query["q2"]
-        assert spliced.per_query["q3"] == bow.per_query["q3"]
-        np.testing.assert_allclose(spliced.means["map"], (0.5 + 1.0 + 0.5) / 3, atol=1e-12)
-        assert spliced.diagnostics == bow.diagnostics
-        assert len(spliced.diagnostics) == 2
-        assert spliced == evaluate(splice_runs(self.BOW, self.FD, {"q1", "q4", "q5"}), self.QRELS)
+    def test_table_too_few_queries_rejected(self):
+        plan = CvPlan(mu_grid=(100.0,), theta_grid=(1,))
+        with pytest.raises(ValueError, match="at least 3"):
+            cross_validate_table(["q1", "q2"], {(100.0, 1): {}}, plan, [])

@@ -1,6 +1,6 @@
 """Property tests: the tokenizer against the regex it replaced, the
 feature-table ranking against the per-document loop it replaced, the
-mu-grid runs against rank, spliced tuning runs and metric reports,
+mu-grid runs against rank, selective ranking against its bow and fd lists,
 ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
 range of metrics on runs read back, the list-level LM kernels, the sign of
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termdep.corpus import Document, PositionalIndex, Query, phrase_positions, tokenize
-from termdep.evaluation import MEASURES, Qrels, evaluate, splice_reports
+from termdep.evaluation import MEASURES, Qrels, evaluate
 from termdep.langmodel import (
     COMBINATIONS,
     aligned_probs,
@@ -34,7 +34,6 @@ from termdep.retrieval import (
     rank,
     rank_mu_grid,
     read_run,
-    splice_runs,
     write_run,
 )
 from termdep.scoring import score_batch
@@ -87,6 +86,8 @@ def query_batches(draw):
     st.data(),
 )
 def test_spliced_run_equals_selective_rank(corpus, queries, mu, top_k, data):
+    # Selective ranking is, query by query, fd's list if the qid is selected
+    # and bow's otherwise; tune fills its value table on that rule.
     _, index = corpus
     selected = data.draw(st.sets(st.sampled_from([q.qid for q in queries])))
     bow, fd = (
@@ -95,44 +96,10 @@ def test_spliced_run_equals_selective_rank(corpus, queries, mu, top_k, data):
     selective = rank(
         queries, index, RankingConfig(mu=mu, mode="selective", top_k=top_k), selected=selected
     )
-    spliced = splice_runs(bow, fd, selected)
-    assert spliced.qids() == selective.qids()
-    assert spliced.results == selective.results
-
-
-@PROPERTY
-@given(
-    corpora(),
-    query_batches(),
-    st.floats(min_value=0.5, max_value=20000.0),
-    st.integers(min_value=1, max_value=8),
-    st.data(),
-)
-def test_spliced_report_equals_report_of_spliced_run(corpus, queries, mu, top_k, data):
-    docs, index = corpus
-    qids = [q.qid for q in queries]
-    # Judged qids grade every doc, plus one never ranked; a qid left unjudged
-    # or graded all 0 exercises each of evaluate's diagnostics.
-    judged = sorted(data.draw(st.sets(st.sampled_from(qids))))
-    grades = st.integers(min_value=0, max_value=3)
-    doc_ids = [doc_id for doc_id, _ in docs] + ["dx"]
-    qrels = Qrels(data.draw(st.fixed_dictionaries({(q, d): grades for q in judged for d in doc_ids})))
-    selected = data.draw(st.sets(st.sampled_from(qids)))
-    # Any phrase weight will do; heavy ones make fd reorder bow's lists often.
-    lambda_o = data.draw(st.floats(min_value=0.0, max_value=1.0))
-    bow, fd = (
-        rank(
-            queries,
-            index,
-            RankingConfig(mu=mu, mode=mode, top_k=top_k, lambda_t=1.0 - lambda_o, lambda_o=lambda_o),
-        )
-        for mode in ("bow", "fd")
-    )
-    spliced = splice_reports(evaluate(bow, qrels), evaluate(fd, qrels), selected)
-    expected = evaluate(splice_runs(bow, fd, selected), qrels)
-    # Dataclass equality: per-query rows, means and diagnostics, floats exact.
-    assert spliced == expected
-    assert list(spliced.per_query) == list(expected.per_query)
+    assert selective.qids() == bow.qids()
+    for qid in selective.qids():
+        source = fd if qid in selected else bow
+        assert selective.results[qid] == source.results[qid]
 
 
 def reference_rank(queries, index, config, selected=()):

@@ -44,6 +44,16 @@ class TestVariantRegistry:
         assert len(set(VARIANTS)) == 13
         assert sum(1 for v in VARIANTS if v.startswith("vector:")) == 5
         assert sum(1 for v in VARIANTS if v.startswith("lm:")) == 8
+        assert VARIANTS[5:] == (
+            "lm:laplace:qsum",
+            "lm:laplace:qavg",
+            "lm:laplace:mult",
+            "lm:laplace:median",
+            "lm:sgt:qsum",
+            "lm:sgt:qavg",
+            "lm:sgt:mult",
+            "lm:sgt:median",
+        )
 
     def test_parse_roundtrip(self):
         assert parse_variant("vector:tfidf") == ("vector", "tfidf")
