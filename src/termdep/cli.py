@@ -2,8 +2,9 @@
 
 Subcommands: index, windows, score, run, eval, tune, figure-data,
 fixture.  Every subcommand is deterministic and idempotent: rerunning
-with the same inputs rewrites byte-identical outputs.  Failures exit
-nonzero with a single diagnostic line on stderr.
+with the same inputs rewrites byte-identical outputs.  Failures exit 2
+with a single `error:` line on stderr; argument errors are caught before
+any input is read.  Only argparse's own usage errors keep its message.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def _check_theta(theta: Optional[int]) -> None:
         raise ValueError(f"theta must be non-negative, got {theta}")
 
 
+def _check_lexicon(args, command: str) -> None:
+    """Reject a call that must score queries but names no lexicon, before any input is read."""
+    if not args.lexicon:
+        raise ValueError(f"{command} requires --lexicon")
+
+
 def _check_tag(tag: str) -> None:
     """Reject a run tag that would not read back as one whitespace-free field."""
     if not tag or _has_whitespace(tag):
@@ -117,9 +124,8 @@ def _cmd_windows(args) -> int:
 
 def _cmd_score(args) -> int:
     _check_theta(args.theta)
+    _check_lexicon(args, "score")
     index, queries, lexicon = _load_inputs(args)
-    if lexicon is None:
-        raise SystemExit("score requires --lexicon")
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
@@ -139,10 +145,6 @@ def _selection_for(args, index, queries, lexicon) -> Set[str]:
     if args.selected:
         with open(args.selected, "r", encoding="utf-8") as fh:
             return {line.strip() for line in fh if line.strip()}
-    if args.theta is None:
-        raise SystemExit("selective mode requires --theta or --selected")
-    if lexicon is None:
-        raise SystemExit("selective mode with --theta requires --lexicon")
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
@@ -156,6 +158,10 @@ def _cmd_run(args) -> int:
     config = RankingConfig(mu=args.mu, mode=args.mode, top_k=args.top_k)
     _check_theta(args.theta)
     _check_tag(args.tag)
+    if args.mode == "selective" and not args.selected:
+        if args.theta is None:
+            raise ValueError("selective mode requires --theta or --selected")
+        _check_lexicon(args, "selective mode with --theta")
     index, queries, lexicon = _load_inputs(args)
     selected: Optional[Set[str]] = None
     if args.mode == "selective":
@@ -180,9 +186,8 @@ def _cmd_tune(args) -> int:
         mu_grid=tuple(args.mu_grid), theta_grid=tuple(args.theta_grid), measure=args.measure
     )
     config = RankingConfig(top_k=args.top_k)
+    _check_lexicon(args, "tune")
     index, queries, lexicon = _load_inputs(args)
-    if lexicon is None:
-        raise SystemExit("tune requires --lexicon")
     _check_fold_count(len(queries), plan)
     qrels = load_qrels(args.qrels)
     scores = score_batch(
@@ -192,6 +197,11 @@ def _cmd_tune(args) -> int:
     # unscoreable query is not in it, so it is never selected.
     ordered, _ = select_dependent(scores, len(scores))
     position = {qid: i for i, qid in enumerate(ordered)}
+    # Report each grid theta that selects every scoreable query, as score and run do.
+    for theta in sorted(set(plan.theta_grid)):
+        if theta > len(ordered):
+            for d in select_dependent(scores, theta)[1]:
+                print(d, file=sys.stderr)
     # A selective run at (mu, theta) is, query by query, the fd run at mu
     # if the query is selected, else the bow run, and a query's metric value
     # depends on its own list alone: each distinct mu is ranked once in both
@@ -229,7 +239,7 @@ def _parse_sweep(items: Sequence[str]) -> List[Tuple[int, str]]:
     for item in items:
         theta_s, sep, path = item.partition("=")
         if not sep or not (theta_s.isascii() and theta_s.isdigit()):
-            raise SystemExit(
+            raise ValueError(
                 f"--sweep expects THETA=RUNFILE with a non-negative integer THETA, got {item!r}"
             )
         sweep.append((int(theta_s), path))
@@ -242,7 +252,7 @@ def _cmd_figure_data(args) -> int:
         raise ValueError("figure-data needs --run-a and --run-b together")
     sweep = _parse_sweep(args.sweep)
     if not compare and not sweep:
-        raise SystemExit("figure-data needs --run-a/--run-b and/or --sweep entries")
+        raise ValueError("figure-data needs --run-a/--run-b and/or --sweep entries")
     qrels = load_qrels(args.qrels)
     # Every run is read and evaluated before anything is written, so a
     # failed call leaves no output behind.
@@ -380,8 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.tag = args.mode
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

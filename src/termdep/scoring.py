@@ -76,39 +76,44 @@ class NcdScore:
 class _Batch:
     """What one variant's batch computes once per term and reuses.
 
-    windows() extracts a term's context windows once.  The variant's
+    windows() extracts a term's context windows once.  The LM family reads
+    only their window_cf view and the vector family only their columns,
+    so neither builds per-window objects.  The variant's
     family keeps its own per-term memo: a TermVector per term for the
     vector family (a batch uses one scheme), a Good-Turing model per term
     for lm:sgt.  Laplace models depend on each comparison's vocabulary,
     so they are not memoised.  prepare(query) returns the divergence
-    function for that query's perturbations.
+    function for that query's perturbations.  Both are closures that hold
+    no reference back to the batch, so the memos are freed as soon as the
+    batch is dropped rather than at the next cyclic garbage collection.
     """
 
     def __init__(self, variant: str, index: PositionalIndex, n: int):
         parts = parse_variant(variant)
         if n < 0:
             raise ValueError(f"window half-width must be >= 0, got {n}")
-        self.index = index
-        self.n = n
-        self._windows: Dict[str, WindowSet] = {}
+        memo: Dict[str, WindowSet] = {}
+
+        def windows(term: str) -> WindowSet:
+            ws = memo.get(term)
+            if ws is None:
+                ws = memo[term] = extract_windows(index, (term,), n=n)
+            return ws
+
+        self.windows = windows
         if parts[0] == "vector":
             self.prepare = self._vector_family(parts[1])
         else:
             self.prepare = self._lm_family(parts[1], parts[2])
 
-    def windows(self, term: str) -> WindowSet:
-        ws = self._windows.get(term)
-        if ws is None:
-            ws = self._windows[term] = extract_windows(self.index, (term,), n=self.n)
-        return ws
-
     def _vector_family(self, scheme: str) -> Callable[[Query], Divergence]:
+        windows = self.windows
         vectors: Dict[str, TermVector] = {}
 
         def vector(term: str) -> TermVector:
             tv = vectors.get(term)
             if tv is None:
-                tv = vectors[term] = build_term_vector(self.windows(term), scheme)
+                tv = vectors[term] = build_term_vector(windows(term), scheme)
             return tv
 
         def prepare(query: Query) -> Divergence:
@@ -128,10 +133,11 @@ class _Batch:
         return prepare
 
     def _lm_family(self, smoothing: str, combination: str) -> Callable[[Query], Divergence]:
+        windows = self.windows
         sgt_memo: Dict[str, SmoothedLM] = {}
 
         def counts(term: str) -> Dict[str, int]:
-            return self.windows(term).stats.window_cf
+            return windows(term).window_cf
 
         def sgt(term: str) -> SmoothedLM:
             lm = sgt_memo.get(term)
@@ -187,7 +193,7 @@ def score_query(
     if not perturbations:
         return NcdScore(query.qid, variant, None, reason="no synonym coverage")
     for term in query.terms:
-        if not batch.windows(term).windows:
+        if not batch.windows(term).n_windows:
             return NcdScore(
                 query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
             )
@@ -195,7 +201,7 @@ def score_query(
     divergences: List[float] = []
     diagnostics: List[str] = []
     for p in perturbations:
-        if not batch.windows(p.replacement).windows:
+        if not batch.windows(p.replacement).n_windows:
             diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
             continue
         divergences.append(divergence(p, diagnostics))

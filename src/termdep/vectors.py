@@ -4,7 +4,9 @@ Five weighting schemes score a context term inside one window: atc, ltu,
 mi, okapi, tfidf.  All logarithms are natural.  weight() evaluates the
 raw per-window formula from explicit statistics; it is the one-window
 case of the kernel build_term_vector runs once per context term over the
-windows containing it.  For atc the cosine normalization over those
+windows containing it, reading the term's column of window ids and
+in-window frequencies off the window set (window_weight() reads one
+ContextWindow instead).  For atc the cosine normalization over those
 windows is applied when the term vector is built, so the per-window atc
 weights of any term with a nonzero norm satisfy sum(w^2) == 1.  A term
 vector's component for a context term is the mean of its weights over
@@ -67,7 +69,7 @@ def weight(
         raise ValueError("mi weighting requires cf_t and total_mass")
     # One window, holding the term f_it times.
     return _term_weights(
-        scheme, n_windows, av_m, total_mass, "", n_t, cf_t, (0,), ({"": f_it},), (m_i,), (max_f,)
+        scheme, n_windows, av_m, total_mass, n_t, cf_t, (0,), (f_it,), (m_i,), (max_f,)
     )[0]
 
 
@@ -76,47 +78,41 @@ def _term_weights(
     n_windows: int,
     av_m: float,
     total_mass: Optional[int],
-    term: str,
     n_t: int,
     cf_t: Optional[int],
     ids: Sequence[int],
-    counts: Sequence[Dict[str, int]],
+    freqs: Sequence[int],
     sizes: Sequence[int],
     max_f: Sequence[int],
 ) -> List[float]:
-    """Raw weights of `term` in each window i of `ids`, in order.
+    """Raw weights of one term in each window ids[k], in order.
 
-    Window i holds the term f = counts[i][term] times; its size is
+    Window ids[k] holds the term freqs[k] times; window i's size is
     sizes[i] and its peak frequency max_f[i].  The five formulas live
     here: the term's own factors (idf, cf_t) are taken once, and only the
     per-window part runs per window.  The caller has checked the
-    arguments (weight()) or read them off a window set, where they hold
-    by construction (build_term_vector()).
+    arguments (weight()) or read them off a window set's columns, where
+    they hold by construction (build_term_vector()).
     """
     if scheme == "atc":
         idf = math.log(n_windows / n_t)
-        return [(0.5 + 0.5 * f / max_f[i]) * idf for i in ids for f in (counts[i][term],)]
+        return [(0.5 + 0.5 * f / max_f[i]) * idf for i, f in zip(ids, freqs)]
     if scheme == "ltu":
         idf = math.log(n_windows / n_t)
         return [
-            (math.log(f) + 1.0) * idf / (0.8 + 0.2 * sizes[i] / av_m)
-            for i in ids
-            for f in (counts[i][term],)
+            (math.log(f) + 1.0) * idf / (0.8 + 0.2 * sizes[i] / av_m) for i, f in zip(ids, freqs)
         ]
     if scheme == "mi":
-        return [
-            math.log(f * total_mass / (cf_t * sizes[i])) for i in ids for f in (counts[i][term],)
-        ]
+        return [math.log(f * total_mass / (cf_t * sizes[i])) for i, f in zip(ids, freqs)]
     if scheme == "okapi":
         absent = n_windows - n_t + 0.5
         return [
             (f / (0.5 + 1.5 * sizes[i] / av_m + f)) * math.log(absent / (f + 0.5))
-            for i in ids
-            for f in (counts[i][term],)
+            for i, f in zip(ids, freqs)
         ]
     if scheme == "tfidf":
         idf = math.log(n_windows / n_t)
-        return [math.log(f) * idf for i in ids for f in (counts[i][term],)]
+        return [math.log(f) * idf for f in freqs]
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
@@ -141,23 +137,30 @@ def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
     """Vector representation of ws.target under `scheme`.
 
     The component for context term t' is the mean of its per-window
-    weights over the windows where t' actually occurs.  The window set's
-    statistics are read once; each term's weights are one kernel call.
+    weights over the windows where t' actually occurs.  Only the window
+    set's per-term columns are read, and each term's weights are one
+    kernel call over its column; its count across windows (cf_t, for mi)
+    is the sum of that column.  Under tfidf a term that never repeats
+    inside a window gets the component 0.0 without a kernel call, the
+    value the kernel would give.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
-    if not ws.windows:
+    n_windows = ws.n_windows
+    if not n_windows:
         raise ValueError(f"target {' '.join(ws.target)!r} has no context windows")
-    stats = ws.stats
-    n_windows, av_m, total_mass, max_f = stats.n_windows, stats.av_m, stats.total_mass, stats.max_f
-    cf = stats.window_cf
-    counts = [w.counts for w in ws.windows]
-    sizes = [w.size for w in ws.windows]
+    cols = ws.columns
+    av_m, total_mass, sizes, max_f = cols.av_m, cols.total_mass, cols.sizes, cols.max_f
     vec: Dict[str, float] = {}
-    for term, n_t in stats.windows_containing.items():
-        ids = ws.windows_for(term)
+    for term, ids in cols.ids.items():
+        n_t = len(ids)
+        if scheme == "tfidf" and term not in cols.repeats:
+            # log(1) = 0.0 and idf >= 0: weight 0.0 in every window, mean 0.0.
+            vec[term] = 0.0
+            continue
+        fs = cols.freqs(term)
         raw = _term_weights(
-            scheme, n_windows, av_m, total_mass, term, n_t, cf[term], ids, counts, sizes, max_f
+            scheme, n_windows, av_m, total_mass, n_t, sum(fs), ids, fs, sizes, max_f
         )
         if scheme == "atc":
             norm = math.sqrt(math.fsum(v * v for v in raw))

@@ -5,12 +5,20 @@ single term, 2n+len(phrase) for a phrase), clipped at document boundaries.
 Every occurrence yields its own window: none is dropped and duplicates
 are kept.  The center tokens count toward the window's content, so
 sum(counts.values()) == size.
+
+Extraction keeps only each window's token span.  A WindowSet derives
+three views from the spans, each on first use: window_cf (all the LM
+family reads), per-term columns (what statistics and term vectors read)
+and ContextWindow objects (for callers that walk single windows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .corpus import PositionalIndex, phrase_positions
 
@@ -51,49 +59,126 @@ class WindowStats:
 
 
 @dataclass
-class WindowSet:
-    """Windows for one target term or phrase plus their cached statistics.
+class WindowColumns:
+    """Per-term columns of one window set, from one pass over its tokens.
 
-    One pass over the windows' counts collects, per context term in order
-    of first appearance, the ascending ids of the windows containing it
-    and its total count; n(t) is the length of its id list.
+    ids[t] lists the ascending ids of the windows containing t, keyed in
+    order of first appearance.  t occurs once in each of those windows,
+    except that repeats[t][k] = f says it occurs f > 1 times in window
+    ids[t][k]; keeping only the repeats keeps one list per term.  sizes[i]
+    and max_f[i] are window i's size and peak frequency; total_mass is the
+    sum of the sizes and av_m their mean.
     """
 
-    target: Tuple[str, ...]
-    windows: List[ContextWindow]
-    stats: WindowStats = field(init=False)
-    _containing_ids: Dict[str, List[int]] = field(init=False, default_factory=dict)
+    ids: Dict[str, List[int]]
+    repeats: Dict[str, Dict[int, int]]
+    sizes: List[int]
+    max_f: List[int]
+    total_mass: int
+    av_m: float
 
-    def __post_init__(self):
-        containing_ids = self._containing_ids
-        get = containing_ids.get
-        cf: Dict[str, int] = {}
+    def freqs(self, term: str) -> List[int]:
+        """The count of `term` in each window of ids[term], in order."""
+        fs = [1] * len(self.ids[term])
+        rep = self.repeats.get(term)
+        if rep:
+            for k, f in rep.items():
+                fs[k] = f
+        return fs
+
+
+class WindowSet:
+    """The windows of one target term or phrase, held as token spans.
+
+    spans[i] is window i's (doc_id, position, lo, hi): the occurrence
+    starts at `position` and the window is doc_tokens[doc_id][lo:hi].
+    The views are derived on first use and kept; none keeps a per-window
+    dict unless `windows` is read.
+    """
+
+    def __init__(
+        self,
+        target: Tuple[str, ...],
+        spans: List[Tuple[str, int, int, int]],
+        doc_tokens: Dict[str, Tuple[str, ...]],
+    ):
+        self.target = target
+        self.spans = spans
+        self._doc_tokens = doc_tokens
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.spans)
+
+    def _slices(self) -> Iterator[Tuple[str, ...]]:
+        doc_tokens = self._doc_tokens
+        return (doc_tokens[doc_id][lo:hi] for doc_id, _, lo, hi in self.spans)
+
+    @cached_property
+    def window_cf(self) -> Dict[str, int]:
+        """Each term's total count across the windows, in order of first appearance."""
+        return Counter(chain.from_iterable(self._slices()))
+
+    @cached_property
+    def columns(self) -> WindowColumns:
+        ids: Dict[str, List[int]] = {}
+        repeats: Dict[str, Dict[int, int]] = {}
+        get = ids.get
+        sizes: List[int] = []
         max_f: List[int] = []
-        total = 0
-        for i, w in enumerate(self.windows):
-            max_f.append(max(w.counts.values()) if w.counts else 0)
-            total += w.size
-            for term, c in w.counts.items():
-                ids = get(term)
-                if ids is None:
-                    containing_ids[term] = [i]
-                    cf[term] = c
+        for i, tokens in enumerate(self._slices()):
+            peak = 1
+            for t in tokens:
+                col = get(t)
+                if col is None:
+                    ids[t] = [i]
+                elif col[-1] != i:
+                    col.append(i)
                 else:
-                    ids.append(i)
-                    cf[term] += c
-        n = len(self.windows)
-        self.stats = WindowStats(
-            n_windows=n,
-            av_m=(total / n) if n else 0.0,
+                    # A repeat inside window i, the last entry of t's column.
+                    rep = repeats.get(t)
+                    if rep is None:
+                        rep = repeats[t] = {}
+                    k = len(col) - 1
+                    f = rep[k] = rep.get(k, 1) + 1
+                    if f > peak:
+                        peak = f
+            sizes.append(len(tokens))
+            max_f.append(peak)
+        total = sum(sizes)
+        return WindowColumns(
+            ids=ids,
+            repeats=repeats,
+            sizes=sizes,
             max_f=max_f,
-            windows_containing={t: len(ids) for t, ids in containing_ids.items()},
-            window_cf=cf,
             total_mass=total,
+            av_m=(total / len(sizes)) if sizes else 0.0,
         )
+
+    @cached_property
+    def stats(self) -> WindowStats:
+        """Statistics read off the columns, plus the window_cf view."""
+        cols = self.columns
+        return WindowStats(
+            n_windows=len(self.spans),
+            av_m=cols.av_m,
+            max_f=cols.max_f,
+            windows_containing={t: len(ids) for t, ids in cols.ids.items()},
+            window_cf=self.window_cf,
+            total_mass=cols.total_mass,
+        )
+
+    @cached_property
+    def windows(self) -> List[ContextWindow]:
+        doc_tokens = self._doc_tokens
+        return [
+            ContextWindow(doc_id, p, dict(Counter(doc_tokens[doc_id][lo:hi])), hi - lo)
+            for doc_id, p, lo, hi in self.spans
+        ]
 
     def windows_for(self, term: str) -> List[int]:
         """Indices of windows containing `term`, in extraction order."""
-        return self._containing_ids.get(term, [])
+        return self.columns.ids.get(term, [])
 
 
 def extract_windows(index: PositionalIndex, target: Sequence[str], n: int = 5) -> WindowSet:
@@ -109,16 +194,9 @@ def extract_windows(index: PositionalIndex, target: Sequence[str], n: int = 5) -
         raise ValueError("window half-width must be >= 0")
     target = tuple(target)
     span = len(target)
-    windows: List[ContextWindow] = []
-    occurrences = [
-        (doc_id, p) for doc_id, starts in phrase_positions(index, target).items() for p in starts
-    ]
-    for doc_id, p in occurrences:
-        tokens = index.doc_tokens[doc_id]
-        lo = max(0, p - n)
-        hi = min(len(tokens), p + span + n)
-        counts: Dict[str, int] = {}
-        for t in tokens[lo:hi]:
-            counts[t] = counts.get(t, 0) + 1
-        windows.append(ContextWindow(doc_id=doc_id, position=p, counts=counts, size=hi - lo))
-    return WindowSet(target=target, windows=windows)
+    doc_tokens = index.doc_tokens
+    spans: List[Tuple[str, int, int, int]] = []
+    for doc_id, starts in phrase_positions(index, target).items():
+        length = len(doc_tokens[doc_id])
+        spans.extend((doc_id, p, max(0, p - n), min(length, p + span + n)) for p in starts)
+    return WindowSet(target, spans, doc_tokens)

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -259,6 +258,27 @@ class TestScoreCommand:
         assert err == ["error: theta must be non-negative, got -1"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_lexicon_rejected_before_reading(
+        self, planted_paths, tmp_path, capsys, monkeypatch
+    ):
+        forbid_loading_and_scoring(monkeypatch)
+        code = main(
+            [
+                "score",
+                *base_flags(planted_paths),
+                "--lexicon",
+                "",
+                "--variant",
+                "vector:tfidf",
+                "--out",
+                str(tmp_path / "scores.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: score requires --lexicon"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_variant_rejected_by_parser(self, planted_paths, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -343,18 +363,43 @@ class TestRunCommand:
         )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_selective_needs_selection_source(self, planted_paths, tmp_path):
-        with pytest.raises(SystemExit, match="selective"):
-            main(
-                [
-                    "run",
-                    *base_flags(planted_paths),
-                    "--mode",
-                    "selective",
-                    "--out",
-                    str(tmp_path / "x.run"),
-                ]
-            )
+    def test_selective_needs_selection_source(self, planted_paths, tmp_path, capsys, monkeypatch):
+        forbid_loading_and_scoring(monkeypatch)
+        code = main(
+            [
+                "run",
+                *base_flags(planted_paths),
+                "--mode",
+                "selective",
+                "--out",
+                str(tmp_path / "x.run"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: selective mode requires --theta or --selected"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_selective_theta_needs_lexicon_before_reading(
+        self, planted_paths, tmp_path, capsys, monkeypatch
+    ):
+        forbid_loading_and_scoring(monkeypatch)
+        code = main(
+            [
+                "run",
+                *base_flags(planted_paths),
+                "--mode",
+                "selective",
+                "--theta",
+                "1",
+                "--out",
+                str(tmp_path / "x.run"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: selective mode with --theta requires --lexicon"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_selective_theta_zero_equals_bow(self, retrieval_paths, tmp_path):
         bow = tmp_path / "bow.run"
@@ -698,6 +743,58 @@ class TestTuneCommand:
         reference = tune_reference(paths, plan, tmp_path / "reference.json")
         assert out.read_bytes() == reference.read_bytes()
 
+    def test_theta_overflow_reported_once_per_grid_theta(self, retrieval_paths, tmp_path, capsys):
+        # 20 scoreable queries: 25 and 30 each select all of them, and each
+        # distinct theta is reported once, in ascending order.
+        mu_grid, theta_grid = (1000.0,), (30, 3, 25, 30, 20)
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--mu-grid",
+                *map(str, mu_grid),
+                "--theta-grid",
+                *map(str, theta_grid),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "theta=25 exceeds 20 scoreable queries; selecting all",
+            "theta=30 exceeds 20 scoreable queries; selecting all",
+        ]
+        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
+        reference = tune_reference(retrieval_paths, plan, tmp_path / "reference.json")
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_empty_lexicon_rejected_before_reading(
+        self, retrieval_paths, tmp_path, capsys, monkeypatch
+    ):
+        forbid_loading_and_scoring(monkeypatch)
+        out = tmp_path / "tune.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                "",
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: tune requires --lexicon"]
+        assert not out.exists()
+
     def test_negative_theta_rejected_before_loading_inputs(
         self, retrieval_paths, tmp_path, capsys, monkeypatch
     ):
@@ -848,11 +945,14 @@ class TestFigureDataCommand:
         assert lines[1].startswith("0,")
         assert lines[2].startswith("20,")
 
-    def test_no_inputs_rejected(self, retrieval_paths, tmp_path):
-        with pytest.raises(SystemExit, match="figure-data"):
-            main(
-                ["figure-data", "--qrels", retrieval_paths["qrels"], "--out", str(tmp_path / "x")]
-            )
+    def test_no_inputs_rejected(self, retrieval_paths, tmp_path, capsys):
+        code = main(
+            ["figure-data", "--qrels", retrieval_paths["qrels"], "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: figure-data needs --run-a/--run-b and/or --sweep entries"]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("given", ["--run-a", "--run-b"])
     def test_one_of_run_a_and_run_b_rejected_before_reading(
@@ -882,46 +982,57 @@ class TestFigureDataCommand:
         assert err == ["error: figure-data needs --run-a and --run-b together"]
         assert not out.exists()
 
-    def test_malformed_sweep_rejected(self, retrieval_paths, mode_runs, tmp_path):
-        with pytest.raises(SystemExit, match="THETA=RUNFILE"):
-            main(
-                [
-                    "figure-data",
-                    "--qrels",
-                    retrieval_paths["qrels"],
-                    "--sweep",
-                    str(mode_runs["bow"]),
-                    "--out",
-                    str(tmp_path / "x"),
-                ]
-            )
+    def test_malformed_sweep_rejected(self, retrieval_paths, mode_runs, tmp_path, capsys):
+        code = main(
+            [
+                "figure-data",
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--sweep",
+                str(mode_runs["bow"]),
+                "--out",
+                str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: --sweep expects THETA=RUNFILE with a non-negative integer THETA,"
+            f" got {str(mode_runs['bow'])!r}"
+        ]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("item", ["abc=x.run", "-1=x.run", "=x.run", "1.5=x.run", "\u0663=x.run"])
     def test_bad_sweep_theta_rejected_before_any_output(
-        self, retrieval_paths, mode_runs, tmp_path, monkeypatch, item
+        self, retrieval_paths, mode_runs, tmp_path, capsys, monkeypatch, item
     ):
         def no_read(path):
             raise AssertionError("a run file was read before --sweep was checked")
 
         monkeypatch.setattr("termdep.cli.read_run", no_read)
         out = tmp_path / "fig"
-        with pytest.raises(SystemExit, match=re.escape(repr(item))):
-            main(
-                [
-                    "figure-data",
-                    "--qrels",
-                    retrieval_paths["qrels"],
-                    "--run-a",
-                    str(mode_runs["fd"]),
-                    "--run-b",
-                    str(mode_runs["bow"]),
-                    "--sweep",
-                    f"0={mode_runs['bow']}",
-                    f"--sweep={item}",  # "-1=..." alone would parse as an option
-                    "--out",
-                    str(out),
-                ]
-            )
+        code = main(
+            [
+                "figure-data",
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--run-a",
+                str(mode_runs["fd"]),
+                "--run-b",
+                str(mode_runs["bow"]),
+                "--sweep",
+                f"0={mode_runs['bow']}",
+                f"--sweep={item}",  # "-1=..." alone would parse as an option
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: --sweep expects THETA=RUNFILE with a non-negative integer THETA,"
+            f" got {item!r}"
+        ]
         assert not out.exists()
 
     def test_unreadable_sweep_run_leaves_no_output(

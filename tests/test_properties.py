@@ -3,8 +3,9 @@ feature-table ranking against the per-document loop it replaced, the
 mu-grid runs against rank, selective ranking against its bow and fd lists,
 ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
-range of metrics on runs read back, the list-level LM kernels, the sign of
-KLD, and the range of vector divergences."""
+range of metrics on runs read back, a window set's views (whichever is read
+first) against the brute-force oracle, the list-level LM kernels, the sign
+of KLD, and the range of vector divergences."""
 
 import math
 import re
@@ -569,15 +570,25 @@ def test_vector_divergences_stay_in_cosine_range(corpus, queries, synonyms):
 REPEATS = [("d0", ("a", "b", "a", "a", "c", "b")), ("d1", ("b", "a", "a")), ("d2", ("c", "c", "a"))]
 
 
+VIEWS = ("window_cf", "stats", "windows")
+
+
 @PROPERTY
-@given(corpora(), phrases, st.integers(min_value=0, max_value=6))
-@example(corpus=(REPEATS, build_index(REPEATS)), target=("a",), n=2)
-def test_window_stats_equal_brute_force(corpus, target, n):
+@given(corpora(), phrases, st.integers(min_value=0, max_value=6), st.permutations(VIEWS))
+@example(corpus=(REPEATS, build_index(REPEATS)), target=("a",), n=2, order=VIEWS)
+@example(corpus=(REPEATS, build_index(REPEATS)), target=("a",), n=2, order=VIEWS[::-1])
+def test_window_stats_equal_brute_force(corpus, target, n, order):
+    # Each view is derived from the spans on first use; whichever is read
+    # first, every view equals the oracle.
     docs, index = corpus
     ws = extract_windows(index, target, n=n)
+    views = {name: getattr(ws, name) for name in order}
     ref_windows = brute_force_windows(docs, target, n)
     ref = brute_force_window_stats(ref_windows)
-    stats = ws.stats
+    assert ws.n_windows == len(ref_windows)
+    got = [(w.doc_id, w.position, list(w.counts.items()), w.size) for w in views["windows"]]
+    assert got == [(d, p, list(counts.items()), size) for d, p, counts, size in ref_windows]
+    stats = views["stats"]
     assert stats.n_windows == ref["n_windows"]
     assert stats.av_m == ref["av_m"]
     assert stats.max_f == ref["max_f"]
@@ -589,9 +600,12 @@ def test_window_stats_equal_brute_force(corpus, target, n):
         for t, c in counts.items():
             cf[t] = cf.get(t, 0) + c
     assert list(stats.window_cf.items()) == list(cf.items())
+    assert list(views["window_cf"].items()) == list(cf.items())
     for term in VOCAB + (ABSENT,):
         ids = [i for i, (_, _, counts, _) in enumerate(ref_windows) if term in counts]
         assert ws.windows_for(term) == ids  # ascending, each window once
+    # A view read again is the one first derived.
+    assert all(getattr(ws, name) is views[name] for name in VIEWS)
 
 
 def reference_term_vector(ws, scheme):

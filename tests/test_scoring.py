@@ -1,6 +1,8 @@
 """Tests for batch divergence scoring and dependent-query selection."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from termdep.scoring import (
     select_dependent,
 )
 from termdep.vectors import cosine_distance
+from termdep.windows import extract_windows
 
 
 def build_state(fixture):
@@ -230,6 +233,27 @@ class TestScoreBatch:
             # diagnostics, floats compared exactly.
             assert got == score_query(query, variant, index, lexicon)
         assert [s.scoreable for s in scores] == [True, True, True, False, True, False]
+
+    @pytest.mark.parametrize("variant", ["vector:tfidf", "lm:sgt:qsum"])
+    def test_window_memo_freed_when_batch_returns(self, planted_state, variant, monkeypatch):
+        # The batch's memos must not sit in a reference cycle: they are freed
+        # when score_batch returns, with the cyclic collector switched off.
+        index, queries, lexicon = planted_state
+        made = []
+
+        def recording(*args, **kwargs):
+            ws = extract_windows(*args, **kwargs)
+            made.append(weakref.ref(ws))
+            return ws
+
+        monkeypatch.setattr("termdep.scoring.extract_windows", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            score_batch(queries, variant, index, lexicon)
+            assert made and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("variant", ["vector:atc", "lm:sgt:median"])
     def test_thread_count_does_not_change_results(self, planted_state, variant):
