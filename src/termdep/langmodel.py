@@ -219,36 +219,6 @@ def _quantile_band(values: Sequence[float]) -> Tuple[float, float]:
     return at(0.25), at(0.75)
 
 
-def combine_term_lms(
-    models: Sequence[SmoothedLM],
-    method: str,
-    vocabulary: Optional[Iterable[str]] = None,
-) -> SmoothedLM:
-    """Merge per-term models into one distribution over a shared vocabulary.
-
-    The models are aligned on the sorted vocabulary (default: union of
-    their vocabularies) and merged by combine_columns.
-    """
-    if not models:
-        raise ValueError("combine_term_lms requires at least one model")
-    if vocabulary is None:
-        vocab_set: Set[str] = set()
-        for m in models:
-            vocab_set |= m.vocabulary
-        vocab = sorted(vocab_set)
-    else:
-        vocab = sorted(set(vocabulary))
-    if not vocab:
-        raise ValueError("combination vocabulary is empty")
-    combined = combine_columns([aligned_probs(m, vocab) for m in models], method)
-    return SmoothedLM(
-        method=models[0].method,
-        prob=dict(zip(vocab, combined)),
-        unseen_mass=0.0,
-        unseen_prob=min(combined),
-    )
-
-
 def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
     """Merge aligned per-term distributions (one list per term) into one.
 
@@ -261,6 +231,10 @@ def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
     """
     if method not in COMBINATIONS:
         raise ValueError(f"unknown combination method {method!r}")
+    if not columns:
+        raise ValueError("combine_columns requires at least one column")
+    if not all(columns):
+        raise ValueError("combination vocabulary is empty")
     if method == "mult":
         combined = list(map(math.prod, zip(*columns)))
     elif method == "median":

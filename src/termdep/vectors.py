@@ -4,13 +4,12 @@ Five weighting schemes score a context term inside one window: atc, ltu,
 mi, okapi, tfidf.  All logarithms are natural.  weight() evaluates the
 raw per-window formula from explicit statistics; it is the one-window
 case of the kernel build_term_vector runs once per context term over the
-windows containing it, reading the term's column of window ids and
-in-window frequencies off the window set (window_weight() reads one
-ContextWindow instead).  For atc the cosine normalization over those
-windows is applied when the term vector is built, so the per-window atc
-weights of any term with a nonzero norm satisfy sum(w^2) == 1.  A term
-vector's component for a context term is the mean of its weights over
-the windows containing it.
+windows containing it, reading the term's window ids and in-window
+frequencies off the window set's stats.  For atc the cosine
+normalization over those windows is applied when the term vector is
+built, so the per-window atc weights of any term with a nonzero norm
+satisfy sum(w^2) == 1.  A term vector's component for a context term is
+the mean of its weights over the windows containing it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,10 @@ def weight(
     count N, m_i the window size, av_m the mean size, max_f the peak
     frequency inside this window.  mi additionally needs cf_t (the term's
     total count across windows) and total_mass (the grand token total).
-    Negative okapi values are legitimate and kept.
+    Statistics no window set can produce (n_t > n_windows, m_i < f_it,
+    and for the schemes that read them max_f < f_it, cf_t < f_it or
+    total_mass < m_i) raise ValueError.  Negative okapi values are
+    legitimate and kept.
     """
     if f_it < 1:
         raise ValueError(f"f_it must be >= 1, got {f_it}")
@@ -63,10 +65,19 @@ def weight(
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     if av_m <= 0:
         raise ValueError(f"av_m must be > 0, got {av_m}")
-    if scheme == "atc" and max_f < 1:
-        raise ValueError(f"max_f must be >= 1, got {max_f}")
-    if scheme == "mi" and (cf_t is None or total_mass is None):
-        raise ValueError("mi weighting requires cf_t and total_mass")
+    if n_t > n_windows:
+        raise ValueError(f"n_t must be <= n_windows ({n_windows}), got {n_t}")
+    if m_i < f_it:
+        raise ValueError(f"m_i must be >= f_it ({f_it}), got {m_i}")
+    if scheme == "atc" and max_f < f_it:
+        raise ValueError(f"max_f must be >= f_it ({f_it}), got {max_f}")
+    if scheme == "mi":
+        if cf_t is None or total_mass is None:
+            raise ValueError("mi weighting requires cf_t and total_mass")
+        if cf_t < f_it:
+            raise ValueError(f"cf_t must be >= f_it ({f_it}), got {cf_t}")
+        if total_mass < m_i:
+            raise ValueError(f"total_mass must be >= m_i ({m_i}), got {total_mass}")
     # One window, holding the term f_it times.
     return _term_weights(
         scheme, n_windows, av_m, total_mass, n_t, cf_t, (0,), (f_it,), (m_i,), (max_f,)
@@ -91,7 +102,7 @@ def _term_weights(
     sizes[i] and its peak frequency max_f[i].  The five formulas live
     here: the term's own factors (idf, cf_t) are taken once, and only the
     per-window part runs per window.  The caller has checked the
-    arguments (weight()) or read them off a window set's columns, where
+    arguments (weight()) or read them off a window set's stats, where
     they hold by construction (build_term_vector()).
     """
     if scheme == "atc":
@@ -116,49 +127,32 @@ def _term_weights(
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
-def window_weight(scheme: str, ws: WindowSet, window_index: int, term: str) -> float:
-    """weight() with the statistics read off one window of a WindowSet."""
-    stats = ws.stats
-    w = ws.windows[window_index]
-    return weight(
-        scheme,
-        f_it=w.counts[term],
-        n_t=stats.windows_containing[term],
-        n_windows=stats.n_windows,
-        m_i=w.size,
-        av_m=stats.av_m,
-        max_f=stats.max_f[window_index],
-        cf_t=stats.window_cf.get(term),
-        total_mass=stats.total_mass,
-    )
-
-
 def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
     """Vector representation of ws.target under `scheme`.
 
     The component for context term t' is the mean of its per-window
     weights over the windows where t' actually occurs.  Only the window
-    set's per-term columns are read, and each term's weights are one
-    kernel call over its column; its count across windows (cf_t, for mi)
-    is the sum of that column.  Under tfidf a term that never repeats
-    inside a window gets the component 0.0 without a kernel call, the
-    value the kernel would give.
+    set's stats are read, and each term's weights are one kernel call
+    over its window ids; its count across windows (cf_t, for mi) is the
+    sum of its in-window frequencies.  Under tfidf a term that never
+    repeats inside a window gets the component 0.0 without a kernel call,
+    the value the kernel would give.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     n_windows = ws.n_windows
     if not n_windows:
         raise ValueError(f"target {' '.join(ws.target)!r} has no context windows")
-    cols = ws.columns
-    av_m, total_mass, sizes, max_f = cols.av_m, cols.total_mass, cols.sizes, cols.max_f
+    stats = ws.stats
+    av_m, total_mass, sizes, max_f = stats.av_m, stats.total_mass, stats.sizes, stats.max_f
     vec: Dict[str, float] = {}
-    for term, ids in cols.ids.items():
+    for term, ids in stats.ids.items():
         n_t = len(ids)
-        if scheme == "tfidf" and term not in cols.repeats:
+        if scheme == "tfidf" and term not in stats.repeats:
             # log(1) = 0.0 and idf >= 0: weight 0.0 in every window, mean 0.0.
             vec[term] = 0.0
             continue
-        fs = cols.freqs(term)
+        fs = stats.freqs(term)
         raw = _term_weights(
             scheme, n_windows, av_m, total_mass, n_t, sum(fs), ids, fs, sizes, max_f
         )

@@ -8,8 +8,9 @@ sum(counts.values()) == size.
 
 Extraction keeps only each window's token span.  A WindowSet derives
 three views from the spans, each on first use: window_cf (all the LM
-family reads), per-term columns (what statistics and term vectors read)
-and ContextWindow objects (for callers that walk single windows).
+family reads), stats (N, n(t), M_i, max f, G and each term's window ids
+and in-window frequencies, all that term vectors read) and ContextWindow
+objects (for callers that walk single windows).
 """
 
 from __future__ import annotations
@@ -43,39 +44,29 @@ class ContextWindow:
 
 @dataclass
 class WindowStats:
-    """Aggregate statistics over one target's extracted windows.
+    """Statistics of one window set, from one pass over its tokens.
 
-    n_windows is N, windows_containing[t] is n(t), av_m the mean window
-    size, max_f[i] the peak frequency inside window i, window_cf[t] the
-    total count of t across windows, total_mass the grand token total G.
+    n_windows is N.  ids[t] lists the ascending ids of the windows
+    containing t, keyed in order of first appearance, so len(ids[t]) is
+    n(t).  t occurs once in each of those windows, except that
+    repeats[t][k] = f says it occurs f > 1 times in window ids[t][k];
+    keeping only the repeats keeps one list per term.  sizes[i] and
+    max_f[i] are window i's size M_i and peak frequency; total_mass is the
+    grand token total G and av_m the mean size.
     """
 
     n_windows: int
-    av_m: float
-    max_f: List[int]
-    windows_containing: Dict[str, int]
-    window_cf: Dict[str, int]
-    total_mass: int
-
-
-@dataclass
-class WindowColumns:
-    """Per-term columns of one window set, from one pass over its tokens.
-
-    ids[t] lists the ascending ids of the windows containing t, keyed in
-    order of first appearance.  t occurs once in each of those windows,
-    except that repeats[t][k] = f says it occurs f > 1 times in window
-    ids[t][k]; keeping only the repeats keeps one list per term.  sizes[i]
-    and max_f[i] are window i's size and peak frequency; total_mass is the
-    sum of the sizes and av_m their mean.
-    """
-
     ids: Dict[str, List[int]]
     repeats: Dict[str, Dict[int, int]]
     sizes: List[int]
     max_f: List[int]
     total_mass: int
     av_m: float
+
+    @cached_property
+    def windows_containing(self) -> Dict[str, int]:
+        """n(t) for every term t, keyed in order of first appearance."""
+        return {t: len(ids) for t, ids in self.ids.items()}
 
     def freqs(self, term: str) -> List[int]:
         """The count of `term` in each window of ids[term], in order."""
@@ -120,7 +111,8 @@ class WindowSet:
         return Counter(chain.from_iterable(self._slices()))
 
     @cached_property
-    def columns(self) -> WindowColumns:
+    def stats(self) -> WindowStats:
+        """Every statistic the vector family reads, from one pass over the spans."""
         ids: Dict[str, List[int]] = {}
         repeats: Dict[str, Dict[int, int]] = {}
         get = ids.get
@@ -145,27 +137,15 @@ class WindowSet:
                         peak = f
             sizes.append(len(tokens))
             max_f.append(peak)
-        total = sum(sizes)
-        return WindowColumns(
+        n_windows, total = len(sizes), sum(sizes)
+        return WindowStats(
+            n_windows=n_windows,
             ids=ids,
             repeats=repeats,
             sizes=sizes,
             max_f=max_f,
             total_mass=total,
-            av_m=(total / len(sizes)) if sizes else 0.0,
-        )
-
-    @cached_property
-    def stats(self) -> WindowStats:
-        """Statistics read off the columns, plus the window_cf view."""
-        cols = self.columns
-        return WindowStats(
-            n_windows=len(self.spans),
-            av_m=cols.av_m,
-            max_f=cols.max_f,
-            windows_containing={t: len(ids) for t, ids in cols.ids.items()},
-            window_cf=self.window_cf,
-            total_mass=cols.total_mass,
+            av_m=(total / n_windows) if n_windows else 0.0,
         )
 
     @cached_property
@@ -178,7 +158,7 @@ class WindowSet:
 
     def windows_for(self, term: str) -> List[int]:
         """Indices of windows containing `term`, in extraction order."""
-        return self.columns.ids.get(term, [])
+        return self.stats.ids.get(term, [])
 
 
 def extract_windows(index: PositionalIndex, target: Sequence[str], n: int = 5) -> WindowSet:

@@ -12,6 +12,8 @@ from termdep.perturb import load_lexicon
 from termdep.retrieval import RankingConfig, rank
 from termdep.scoring import score_batch, select_dependent
 
+from oracles import brute_force_window_stats, brute_force_windows
+
 
 def read_report_map(path):
     rows = {}
@@ -141,6 +143,25 @@ class TestWindowsCommand:
         assert payload["half_width"] == 5
         for term in ("red", "tape", "scarlet", "tax", "office", "bureau"):
             assert payload["targets"][term]["n_windows"] > 0
+
+    def test_stats_equal_brute_force(self, planted_paths, tmp_path):
+        out = tmp_path / "windows.json"
+        code = main(
+            ["windows", *base_flags(planted_paths), "--lexicon", planted_paths["lexicon"], "--out", str(out)]
+        )
+        assert code == 0
+        targets = json.loads(out.read_text())["targets"]
+        docs = list(ingest_corpus(planted_paths["corpus"]).doc_tokens.items())
+        assert targets
+        for term, got in targets.items():
+            ref_windows = brute_force_windows(docs, (term,), 5)
+            ref = brute_force_window_stats(ref_windows)
+            assert got == {
+                "n_windows": ref["n_windows"],
+                "av_m": ref["av_m"],
+                "total_mass": sum(size for *_, size in ref_windows),
+                "vocab_size": len(ref["windows_containing"]),
+            }, term
 
 
 class TestScoreCommand:

@@ -6,7 +6,7 @@ import pytest
 from termdep.langmodel import (
     SmoothedLM,
     aligned_probs,
-    combine_term_lms,
+    combine_columns,
     freq_of_freq,
     kld,
     kld_lists,
@@ -159,29 +159,32 @@ class TestAlignedProbs:
 
 
 class TestCombination:
-    def make_models(self, *count_maps, smoothing="laplace"):
+    """combine_columns over per-term models aligned on the sorted vocabulary."""
+
+    def make_columns(self, *count_maps, smoothing="laplace"):
         vocab = set()
         for counts in count_maps:
             vocab |= set(counts)
         if smoothing == "laplace":
-            return [laplace_lm(c, vocab) for c in count_maps], vocab
-        return [sgt_lm(c) for c in count_maps], vocab
+            models = [laplace_lm(c, vocab) for c in count_maps]
+        else:
+            models = [sgt_lm(c) for c in count_maps]
+        vocab = sorted(vocab)
+        return [aligned_probs(m, vocab) for m in models], vocab
 
     def test_multiply_is_product_renormalized(self):
-        models, vocab = self.make_models({"a": 2, "b": 1}, {"a": 1, "b": 2})
-        combined = combine_term_lms(models, "mult", vocabulary=vocab)
-        cols = [aligned_probs(m, sorted(vocab)) for m in models]
+        cols, vocab = self.make_columns({"a": 2, "b": 1}, {"a": 1, "b": 2})
+        combined = combine_columns(cols, "mult")
         raw = [cols[0][i] * cols[1][i] for i in range(len(vocab))]
         total = sum(raw)
-        for w, r in zip(sorted(vocab), raw):
-            np.testing.assert_allclose(combined.prob[w], r / total, atol=1e-12)
+        for got, r in zip(combined, raw):
+            np.testing.assert_allclose(got, r / total, atol=1e-12)
 
     def test_multiply_permutation_invariant(self):
-        models, vocab = self.make_models({"a": 3, "b": 1}, {"b": 4}, {"a": 1, "c": 2})
-        fwd = combine_term_lms(models, "mult", vocabulary=vocab)
-        rev = combine_term_lms(models[::-1], "mult", vocabulary=vocab)
-        for w in fwd.prob:
-            np.testing.assert_allclose(fwd.prob[w], rev.prob[w], rtol=1e-12)
+        cols, _ = self.make_columns({"a": 3, "b": 1}, {"b": 4}, {"a": 1, "c": 2})
+        fwd = combine_columns(cols, "mult")
+        rev = combine_columns(cols[::-1], "mult")
+        np.testing.assert_allclose(fwd, rev, rtol=1e-12)
 
     def test_median_hand_value(self):
         # Three aligned models with per-word columns (0.1, 0.2, 0.6) etc.
@@ -190,15 +193,16 @@ class TestCombination:
             SmoothedLM("laplace", {"a": 0.2, "b": 0.8}, 0.0, 1e-6),
             SmoothedLM("laplace", {"a": 0.6, "b": 0.4}, 0.0, 1e-6),
         ]
-        combined = combine_term_lms(models, "median", vocabulary={"a", "b"})
-        np.testing.assert_allclose(combined.prob["a"], 0.2 / (0.2 + 0.8))
+        combined = combine_columns([aligned_probs(m, ["a", "b"]) for m in models], "median")
+        np.testing.assert_allclose(combined[0], 0.2 / (0.2 + 0.8))
 
     def test_single_model_identity_for_mult_and_median(self):
         lm = laplace_lm({"a": 2, "b": 1}, {"a", "b", "c"})
+        vocab = sorted(lm.vocabulary)
         for method in ("mult", "median"):
-            combined = combine_term_lms([lm], method)
-            for w in lm.prob:
-                np.testing.assert_allclose(combined.prob[w], lm.prob[w], atol=1e-12)
+            combined = combine_columns([aligned_probs(lm, vocab)], method)
+            for w, got in zip(vocab, combined):
+                np.testing.assert_allclose(got, lm.prob[w], atol=1e-12)
 
     def test_quantile_band_suppresses_outliers(self):
         # "spike" sits above both models' interquartile bands, so it takes
@@ -217,40 +221,47 @@ class TestCombination:
                 1e-6,
             ),
         ]
-        vocab = {"spike", "a", "b", "c", "d"}
-        combined = combine_term_lms(models, "qsum", vocabulary=vocab)
-        assert combined.prob["spike"] < combined.prob["a"]
-        np.testing.assert_allclose(combined.prob["spike"], combined.prob["c"], atol=1e-12)
-        np.testing.assert_allclose(sum(combined.prob.values()), 1.0, atol=1e-9)
+        vocab = sorted({"spike", "a", "b", "c", "d"})
+        cols = [aligned_probs(m, vocab) for m in models]
+        combined = dict(zip(vocab, combine_columns(cols, "qsum")))
+        assert combined["spike"] < combined["a"]
+        np.testing.assert_allclose(combined["spike"], combined["c"], atol=1e-12)
+        np.testing.assert_allclose(sum(combined.values()), 1.0, atol=1e-9)
 
     def test_qavg_divides_by_contributor_count(self):
         models = [
             SmoothedLM("laplace", {"a": 0.5, "b": 0.3, "c": 0.2}, 0.0, 1e-6),
             SmoothedLM("laplace", {"a": 0.5, "b": 0.3, "c": 0.2}, 0.0, 1e-6),
         ]
-        qsum = combine_term_lms(models, "qsum", vocabulary={"a", "b", "c"})
-        qavg = combine_term_lms(models, "qavg", vocabulary={"a", "b", "c"})
-        for w in ("a", "b", "c"):
-            np.testing.assert_allclose(qsum.prob[w], qavg.prob[w], atol=1e-12)
+        cols = [aligned_probs(m, ["a", "b", "c"]) for m in models]
+        np.testing.assert_allclose(
+            combine_columns(cols, "qsum"), combine_columns(cols, "qavg"), atol=1e-12
+        )
 
     def test_combined_model_sums_to_one(self):
         rng = np.random.default_rng(43)
         for method in ("qsum", "qavg", "mult", "median"):
             for smoothing in ("laplace", "sgt"):
                 count_maps = [random_counts(rng) for _ in range(3)]
-                models, vocab = self.make_models(*count_maps, smoothing=smoothing)
-                combined = combine_term_lms(models, method, vocabulary=vocab)
-                np.testing.assert_allclose(sum(combined.prob.values()), 1.0, atol=1e-9)
-                assert all(p > 0 for p in combined.prob.values())
+                cols, _ = self.make_columns(*count_maps, smoothing=smoothing)
+                combined = combine_columns(cols, method)
+                np.testing.assert_allclose(sum(combined), 1.0, atol=1e-9)
+                assert all(p > 0 for p in combined)
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError):
-            combine_term_lms([], "mult")
+            combine_columns([], "mult")
+        # An empty vocabulary gives empty columns; the quartiles would index
+        # into them.
+        for method in ("qsum", "qavg", "mult", "median"):
+            for columns in ([[]], [[0.5, 0.5], []]):
+                with pytest.raises(ValueError, match="vocabulary"):
+                    combine_columns(columns, method)
 
     def test_unknown_method_rejected(self):
         lm = laplace_lm({"a": 1}, {"a"})
         with pytest.raises(ValueError, match="method"):
-            combine_term_lms([lm], "geometric")
+            combine_columns([aligned_probs(lm, ["a"])], "geometric")
 
 
 class TestKld:

@@ -20,8 +20,6 @@ from termdep.langmodel import (
     COMBINATIONS,
     aligned_probs,
     combine_columns,
-    combine_term_lms,
-    kld,
     kld_lists,
     laplace_column,
     laplace_lm,
@@ -511,7 +509,7 @@ def reference_phrase_kld(q_models, p_models, method, vocab):
 )
 def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, smoothing):
     # Scoring's path (columns -> combine_columns -> kld_lists) gives the very
-    # floats of combine_term_lms -> kld on SmoothedLMs, and of the reference.
+    # floats of the one-word-at-a-time reference.
     vocab_set = set(extra).union(*q_tables, *p_tables)
     vocab = sorted(vocab_set)
     if smoothing == "laplace":
@@ -525,18 +523,12 @@ def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, sm
         q_cols = [aligned_probs(m, vocab) for m in q_models]
         p_cols = [aligned_probs(m, vocab) for m in p_models]
 
-    def wrappers():
-        lm_q = combine_term_lms(q_models, method, vocabulary=vocab_set)
-        lm_p = combine_term_lms(p_models, method, vocabulary=vocab_set)
-        return [lm_q.prob[w] for w in vocab], kld(lm_q, lm_p, vocabulary=vocab_set)
-
     def kernels():
         combined_q = combine_columns(q_cols, method)
         return combined_q, kld_lists(combined_q, combine_columns(p_cols, method))
 
     expected = outcome(lambda: reference_phrase_kld(q_models, p_models, method, vocab))
     assert outcome(kernels) == expected
-    assert outcome(wrappers) == expected
 
 
 positive_lists = st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=8)
@@ -599,7 +591,6 @@ def test_window_stats_equal_brute_force(corpus, target, n, order):
     for _, _, counts, _ in ref_windows:
         for t, c in counts.items():
             cf[t] = cf.get(t, 0) + c
-    assert list(stats.window_cf.items()) == list(cf.items())
     assert list(views["window_cf"].items()) == list(cf.items())
     for term in VOCAB + (ABSENT,):
         ids = [i for i, (_, _, counts, _) in enumerate(ref_windows) if term in counts]

@@ -67,20 +67,37 @@ class TestWeightFormulas:
         with pytest.raises(ValueError, match="scheme"):
             weight("bm25", f_it=1, n_t=1, n_windows=1, m_i=1, av_m=1.0)
 
+    # Each row names its scheme among the keyword arguments.  The last six
+    # are statistics no window set can produce: mi would divide by zero on
+    # m_i=0 or cf_t=0, and atc would give a negative idf for n_t > N.
     @pytest.mark.parametrize(
         "kwargs,field",
         [
-            (dict(f_it=0, n_t=1, n_windows=1, m_i=1, av_m=1.0), "f_it"),
-            (dict(f_it=1, n_t=0, n_windows=1, m_i=1, av_m=1.0), "n_t"),
-            (dict(f_it=1, n_t=1, n_windows=0, m_i=1, av_m=1.0), "n_windows"),
-            (dict(f_it=1, n_t=1, n_windows=1, m_i=1, av_m=0.0), "av_m"),
-            (dict(f_it=1, n_t=1, n_windows=1, m_i=1, av_m=1.0, max_f=0), "max_f"),
+            (dict(scheme="tfidf", f_it=0, n_t=1, n_windows=1, m_i=1, av_m=1.0), "f_it"),
+            (dict(scheme="tfidf", f_it=1, n_t=0, n_windows=1, m_i=1, av_m=1.0), "n_t"),
+            (dict(scheme="tfidf", f_it=1, n_t=1, n_windows=0, m_i=1, av_m=1.0), "n_windows"),
+            (dict(scheme="tfidf", f_it=1, n_t=1, n_windows=1, m_i=1, av_m=0.0), "av_m"),
+            (dict(scheme="atc", f_it=1, n_t=1, n_windows=1, m_i=1, av_m=1.0, max_f=0), "max_f"),
+            (dict(scheme="atc", f_it=1, n_t=3, n_windows=2, m_i=1, av_m=1.0), "n_t"),
+            (dict(scheme="tfidf", f_it=2, n_t=1, n_windows=1, m_i=1, av_m=1.0), "m_i"),
+            (dict(scheme="atc", f_it=2, n_t=1, n_windows=1, m_i=2, av_m=1.0, max_f=1), "max_f"),
+            (
+                dict(scheme="mi", f_it=1, n_t=1, n_windows=1, m_i=0, av_m=1.0, cf_t=1, total_mass=1),
+                "m_i",
+            ),
+            (
+                dict(scheme="mi", f_it=1, n_t=1, n_windows=1, m_i=1, av_m=1.0, cf_t=0, total_mass=1),
+                "cf_t",
+            ),
+            (
+                dict(scheme="mi", f_it=1, n_t=1, n_windows=1, m_i=2, av_m=1.0, cf_t=1, total_mass=1),
+                "total_mass",
+            ),
         ],
     )
     def test_precondition_errors_name_the_statistic(self, kwargs, field):
-        scheme = "atc" if field == "max_f" else "tfidf"
         with pytest.raises(ValueError, match=field):
-            weight(scheme, **kwargs)
+            weight(**kwargs)
 
     def test_matches_reference_on_random_tuples(self):
         rng = np.random.default_rng(3)
@@ -121,12 +138,22 @@ class TestBuildTermVector:
             ]
             term = vocab[int(rng.integers(0, 6))]
             ws = windows_for(docs, term, n=3)
-            if not ws.windows:
+            if not ws.n_windows:
                 continue
-            from termdep.vectors import window_weight
-
-            for t in ws.stats.windows_containing:
-                raw = [window_weight("atc", ws, i, t) for i in ws.windows_for(t)]
+            s = ws.stats
+            for t, ids in s.ids.items():
+                raw = [
+                    weight(
+                        "atc",
+                        f_it=f,
+                        n_t=len(ids),
+                        n_windows=s.n_windows,
+                        m_i=s.sizes[i],
+                        av_m=s.av_m,
+                        max_f=s.max_f[i],
+                    )
+                    for i, f in zip(ids, s.freqs(t))
+                ]
                 norm = math.sqrt(sum(v * v for v in raw))
                 if norm > 0:
                     normed = [v / norm for v in raw]

@@ -79,7 +79,7 @@ class TestWindowStats:
         assert s.max_f == [2, 1]
         np.testing.assert_allclose(s.av_m, (3 + 2) / 2)
         assert s.total_mass == 5
-        assert s.window_cf == {"a": 2, "b": 3}
+        assert ws.window_cf == {"a": 2, "b": 3}
 
     def test_counts_sum_to_size_always(self):
         rng = np.random.default_rng(11)
