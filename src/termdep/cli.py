@@ -21,6 +21,7 @@ from .corpus import (
     ingest_corpus,
     load_queries,
     load_stopwords,
+    read_lines,
 )
 from .evaluation import (
     MEASURES,
@@ -75,7 +76,15 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"--tag must be non-empty and hold no whitespace, got {tag!r}")
 
 
+def _write_json(payload: object, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
+    if args.window < 0:
+        raise ValueError(f"window half-width must be >= 0, got {args.window}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     index = ingest_corpus(args.corpus, stopwords=stopwords, stop_documents=args.stop_documents)
     queries = load_queries(args.queries, stopwords=stopwords)
@@ -90,9 +99,7 @@ def _cmd_index(args) -> int:
         "total_terms": index.total_terms,
         "vocab_size": index.vocab_size,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, args.out)
     return 0
 
 
@@ -116,9 +123,7 @@ def _cmd_windows(args) -> int:
             "total_mass": ws.stats.total_mass,
             "vocab_size": len(ws.stats.windows_containing),
         }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, args.out)
     return 0
 
 
@@ -143,8 +148,7 @@ def _cmd_score(args) -> int:
 
 def _selection_for(args, index, queries, lexicon) -> Set[str]:
     if args.selected:
-        with open(args.selected, "r", encoding="utf-8") as fh:
-            return {line.strip() for line in fh if line.strip()}
+        return {line.strip() for _, line in read_lines(args.selected)}
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
@@ -227,9 +231,7 @@ def _cmd_tune(args) -> int:
         "mean_score": result.mean_score,
         "diagnostics": result.diagnostics,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, args.out)
     return 0
 
 

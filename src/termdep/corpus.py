@@ -67,6 +67,22 @@ class CorpusFormatError(ValueError):
     """Raised for malformed or duplicate corpus/query/stopword records."""
 
 
+def read_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """Yield (line number, line without its line end) for each non-blank line.
+
+    Every input file is read here, as UTF-8 after an optional byte-order mark, with LF,
+    CRLF or CR line ends.  A line that is not UTF-8 raises ValueError naming path:line.
+    """
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: line is not valid UTF-8") from None
+            if not line.isspace():
+                yield lineno, line.rstrip("\n")
+
+
 def _has_whitespace(identifier: str) -> bool:
     # Run and qrels files are split on whitespace, so IDs must not hold any.
     return any(ch.isspace() for ch in identifier)
@@ -190,30 +206,27 @@ def ingest_corpus(
     """
     index = PositionalIndex()
     doc_stop = stopwords if stop_documents else None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: record must be an object with doc_id and text"
-                )
-            doc_id = record["doc_id"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusFormatError(f"{path}:{lineno}: doc_id must be a non-empty string")
-            if _has_whitespace(doc_id):
-                raise CorpusFormatError(f"{path}:{lineno}: doc_id {doc_id!r} contains whitespace")
-            if not isinstance(record["text"], str):
-                raise CorpusFormatError(f"{path}:{lineno}: text must be a string")
-            tokens = tuple(tokenize(record["text"], doc_stop))
-            try:
-                index.add_document(Document(doc_id, tokens))
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: record must be an object with doc_id and text"
+            )
+        doc_id = record["doc_id"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusFormatError(f"{path}:{lineno}: doc_id must be a non-empty string")
+        if _has_whitespace(doc_id):
+            raise CorpusFormatError(f"{path}:{lineno}: doc_id {doc_id!r} contains whitespace")
+        if not isinstance(record["text"], str):
+            raise CorpusFormatError(f"{path}:{lineno}: text must be a string")
+        tokens = tuple(tokenize(record["text"], doc_stop))
+        try:
+            index.add_document(Document(doc_id, tokens))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
     if index.total_terms == 0:
         raise CorpusFormatError(f"{path}: corpus holds no tokens")
     return index
@@ -223,28 +236,24 @@ def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]
     """Read qid<TAB>text rows; stopwords are removed from queries, never stemmed."""
     queries: List[Query] = []
     seen: Set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise CorpusFormatError(f"{path}:{lineno}: expected qid<TAB>text")
-            qid, text = line.split("\t", 1)
-            qid = qid.strip()
-            if not qid:
-                raise CorpusFormatError(f"{path}:{lineno}: empty qid")
-            if _has_whitespace(qid):
-                raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
-            if qid in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate qid {qid!r}")
-            seen.add(qid)
-            terms = tuple(tokenize(text, stopwords))
-            if not terms:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: query {qid!r} has no terms after stopword removal"
-                )
-            queries.append(Query(qid=qid, raw=text, terms=terms))
+    for lineno, line in read_lines(path):
+        if "\t" not in line:
+            raise CorpusFormatError(f"{path}:{lineno}: expected qid<TAB>text")
+        qid, text = line.split("\t", 1)
+        qid = qid.strip()
+        if not qid:
+            raise CorpusFormatError(f"{path}:{lineno}: empty qid")
+        if _has_whitespace(qid):
+            raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
+        if qid in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate qid {qid!r}")
+        seen.add(qid)
+        terms = tuple(tokenize(text, stopwords))
+        if not terms:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: query {qid!r} has no terms after stopword removal"
+            )
+        queries.append(Query(qid=qid, raw=text, terms=terms))
     return queries
 
 
@@ -256,16 +265,13 @@ def load_stopwords(path: str) -> Set[str]:
     rejected with its path:line.
     """
     words: Set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tokens = tokenize(line)
-            if len(tokens) != 1:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: stopword {line.strip()!r} is not exactly one token"
-                )
-            words.add(tokens[0])
+    for lineno, line in read_lines(path):
+        tokens = tokenize(line)
+        if len(tokens) != 1:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: stopword {line.strip()!r} is not exactly one token"
+            )
+        words.add(tokens[0])
     return words
 
 

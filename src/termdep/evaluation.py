@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
+from .corpus import read_lines
 from .retrieval import RankedRun
 
 MEASURES = ("map", "ndcg10", "p10")
@@ -52,19 +53,18 @@ class Qrels:
 def load_qrels(path: str) -> Qrels:
     """Read `qid 0 doc_id grade` rows; later duplicates overwrite earlier."""
     judgments: Dict[Tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected `qid 0 doc_id grade`")
-            qid, _, doc_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: grade must be an integer") from exc
-            judgments[(qid, doc_id)] = max(0, grade)
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected `qid 0 doc_id grade`")
+        qid, _, doc_id, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: grade must be an integer") from exc
+        if grade > 1000:  # ten NDCG gains 2**g - 1 must sum to a finite float
+            raise ValueError(f"{path}:{lineno}: grade {grade} exceeds 1000")
+        judgments[(qid, doc_id)] = max(0, grade)
     return Qrels(judgments)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .corpus import Query, tokenize
+from .corpus import Query, read_lines, tokenize
 
 
 class LexiconFormatError(ValueError):
@@ -46,36 +46,30 @@ def load_lexicon(path: str) -> SynonymLexicon:
     headword lines merge, preserving first-listed synonym order.
     """
     entries: Dict[str, List[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise LexiconFormatError(f"{path}:{lineno}: expected headword<TAB>synonyms")
-            head_raw, syn_raw = line.split("\t", 1)
-            head_tokens = tokenize(head_raw)
-            if len(head_tokens) != 1:
+    for lineno, line in read_lines(path):
+        if "\t" not in line:
+            raise LexiconFormatError(f"{path}:{lineno}: expected headword<TAB>synonyms")
+        head_raw, syn_raw = line.split("\t", 1)
+        head_tokens = tokenize(head_raw)
+        if len(head_tokens) != 1:
+            raise LexiconFormatError(
+                f"{path}:{lineno}: headword must be a single word, got {head_raw!r}"
+            )
+        head = head_tokens[0]
+        merged = entries.setdefault(head, [])
+        for part in syn_raw.split(","):
+            syn_tokens = tokenize(part)
+            if not syn_tokens:
+                raise LexiconFormatError(f"{path}:{lineno}: empty synonym entry")
+            if len(syn_tokens) != 1:
                 raise LexiconFormatError(
-                    f"{path}:{lineno}: headword must be a single word, got {head_raw!r}"
+                    f"{path}:{lineno}: multiword synonym {part.strip()!r} not allowed"
                 )
-            head = head_tokens[0]
-            merged = entries.setdefault(head, [])
-            for part in syn_raw.split(","):
-                syn_tokens = tokenize(part)
-                if not syn_tokens:
-                    raise LexiconFormatError(f"{path}:{lineno}: empty synonym entry")
-                if len(syn_tokens) != 1:
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: multiword synonym {part.strip()!r} not allowed"
-                    )
-                syn = syn_tokens[0]
-                if syn == head:
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: synonym equals headword {head!r}"
-                    )
-                if syn not in merged:
-                    merged.append(syn)
+            syn = syn_tokens[0]
+            if syn == head:
+                raise LexiconFormatError(f"{path}:{lineno}: synonym equals headword {head!r}")
+            if syn not in merged:
+                merged.append(syn)
     return SynonymLexicon(entries=entries)
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .corpus import PositionalIndex, Query, phrase_occurrences
+from .corpus import PositionalIndex, Query, phrase_occurrences, read_lines
 
 MODES = ("bow", "sd", "fd", "selective")
 
@@ -228,25 +228,22 @@ def read_run(path: str) -> RankedRun:
     """
     run = RankedRun()
     listed_by_qid: Dict[str, Set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
-            qid, _, doc_id, _, raw, _ = parts
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: score {raw!r} is not a number") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: score {raw!r} is not finite")
-            listed = listed_by_qid.get(qid)
-            if listed is None:
-                listed = listed_by_qid[qid] = set()
-            if doc_id in listed:
-                raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} repeated for qid {qid!r}")
-            listed.add(doc_id)
-            run.results.setdefault(qid, []).append((doc_id, score))
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
+        qid, _, doc_id, _, raw, _ = parts
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: score {raw!r} is not a number") from None
+        if not math.isfinite(score):
+            raise ValueError(f"{path}:{lineno}: score {raw!r} is not finite")
+        listed = listed_by_qid.get(qid)
+        if listed is None:
+            listed = listed_by_qid[qid] = set()
+        if doc_id in listed:
+            raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} repeated for qid {qid!r}")
+        listed.add(doc_id)
+        run.results.setdefault(qid, []).append((doc_id, score))
     return run

@@ -606,6 +606,64 @@ class TestEvalRejectsBadRuns:
         assert capsys.readouterr().err.splitlines() == [f"error: {run}:{line}: {message}"]
         assert not report.exists()
 
+    def test_grade_that_would_overflow_ndcg_fails_at_load(self, tmp_path, capsys):
+        run = tmp_path / "ok.run"
+        run.write_text("q1 Q0 d1 1 -1.0 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 2000\n")
+        report = tmp_path / "report.csv"
+        code = main(["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {qrels}:1: grade 2000 exceeds 1000"]
+        assert not report.exists()
+
+
+class TestInputEncoding:
+    def test_byte_order_mark_on_queries_changes_no_output(self, retrieval_paths, tmp_path):
+        plain = retrieval_paths["dir"] / "queries.tsv"
+        bom = tmp_path / "bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for name, queries in (("plain", plain), ("bom", bom)):
+            run, report = tmp_path / f"{name}.run", tmp_path / f"{name}.csv"
+            flags = ["--corpus", retrieval_paths["corpus"], "--queries", str(queries)]
+            assert main(["run", *flags, "--mode", "fd", "--out", str(run)]) == 0
+            qrels = retrieval_paths["qrels"]
+            assert main(["eval", "--run", str(run), "--qrels", qrels, "--out", str(report)]) == 0
+            outputs.append((run.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+class TestWindowCheckedBeforeReading:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["windows"],
+            ["score", "--lexicon", "lexicon.tsv", "--variant", "vector:tfidf"],
+            ["run", "--mode", "bow"],
+            ["tune", "--lexicon", "lexicon.tsv", "--qrels", "qrels.txt"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_negative_window_fails_before_any_input_is_read(self, tmp_path, capsys, command):
+        # The corpus does not exist: an error about it would mean it was read first.
+        code = main(
+            [
+                *command,
+                "--corpus",
+                str(tmp_path / "missing.jsonl"),
+                "--queries",
+                str(tmp_path / "missing.tsv"),
+                "--window",
+                "-2",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: window half-width must be >= 0, got -2"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTuneCommand:
     def test_grid_defaults(self):

@@ -71,6 +71,19 @@ class TestQrelsLoading:
         path.write_text("\nq1 0 docA 1\n\n")
         assert load_qrels(str(path)).grade("q1", "docA") == 1
 
+    def test_grade_above_ceiling_rejected(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 docA 1000\nq1 0 docB 1001\n")
+        with pytest.raises(ValueError, match=r"qrels.txt:2: grade 1001 exceeds 1000$"):
+            load_qrels(str(path))
+
+    def test_ceiling_grade_keeps_ndcg_finite(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        docs = [f"d{i}" for i in range(12)]
+        path.write_text("".join(f"q1 0 {doc} 1000\n" for doc in docs))
+        report = evaluate(run_of({"q1": docs[::-1]}), load_qrels(str(path)))
+        assert report.per_query["q1"]["ndcg10"] == 1.0
+
 
 class TestHandMetrics:
     def test_perfect_prefix(self):
