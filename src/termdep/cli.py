@@ -147,8 +147,18 @@ def _cmd_score(args) -> int:
 
 
 def _selection_for(args, index, queries, lexicon) -> Set[str]:
-    if args.selected:
-        return {line.strip() for _, line in read_lines(args.selected)}
+    path = args.selected
+    if path:
+        known = {q.qid for q in queries}
+        chosen: Set[str] = set()
+        for lineno, line in read_lines(path):
+            qid = line.strip()
+            if _has_whitespace(qid):
+                raise ValueError(f"{path}:{lineno}: expected one qid, got {qid!r}")
+            if qid not in known:
+                raise ValueError(f"{path}:{lineno}: qid {qid!r} is not in the query batch")
+            chosen.add(qid)
+        return chosen
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
@@ -236,16 +246,23 @@ def _cmd_tune(args) -> int:
 
 
 def _parse_sweep(items: Sequence[str]) -> List[Tuple[int, str]]:
-    """Split each THETA=RUNFILE item, THETA a non-negative integer, before any file is read."""
-    sweep = []
+    """Split each THETA=RUNFILE item before any file is read.
+
+    THETA is a non-negative integer, and no two items may share it:
+    sweep.csv holds one row per THETA.
+    """
+    sweep: Dict[int, str] = {}
     for item in items:
         theta_s, sep, path = item.partition("=")
         if not sep or not (theta_s.isascii() and theta_s.isdigit()):
             raise ValueError(
                 f"--sweep expects THETA=RUNFILE with a non-negative integer THETA, got {item!r}"
             )
-        sweep.append((int(theta_s), path))
-    return sweep
+        theta = int(theta_s)
+        if theta in sweep:
+            raise ValueError(f"--sweep gives THETA {theta} more than once")
+        sweep[theta] = path
+    return list(sweep.items())
 
 
 def _cmd_figure_data(args) -> int:

@@ -1,15 +1,18 @@
 """Smoothed unigram language models, model combination, and KL divergence.
 
 Two smoothers: add-one (Laplace) and Simple Good-Turing via the
-Gale-Sampson procedure.  A phrase's model is the combination of its
-per-term models under one of four rules; query and perturbation models
-share the union vocabulary of both phrases' context windows, so every
-divergence is computed over a common, strictly positive event space.
+Gale-Sampson procedure, which reads the frequencies of frequencies of one
+count table (a Counter over its values).  A phrase's model is the
+combination of its per-term models under one of four rules; query and
+perturbation models share the union vocabulary of both phrases' context
+windows, so every divergence is computed over a common, strictly positive
+event space.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -37,29 +40,6 @@ class SmoothedLM:
     @property
     def vocabulary(self) -> Set[str]:
         return set(self.prob)
-
-
-@dataclass(frozen=True)
-class FreqOfFreq:
-    """Frequency-of-frequencies table: ff[r] counts terms occurring r times."""
-
-    ff: Dict[int, int]
-    c_q: int
-
-    @property
-    def ff_1(self) -> int:
-        return self.ff.get(1, 0)
-
-
-def freq_of_freq(counts: Dict[str, int]) -> FreqOfFreq:
-    ff: Dict[int, int] = {}
-    total = 0
-    for c in counts.values():
-        if c < 1:
-            raise ValueError(f"counts must be >= 1, got {c}")
-        ff[c] = ff.get(c, 0) + 1
-        total += c
-    return FreqOfFreq(ff=ff, c_q=total)
 
 
 def laplace_lm(counts: Dict[str, int], vocabulary: Iterable[str]) -> SmoothedLM:
@@ -143,18 +123,20 @@ def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
     """
     if not counts:
         raise ValueError("sgt_lm requires at least one nonzero count")
-    table = freq_of_freq(counts)
-    if table.ff_1 == 0:
+    # ff[r] counts the words occurring r times; ff[r] is 0 for an absent r.
+    ff = Counter(counts.values())
+    if min(ff) < 1:
+        raise ValueError(f"counts must be >= 1, got {min(ff)}")
+    if not ff[1]:
         lm = laplace_lm(counts, counts)
         lm.diagnostics.append("sgt: no hapax legomena; fell back to laplace")
         return lm
-    ff = table.ff
     smoother = _gale_sampson_smoother(ff)
     r_star: Dict[int, float] = {}
     switched = False
     for r in sorted(ff):
         n_r = ff[r]
-        n_r1 = ff.get(r + 1, 0)
+        n_r1 = ff[r + 1]
         lgt = (r + 1) * smoother(r + 1) / smoother(r)
         if not switched and n_r1 > 0:
             turing = (r + 1) * n_r1 / n_r
@@ -164,9 +146,9 @@ def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
                 continue
         switched = True
         r_star[r] = lgt
-    c_q = table.c_q
+    c_q = sum(counts.values())
     raw = {w: r_star[c] / c_q for w, c in counts.items()}
-    raw_unseen = table.ff_1 / c_q
+    raw_unseen = ff[1] / c_q
     total = raw_unseen + math.fsum(raw.values())
     prob = {w: v / total for w, v in raw.items()}
     unseen_mass = raw_unseen / total

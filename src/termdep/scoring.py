@@ -4,21 +4,24 @@ A variant names either a vector weighting scheme ("vector:tfidf") or a
 smoothing x combination pair ("lm:sgt:qsum"); 5 + 8 = 13 in total.  Each
 query's score N_q is the mean semantic divergence between the query
 phrase and its one-synonym perturbations; higher N_q = less
-compositional = stronger term dependence.  select_dependent picks the
-theta least-compositional scoreable queries of a batch, theta being a
-count of queries.
+compositional = stronger term dependence.  score_batch scores every
+query through one pair of closures whose functools.cache memos hold each
+term's windows and its vector or Good-Turing model; nothing else refers
+to them, so they are freed when the batch returns.  select_dependent
+picks the theta least-compositional scoreable queries of a batch, theta
+being a count of queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import cache
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .corpus import PositionalIndex, Query
 from .langmodel import (
     COMBINATIONS,
     SMOOTHINGS,
-    SmoothedLM,
     aligned_probs,
     combine_columns,
     kld_lists,
@@ -26,7 +29,7 @@ from .langmodel import (
     sgt_lm,
 )
 from .perturb import Perturbation, SynonymLexicon, perturb
-from .vectors import SCHEMES, TermVector, build_term_vector, compose_query_vector, cosine_distance
+from .vectors import SCHEMES, build_term_vector, compose_query_vector, cosine_distance
 from .windows import WindowSet, extract_windows
 
 VARIANTS: Tuple[str, ...] = tuple(
@@ -38,6 +41,8 @@ VARIANTS: Tuple[str, ...] = tuple(
 # A query's divergence function: one perturbation in, its divergence out,
 # appending any fallback it took to the diagnostics list.
 Divergence = Callable[[Perturbation, List[str]], float]
+# A batch: windows(term) and prepare(query), sharing one variant's caches.
+Batch = Tuple[Callable[[str], WindowSet], Callable[[Query], Divergence]]
 
 
 def parse_variant(variant: str) -> Tuple[str, ...]:
@@ -73,103 +78,82 @@ class NcdScore:
         return 1.0 / self.n_q
 
 
-class _Batch:
+def _make_batch(variant: str, index: PositionalIndex, n: int) -> Batch:
     """What one variant's batch computes once per term and reuses.
 
-    windows() extracts a term's context windows once.  The LM family reads
-    only their window_cf view and the vector family only their columns,
-    so neither builds per-window objects.  The variant's
-    family keeps its own per-term memo: a TermVector per term for the
-    vector family (a batch uses one scheme), a Good-Turing model per term
-    for lm:sgt.  Laplace models depend on each comparison's vocabulary,
-    so they are not memoised.  prepare(query) returns the divergence
-    function for that query's perturbations.  Both are closures that hold
-    no reference back to the batch, so the memos are freed as soon as the
-    batch is dropped rather than at the next cyclic garbage collection.
+    Returns (windows, prepare).  windows(term) extracts a term's context
+    windows once.  The LM family reads only their window_cf view and the
+    vector family only their stats, so neither builds per-window objects.
+    The variant's family caches one more thing per term: its TermVector
+    (a batch uses one scheme) or, for lm:sgt, its Good-Turing model.
+    Laplace models depend on each comparison's vocabulary, so they are
+    not cached.  prepare(query) returns the divergence function for that
+    query's perturbations.  Every cache is a functools.cache closure that
+    refers to none of the closures referring to it, so the caches are
+    freed as soon as the batch is dropped, not at the next cyclic garbage
+    collection.
     """
+    family, *rest = parse_variant(variant)
+    if n < 0:
+        raise ValueError(f"window half-width must be >= 0, got {n}")
+    windows = cache(lambda term: extract_windows(index, (term,), n=n))
+    if family == "vector":
+        return windows, _vector_prepare(windows, *rest)
+    return windows, _lm_prepare(windows, *rest)
 
-    def __init__(self, variant: str, index: PositionalIndex, n: int):
-        parts = parse_variant(variant)
-        if n < 0:
-            raise ValueError(f"window half-width must be >= 0, got {n}")
-        memo: Dict[str, WindowSet] = {}
 
-        def windows(term: str) -> WindowSet:
-            ws = memo.get(term)
-            if ws is None:
-                ws = memo[term] = extract_windows(index, (term,), n=n)
-            return ws
+def _vector_prepare(
+    windows: Callable[[str], WindowSet], scheme: str
+) -> Callable[[Query], Divergence]:
+    vector = cache(lambda term: build_term_vector(windows(term), scheme))
 
-        self.windows = windows
-        if parts[0] == "vector":
-            self.prepare = self._vector_family(parts[1])
-        else:
-            self.prepare = self._lm_family(parts[1], parts[2])
+    def prepare(query: Query) -> Divergence:
+        v_q = compose_query_vector([vector(t) for t in query.terms])
 
-    def _vector_family(self, scheme: str) -> Callable[[Query], Divergence]:
-        windows = self.windows
-        vectors: Dict[str, TermVector] = {}
+        def divergence(p: Perturbation, diagnostics: List[str]) -> float:
+            v_p = compose_query_vector([vector(t) for t in p.terms])
+            d, degenerate = cosine_distance(v_q, v_p)
+            if degenerate:
+                diagnostics.append(
+                    f"zero-norm vector comparing against {p.replacement!r}; distance 1.0"
+                )
+            return d
 
-        def vector(term: str) -> TermVector:
-            tv = vectors.get(term)
-            if tv is None:
-                tv = vectors[term] = build_term_vector(windows(term), scheme)
-            return tv
+        return divergence
 
-        def prepare(query: Query) -> Divergence:
-            v_q = compose_query_vector([vector(t) for t in query.terms])
+    return prepare
 
-            def divergence(p: Perturbation, diagnostics: List[str]) -> float:
-                v_p = compose_query_vector([vector(t) for t in p.terms])
-                d, degenerate = cosine_distance(v_q, v_p)
-                if degenerate:
-                    diagnostics.append(
-                        f"zero-norm vector comparing against {p.replacement!r}; distance 1.0"
-                    )
-                return d
 
-            return divergence
+def _lm_prepare(
+    windows: Callable[[str], WindowSet], smoothing: str, combination: str
+) -> Callable[[Query], Divergence]:
+    sgt = cache(lambda term: sgt_lm(windows(term).window_cf))
 
-        return prepare
+    def column(term: str, vocab: List[str]) -> List[float]:
+        if smoothing == "laplace":
+            return laplace_column(windows(term).window_cf, vocab)
+        return aligned_probs(sgt(term), vocab)
 
-    def _lm_family(self, smoothing: str, combination: str) -> Callable[[Query], Divergence]:
-        windows = self.windows
-        sgt_memo: Dict[str, SmoothedLM] = {}
+    def prepare(query: Query) -> Divergence:
+        query_vocab: Set[str] = set()
+        for term in set(query.terms):
+            query_vocab.update(windows(term).window_cf)
 
-        def counts(term: str) -> Dict[str, int]:
-            return windows(term).window_cf
+        def divergence(p: Perturbation, diagnostics: List[str]) -> float:
+            # Union vocabulary of both phrases' windows; Laplace V and the
+            # Good-Turing unseen split are both relative to this comparison.
+            vocab = sorted(query_vocab.union(windows(p.replacement).window_cf))
+            columns = {t: column(t, vocab) for t in {*query.terms, p.replacement}}
+            if smoothing == "sgt":
+                for t in query.terms + p.terms:
+                    diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
+            lm_q = combine_columns([columns[t] for t in query.terms], combination)
+            lm_p = combine_columns([columns[t] for t in p.terms], combination)
+            return kld_lists(lm_q, lm_p)
 
-        def sgt(term: str) -> SmoothedLM:
-            lm = sgt_memo.get(term)
-            if lm is None:
-                lm = sgt_memo[term] = sgt_lm(counts(term))
-            return lm
+        return divergence
 
-        def column(term: str, vocab: List[str]) -> List[float]:
-            if smoothing == "laplace":
-                return laplace_column(counts(term), vocab)
-            return aligned_probs(sgt(term), vocab)
-
-        def prepare(query: Query) -> Divergence:
-            query_vocab: Set[str] = set()
-            for term in set(query.terms):
-                query_vocab.update(counts(term))
-
-            def divergence(p: Perturbation, diagnostics: List[str]) -> float:
-                # Union vocabulary of both phrases' windows; Laplace V and the
-                # Good-Turing unseen split are both relative to this comparison.
-                vocab = sorted(query_vocab.union(counts(p.replacement)))
-                columns = {t: column(t, vocab) for t in {*query.terms, p.replacement}}
-                if smoothing == "sgt":
-                    for t in query.terms + p.terms:
-                        diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
-                lm_q = combine_columns([columns[t] for t in query.terms], combination)
-                lm_p = combine_columns([columns[t] for t in p.terms], combination)
-                return kld_lists(lm_q, lm_p)
-
-            return divergence
-
-        return prepare
+    return prepare
 
 
 def score_query(
@@ -178,30 +162,30 @@ def score_query(
     index: PositionalIndex,
     lexicon: SynonymLexicon,
     n: int = 5,
-    _batch: Optional[_Batch] = None,
+    _batch: Optional[Batch] = None,
 ) -> NcdScore:
     """N_q of one query: the mean divergence over its usable perturbations.
 
     A query is unscoreable when it has one term, no synonym coverage, a
     term with no context windows, or no perturbation whose replacement has
-    windows.  _batch carries the memos score_batch shares across a batch.
+    windows.  _batch carries the caches score_batch shares across a batch.
     """
-    batch = _batch if _batch is not None else _Batch(variant, index, n)
+    windows, prepare = _batch if _batch is not None else _make_batch(variant, index, n)
     if query.m < 2:
         return NcdScore(query.qid, variant, None, reason="single-term query")
     perturbations = perturb(query, lexicon)
     if not perturbations:
         return NcdScore(query.qid, variant, None, reason="no synonym coverage")
     for term in query.terms:
-        if not batch.windows(term).n_windows:
+        if not windows(term).n_windows:
             return NcdScore(
                 query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
             )
-    divergence = batch.prepare(query)
+    divergence = prepare(query)
     divergences: List[float] = []
     diagnostics: List[str] = []
     for p in perturbations:
-        if not batch.windows(p.replacement).n_windows:
+        if not windows(p.replacement).n_windows:
             diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
             continue
         divergences.append(divergence(p, diagnostics))
@@ -234,7 +218,7 @@ def score_batch(
     threads only contend for the interpreter lock.  threads is accepted
     for compatibility and does not change results.
     """
-    batch = _Batch(variant, index, n)
+    batch = _make_batch(variant, index, n)
     scores: List[NcdScore] = []
     for query in queries:
         try:

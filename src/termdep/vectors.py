@@ -1,4 +1,4 @@
-"""Window-based term weighting, term/query vectors, and cosine distance.
+"""Window-based term weighting, term vectors, and cosine distance.
 
 Five weighting schemes score a context term inside one window: atc, ltu,
 mi, okapi, tfidf.  All logarithms are natural.  weight() evaluates the
@@ -9,7 +9,9 @@ frequencies off the window set's stats.  For atc the cosine
 normalization over those windows is applied when the term vector is
 built, so the per-window atc weights of any term with a nonzero norm
 satisfy sum(w^2) == 1.  A term vector's component for a context term is
-the mean of its weights over the windows containing it.
+the mean of its weights over the windows containing it.  TermVector is
+the one vector type: a query or perturbation is the pointwise product of
+its terms' vectors, labelled with the terms joined by spaces.
 """
 
 from __future__ import annotations
@@ -26,12 +28,6 @@ SCHEMES = ("atc", "ltu", "mi", "okapi", "tfidf")
 @dataclass(frozen=True)
 class TermVector:
     term: str
-    weights: Dict[str, float]
-
-
-@dataclass(frozen=True)
-class QueryVector:
-    terms: Tuple[str, ...]
     weights: Dict[str, float]
 
 
@@ -163,12 +159,14 @@ def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
     return TermVector(term=" ".join(ws.target), weights=vec)
 
 
-def compose_query_vector(vectors: Sequence[TermVector]) -> QueryVector:
+def compose_query_vector(vectors: Sequence[TermVector]) -> TermVector:
     """Pointwise product of term vectors over their shared context terms.
 
-    Context terms absent from any constituent vector drop out (product
-    with an implicit zero), so the result lives on the intersection
-    support.  Commutative and associative up to float rounding.
+    The product is itself a TermVector, labelled with the constituent
+    terms joined by spaces.  Context terms absent from any constituent
+    vector drop out (product with an implicit zero), so the result lives
+    on the intersection support.  Commutative and associative up to float
+    rounding.
     """
     if not vectors:
         raise ValueError("compose_query_vector requires at least one term vector")
@@ -176,10 +174,10 @@ def compose_query_vector(vectors: Sequence[TermVector]) -> QueryVector:
     for tv in vectors[1:]:
         keys &= set(tv.weights)
     weights = {k: math.prod(tv.weights[k] for tv in vectors) for k in keys}
-    return QueryVector(terms=tuple(tv.term for tv in vectors), weights=weights)
+    return TermVector(term=" ".join(tv.term for tv in vectors), weights=weights)
 
 
-def cosine_distance(u: QueryVector, v: QueryVector) -> Tuple[float, bool]:
+def cosine_distance(u: TermVector, v: TermVector) -> Tuple[float, bool]:
     """1 - cosine similarity over the union support; range [0, 2].
 
     Rounding can carry the cosine just past +-1, so the distance is

@@ -384,6 +384,39 @@ class TestRunCommand:
         )
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("q01\nq99\n", "2: qid 'q99' is not in the query batch"),
+            ("q01 extra\n", "1: expected one qid, got 'q01 extra'"),
+        ],
+    )
+    def test_bad_selected_line_rejected_before_ranking(
+        self, retrieval_paths, tmp_path, capsys, monkeypatch, lines, message
+    ):
+        def no_rank(*args, **kwargs):
+            raise AssertionError("queries ranked before the selected file was checked")
+
+        monkeypatch.setattr("termdep.cli.rank", no_rank)
+        selected = tmp_path / "sel.txt"
+        selected.write_text(lines)
+        out = tmp_path / "sel.run"
+        code = main(
+            [
+                "run",
+                *base_flags(retrieval_paths),
+                "--mode",
+                "selective",
+                "--selected",
+                str(selected),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {selected}:{message}"]
+        assert not out.exists()
+
     def test_selective_needs_selection_source(self, planted_paths, tmp_path, capsys, monkeypatch):
         forbid_loading_and_scoring(monkeypatch)
         code = main(
@@ -1112,6 +1145,34 @@ class TestFigureDataCommand:
             "error: --sweep expects THETA=RUNFILE with a non-negative integer THETA,"
             f" got {item!r}"
         ]
+        assert not out.exists()
+
+    def test_repeated_sweep_theta_rejected_before_any_output(
+        self, retrieval_paths, mode_runs, tmp_path, capsys, monkeypatch
+    ):
+        # Two rows for one theta would leave sweep.csv no function of theta.
+        def no_read(path):
+            raise AssertionError("a file was read before --sweep was checked")
+
+        monkeypatch.setattr("termdep.cli.read_run", no_read)
+        monkeypatch.setattr("termdep.cli.load_qrels", no_read)
+        out = tmp_path / "fig"
+        code = main(
+            [
+                "figure-data",
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--sweep",
+                f"5={mode_runs['bow']}",
+                "--sweep",
+                f"05={mode_runs['fd']}",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --sweep gives THETA 5 more than once"]
         assert not out.exists()
 
     def test_unreadable_sweep_run_leaves_no_output(

@@ -7,7 +7,6 @@ from termdep.langmodel import (
     SmoothedLM,
     aligned_probs,
     combine_columns,
-    freq_of_freq,
     kld,
     kld_lists,
     laplace_column,
@@ -24,25 +23,6 @@ def random_counts(rng, max_vocab=30, max_count=12):
     # Keep at least one hapax so simple Good-Turing stays applicable.
     counts[vocab[0]] = 1
     return counts
-
-
-class TestFreqOfFreq:
-    def test_hand_table(self):
-        table = freq_of_freq({"a": 3, "b": 1, "c": 1})
-        assert table.ff == {1: 2, 3: 1}
-        assert table.c_q == 5
-        assert table.ff_1 == 2
-
-    def test_mass_identity(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            counts = random_counts(rng)
-            table = freq_of_freq(counts)
-            assert sum(r * n for r, n in table.ff.items()) == table.c_q
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            freq_of_freq({"a": 0})
 
 
 class TestLaplace:
@@ -140,6 +120,12 @@ class TestSimpleGoodTuring:
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
             sgt_lm({})
+
+    def test_zero_count_rejected(self):
+        # With or without a hapax beside it, a zero count is not a count.
+        for counts in ({"a": 0}, {"a": 1, "b": 0, "c": 2}):
+            with pytest.raises(ValueError, match="counts must be >= 1, got 0"):
+                sgt_lm(counts)
 
 
 class TestAlignedProbs:

@@ -40,7 +40,12 @@ READERS = {
     ),
     "selected": (
         ["q1", "q2", "q3"],
-        lambda path: _selection_for(SimpleNamespace(selected=path), None, None, None),
+        lambda path: _selection_for(
+            SimpleNamespace(selected=path),
+            None,
+            [SimpleNamespace(qid=qid) for qid in ("q1", "q2", "q3")],
+            None,
+        ),
     ),
 }
 

@@ -191,7 +191,7 @@ class TestScoreBatch:
     def poison_red(monkeypatch, error):
         # The divergence kernel raises `error` for queries holding "red".
         def cosine(u, v):
-            if "red" in u.terms:
+            if "red" in u.term.split():
                 raise error("poisoned kernel")
             return cosine_distance(u, v)
 

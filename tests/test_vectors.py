@@ -6,7 +6,6 @@ import pytest
 from termdep.corpus import Document, PositionalIndex
 from termdep.vectors import (
     SCHEMES,
-    QueryVector,
     TermVector,
     build_term_vector,
     compose_query_vector,
@@ -173,7 +172,7 @@ class TestComposeQueryVector:
         v = TermVector("t2", {"a": 4.0, "c": 5.0})
         qv = compose_query_vector([u, v])
         assert qv.weights == {"a": 8.0}
-        assert qv.terms == ("t1", "t2")
+        assert qv.term == "t1 t2"
 
     def test_single_vector_identity(self):
         u = TermVector("t1", {"a": 2.0})
@@ -210,7 +209,7 @@ class TestComposeQueryVector:
 
 class TestCosineDistance:
     def test_self_distance_zero(self):
-        u = QueryVector(("t",), {"a": 1.0, "b": 2.0})
+        u = TermVector("t", {"a": 1.0, "b": 2.0})
         d, degenerate = cosine_distance(u, u)
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
         assert not degenerate
@@ -218,36 +217,36 @@ class TestCosineDistance:
     def test_rounding_clamped_at_zero(self):
         # Unclamped, 1 - dot/(|u||v|) for this vector against itself is
         # -2.2e-16: the rounded norm product falls just short of the dot.
-        u = QueryVector(("t",), {"a": 0.5, "b": 0.3})
+        u = TermVector("t", {"a": 0.5, "b": 0.3})
         assert cosine_distance(u, u) == (0.0, False)
 
     def test_disjoint_supports_orthogonal(self):
-        u = QueryVector(("t",), {"a": 1.0})
-        v = QueryVector(("t",), {"b": 1.0})
+        u = TermVector("t", {"a": 1.0})
+        v = TermVector("t", {"b": 1.0})
         assert cosine_distance(u, v) == (1.0, False)
 
     def test_hand_value(self):
-        u = QueryVector(("t",), {"a": 1.0, "b": 1.0})
-        v = QueryVector(("t",), {"a": 1.0})
+        u = TermVector("t", {"a": 1.0, "b": 1.0})
+        v = TermVector("t", {"a": 1.0})
         d, _ = cosine_distance(u, v)
         np.testing.assert_allclose(d, 1.0 - 1.0 / math.sqrt(2))
 
     def test_zero_norm_falls_back_to_one(self):
-        u = QueryVector(("t",), {})
-        v = QueryVector(("t",), {"a": 1.0})
+        u = TermVector("t", {})
+        v = TermVector("t", {"a": 1.0})
         assert cosine_distance(u, v) == (1.0, True)
-        assert cosine_distance(v, QueryVector(("t",), {"a": 0.0})) == (1.0, True)
+        assert cosine_distance(v, TermVector("t", {"a": 0.0})) == (1.0, True)
 
     def test_random_pairs_match_reference_and_stay_in_range(self):
         rng = np.random.default_rng(17)
         keys = [f"k{i}" for i in range(10)]
         for _ in range(500):
-            u = QueryVector(
-                ("t",),
+            u = TermVector(
+                "t",
                 {k: float(rng.normal()) for k in rng.choice(keys, 4, replace=False)},
             )
-            v = QueryVector(
-                ("t",),
+            v = TermVector(
+                "t",
                 {k: float(rng.normal()) for k in rng.choice(keys, 4, replace=False)},
             )
             d_uv, _ = cosine_distance(u, v)
@@ -255,6 +254,6 @@ class TestCosineDistance:
             np.testing.assert_allclose(d_uv, ref_cosine_distance(u.weights, v.weights), atol=1e-9)
             np.testing.assert_allclose(d_uv, d_vu, atol=1e-12)
             assert 0.0 <= d_uv <= 2.0 + 1e-12
-            scaled = QueryVector(("t",), {k: 3.5 * w for k, w in u.weights.items()})
+            scaled = TermVector("t", {k: 3.5 * w for k, w in u.weights.items()})
             d_scaled, _ = cosine_distance(scaled, v)
             np.testing.assert_allclose(d_scaled, d_uv, atol=1e-9)
