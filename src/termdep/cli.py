@@ -5,6 +5,10 @@ fixture.  Every subcommand is deterministic and idempotent: rerunning
 with the same inputs rewrites byte-identical outputs.  Failures exit 2
 with a single `error:` line on stderr; argument errors are caught before
 any input is read.  Only argparse's own usage errors keep its message.
+Outputs are replaced through a temporary file in the target's directory
+(corpus.write_lines), which must be writable; symlinks, devices and
+hard-linked files are written in place.  Nothing is fsynced, and a crash
+between the unlink and the rename can leave an output absent.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .corpus import (
     PositionalIndex,
@@ -22,6 +26,7 @@ from .corpus import (
     load_queries,
     load_stopwords,
     read_lines,
+    write_lines,
 )
 from .evaluation import (
     MEASURES,
@@ -49,13 +54,12 @@ DEFAULT_MU_GRID = (100.0, 500.0, 800.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0, 
 DEFAULT_THETA_GRID = tuple(range(1, 46))
 
 
-def _write_scores_csv(scores: Sequence[NcdScore], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("qid,variant,n_q,scoreable,divergences\n")
-        for s in scores:
-            n_q = f"{s.n_q:.12g}" if s.n_q is not None else ""
-            tail = ",".join(f"{d:.12g}" for d in s.divergences)
-            fh.write(f"{s.qid},{s.variant},{n_q},{str(s.scoreable).lower()},{tail}\n")
+def _scores_csv(scores: Sequence[NcdScore]) -> Iterator[str]:
+    yield "qid,variant,n_q,scoreable,divergences\n"
+    for s in scores:
+        n_q = f"{s.n_q:.12g}" if s.n_q is not None else ""
+        tail = ",".join(f"{d:.12g}" for d in s.divergences)
+        yield f"{s.qid},{s.variant},{n_q},{str(s.scoreable).lower()},{tail}\n"
 
 
 def _check_theta(theta: Optional[int]) -> None:
@@ -77,9 +81,7 @@ def _check_tag(tag: str) -> None:
 
 
 def _write_json(payload: object, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
@@ -134,13 +136,11 @@ def _cmd_score(args) -> int:
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
     )
-    _write_scores_csv(scores, args.out)
+    write_lines(args.out, _scores_csv(scores))
     if args.theta is not None:
         selected, diagnostics = select_dependent(scores, args.theta)
         sel_path = os.path.join(os.path.dirname(args.out) or ".", "selected.txt")
-        with open(sel_path, "w", encoding="utf-8") as fh:
-            for qid in selected:
-                fh.write(qid + "\n")
+        write_lines(sel_path, (qid + "\n" for qid in selected))
         for d in diagnostics:
             print(d, file=sys.stderr)
     return 0
@@ -290,15 +290,15 @@ def _cmd_figure_data(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     if compare:
-        with open(os.path.join(args.out, "delta.csv"), "w", encoding="utf-8") as fh:
-            fh.write(f"qid,delta_{args.measure}\n")
-            for qid, delta in deltas:
-                fh.write(f"{qid},{delta:.6f}\n")
+        write_lines(
+            os.path.join(args.out, "delta.csv"),
+            [f"qid,delta_{args.measure}\n", *(f"{qid},{delta:.6f}\n" for qid, delta in deltas)],
+        )
     if sweep:
-        with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write(f"theta,mean_{args.measure}\n")
-            for theta, value in rows:
-                fh.write(f"{theta},{value:.6f}\n")
+        write_lines(
+            os.path.join(args.out, "sweep.csv"),
+            [f"theta,mean_{args.measure}\n", *(f"{theta},{value:.6f}\n" for theta, value in rows)],
+        )
     return 0
 
 

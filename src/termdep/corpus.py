@@ -11,10 +11,12 @@ exact ordered phrase matching reads positions of the few terms it needs.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 
 class _Separators(dict):
@@ -81,6 +83,47 @@ def read_lines(path: str) -> Iterator[Tuple[int, str]]:
                 raise ValueError(f"{path}:{lineno}: line is not valid UTF-8") from None
             if not line.isspace():
                 yield lineno, line.rstrip("\n")
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write the strings `lines`, in order, to `path` as UTF-8, replacing any file there whole.
+
+    Every output file is written here.  The lines go to a new file beside
+    `path`, which then takes the path's place: the old file is unlinked, not
+    truncated, and the path never holds a partial file.  If anything raises,
+    the new file is removed and the old one is left as it was.  A replaced
+    file keeps its mode, and a new one gets 0o666 less the umask, as with
+    open(path, "w").  A path that is not a regular file with one link (a
+    symlink, a device, a FIFO, a hard-linked file) is written in place.
+    Nothing is fsynced.
+    """
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        return
+    head, name = os.path.split(path)
+    fresh = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(fresh, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # Name the output asked for, not the temporary file.
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        if old is not None:
+            os.chmod(fresh, stat.S_IMODE(old.st_mode))
+            # Unlinking first, then renaming onto a free name, spares the flush
+            # that some file systems make when a file is truncated or renamed over.
+            os.unlink(path)
+        os.rename(fresh, path)
+    except BaseException:
+        os.unlink(fresh)
+        raise
 
 
 def _has_whitespace(identifier: str) -> bool:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .corpus import read_lines
+from .corpus import read_lines, write_lines
 from .retrieval import RankedRun
 
 MEASURES = ("map", "ndcg10", "p10")
@@ -136,16 +136,16 @@ def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
 
 def write_metric_report(report: MetricReport, path: str) -> None:
     """CSV rows `qid,map,ndcg10,p10` with a closing `all` summary row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("qid,map,ndcg10,p10\n")
-        for qid in sorted(report.per_query):
-            row = report.per_query[qid]
-            fh.write(f"{qid},{row['map']:.6f},{row['ndcg10']:.6f},{row['p10']:.6f}\n")
-        fh.write(
-            "all,{:.6f},{:.6f},{:.6f}\n".format(
-                report.means["map"], report.means["ndcg10"], report.means["p10"]
-            )
+    lines = ["qid,map,ndcg10,p10\n"]
+    for qid in sorted(report.per_query):
+        row = report.per_query[qid]
+        lines.append(f"{qid},{row['map']:.6f},{row['ndcg10']:.6f},{row['p10']:.6f}\n")
+    lines.append(
+        "all,{:.6f},{:.6f},{:.6f}\n".format(
+            report.means["map"], report.means["ndcg10"], report.means["p10"]
         )
+    )
+    write_lines(path, lines)
 
 
 @dataclass(frozen=True)

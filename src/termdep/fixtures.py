@@ -26,6 +26,8 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from .corpus import write_lines
+
 
 @dataclass
 class Fixture:
@@ -45,18 +47,19 @@ class Fixture:
             "lexicon": os.path.join(out_dir, "lexicon.tsv"),
             "qrels": os.path.join(out_dir, "qrels.txt"),
         }
-        with open(paths["corpus"], "w", encoding="utf-8") as fh:
-            for doc_id, text in self.docs:
-                fh.write(json.dumps({"doc_id": doc_id, "text": text}) + "\n")
-        with open(paths["queries"], "w", encoding="utf-8") as fh:
-            for qid, text in self.queries:
-                fh.write(f"{qid}\t{text}\n")
-        with open(paths["lexicon"], "w", encoding="utf-8") as fh:
-            for head, synonyms in self.lexicon.items():
-                fh.write(f"{head}\t{','.join(synonyms)}\n")
-        with open(paths["qrels"], "w", encoding="utf-8") as fh:
-            for (qid, doc_id), grade in self.qrels.items():
-                fh.write(f"{qid} 0 {doc_id} {grade}\n")
+        write_lines(
+            paths["corpus"],
+            (json.dumps({"doc_id": doc_id, "text": text}) + "\n" for doc_id, text in self.docs),
+        )
+        write_lines(paths["queries"], (f"{qid}\t{text}\n" for qid, text in self.queries))
+        write_lines(
+            paths["lexicon"],
+            (f"{head}\t{','.join(synonyms)}\n" for head, synonyms in self.lexicon.items()),
+        )
+        write_lines(
+            paths["qrels"],
+            (f"{qid} 0 {doc_id} {grade}\n" for (qid, doc_id), grade in self.qrels.items()),
+        )
         return paths
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .corpus import PositionalIndex, Query, phrase_occurrences, read_lines
+from .corpus import PositionalIndex, Query, phrase_occurrences, read_lines, write_lines
 
 MODES = ("bow", "sd", "fd", "selective")
 
@@ -214,10 +214,14 @@ def rank_mu_grid(
 
 def write_run(run: RankedRun, path: str, tag: str) -> None:
     """Write TREC run rows `qid Q0 doc_id rank score tag`, 6-decimal scores."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, entries in run.results.items():
-            for rank_pos, (doc_id, score) in enumerate(entries, start=1):
-                fh.write(f"{qid} Q0 {doc_id} {rank_pos} {score:.6f} {tag}\n")
+    write_lines(
+        path,
+        (
+            f"{qid} Q0 {doc_id} {rank_pos} {score:.6f} {tag}\n"
+            for qid, entries in run.results.items()
+            for rank_pos, (doc_id, score) in enumerate(entries, start=1)
+        ),
+    )
 
 
 def read_run(path: str) -> RankedRun:

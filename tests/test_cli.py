@@ -1200,3 +1200,43 @@ class TestFigureDataCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}:1: expected 6 whitespace-separated fields"]
         assert not out.exists()
+
+
+class TestRerunIntoSameDirectory:
+    def test_outputs_replaced_byte_identical(self, retrieval_paths, tmp_path):
+        # The second pass replaces every output the first pass wrote: each
+        # must come back byte-identical, and no temporary file may be left.
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = base_flags(retrieval_paths)
+        lexicon = ["--lexicon", retrieval_paths["lexicon"]]
+        qrels = ["--qrels", retrieval_paths["qrels"]]
+        calls = [
+            ["score", *inputs, *lexicon, "--variant", "vector:tfidf", "--theta", "10",
+             "--out", str(out / "scores.csv")],
+            ["run", *inputs, "--mode", "bow", "--out", str(out / "bow.run")],
+            ["run", *inputs, "--mode", "selective", "--selected", str(out / "selected.txt"),
+             "--out", str(out / "sel.run")],
+            ["eval", "--run", str(out / "sel.run"), *qrels, "--out", str(out / "sel.csv")],
+            ["tune", *inputs, *lexicon, *qrels, "--mu-grid", "1000", "2000",
+             "--theta-grid", "0", "10", "--out", str(out / "tune.json")],
+            ["figure-data", *qrels, "--run-a", str(out / "sel.run"), "--run-b",
+             str(out / "bow.run"), "--sweep", f"10={out / 'sel.run'}", "--out", str(out / "fig")],
+        ]
+
+        def tree():
+            return {
+                str(path.relative_to(out)): path.read_bytes() if path.is_file() else None
+                for path in sorted(out.rglob("*"))
+            }
+
+        for argv in calls:
+            assert main(argv) == 0
+        first = tree()
+        assert sorted(first) == [
+            "bow.run", "fig", "fig/delta.csv", "fig/sweep.csv", "scores.csv", "sel.csv",
+            "sel.run", "selected.txt", "tune.json",
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        assert tree() == first

@@ -88,18 +88,25 @@ def test_whitespace_only_lines_skipped(reader, tmp_path):
     assert load(write(tmp_path / "padded", padded)) == load(write(tmp_path / "plain", lines))
 
 
+# os.open flags that open a file for writing.
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
 def writes(node):
-    """Whether an argument is a mode string that opens for writing."""
-    mode = node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
-    return set(mode) <= set("rwxabt+") and bool(set(mode) & set("wax"))
+    """Whether an argument is a mode string or os.open flags that open for writing."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        mode = node.value
+        return set(mode) <= set("rwxabt+") and bool(set(mode) & set("wax+"))
+    return any(getattr(n, "attr", getattr(n, "id", None)) in WRITE_FLAGS for n in ast.walk(node))
 
 
-def reads(path):
-    """(enclosing function, line) of each call in a module that opens a file for reading.
+def opens(path):
+    """(enclosing function, line, whether it writes) of each call in a module that opens a file.
 
-    open(), io.open() and a path's .open() read unless an argument or their
-    mode keyword is a writing mode string; .read_text() and .read_bytes()
-    always read.
+    open(), io.open(), os.open() and a path's .open() write when an argument
+    or their mode keyword is a writing mode string or writing os.open flags,
+    and read otherwise; .read_text() and .read_bytes() read, .write_text() and
+    .write_bytes() write.
     """
     found = []
 
@@ -111,15 +118,22 @@ def reads(path):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                arguments = child.args[:2] + [kw.value for kw in child.keywords if kw.arg == "mode"]
-                if name in ("read_text", "read_bytes") or (
-                    name == "open" and not any(writes(arg) for arg in arguments)
-                ):
-                    found.append((function, child.lineno))
+                arguments = child.args[:2] + [
+                    kw.value for kw in child.keywords if kw.arg in ("mode", "flags")
+                ]
+                if name in ("read_text", "read_bytes", "write_text", "write_bytes"):
+                    found.append((function, child.lineno, name.startswith("write")))
+                elif name == "open":
+                    found.append((function, child.lineno, any(writes(arg) for arg in arguments)))
             visit(child, function)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
     return found
+
+
+def reads(path):
+    """(enclosing function, line) of each call in a module that opens a file for reading."""
+    return [(function, line) for function, line, write in opens(path) if not write]
 
 
 def test_read_lines_opens_a_file():
