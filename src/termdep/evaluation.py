@@ -26,12 +26,14 @@ MEASURES = ("map", "ndcg10", "p10")
 class Qrels:
     """(qid, doc_id) -> relevance grade; negative input grades clamp to 0.
 
-    The per-qid map of relevant documents is built from judgments at
-    construction, so judgments must be complete before Qrels is made.
+    The per-qid map of relevant documents and each qid's ideal DCG@10 are
+    built from judgments at construction, so judgments must be complete
+    before Qrels is made.
     """
 
     judgments: Dict[Tuple[str, str], int] = field(default_factory=dict)
     _relevant: Dict[str, Dict[str, int]] = field(init=False, repr=False, compare=False)
+    _ideal_dcg: Dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._relevant = {}
@@ -39,6 +41,7 @@ class Qrels:
             by_doc = self._relevant.setdefault(qid, {})
             if grade > 0:
                 by_doc[doc_id] = grade
+        self._ideal_dcg = {qid: _ideal_dcg(rel) for qid, rel in self._relevant.items()}
 
     def grade(self, qid: str, doc_id: str) -> int:
         return self.judgments.get((qid, doc_id), 0)
@@ -48,6 +51,10 @@ class Qrels:
 
     def relevant_docs(self, qid: str) -> Dict[str, int]:
         return dict(self._relevant.get(qid, {}))
+
+    def ideal_dcg(self, qid: str) -> float:
+        """DCG@10 of the best ranking of qid's relevant documents; 0.0 if it has none."""
+        return self._ideal_dcg.get(qid, 0.0)
 
 
 def load_qrels(path: str) -> Qrels:
@@ -92,16 +99,17 @@ def _precision_at_10(ranked: Sequence[str], relevant: Dict[str, int]) -> float:
     return sum(1 for doc_id in ranked[:10] if doc_id in relevant) / 10.0
 
 
-def _ndcg_at_10(ranked: Sequence[str], relevant: Dict[str, int]) -> float:
+def _ideal_dcg(relevant: Dict[str, int]) -> float:
+    ideal = sorted(relevant.values(), reverse=True)[:10]
+    return sum((2**grade - 1) / math.log2(i + 1) for i, grade in enumerate(ideal, start=1))
+
+
+def _ndcg_at_10(ranked: Sequence[str], relevant: Dict[str, int], idcg: float) -> float:
     dcg = 0.0
     for i, doc_id in enumerate(ranked[:10], start=1):
         grade = relevant.get(doc_id, 0)
         if grade > 0:
             dcg += (2**grade - 1) / math.log2(i + 1)
-    ideal = sorted(relevant.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    idcg = sum(
-        (2**grade - 1) / math.log2(i + 1) for i, (_, grade) in enumerate(ideal, start=1)
-    )
     return dcg / idcg
 
 
@@ -126,7 +134,7 @@ def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
         report.per_query[qid] = {
             "map": _average_precision(ranked, relevant),
             "p10": _precision_at_10(ranked, relevant),
-            "ndcg10": _ndcg_at_10(ranked, relevant),
+            "ndcg10": _ndcg_at_10(ranked, relevant, qrels.ideal_dcg(qid)),
         }
     for measure in MEASURES:
         rows = [m[measure] for m in report.per_query.values()]

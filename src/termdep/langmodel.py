@@ -7,6 +7,13 @@ combination of its per-term models under one of four rules; query and
 perturbation models share the union vocabulary of both phrases' context
 windows, so every divergence is computed over a common, strictly positive
 event space.
+
+A comparison lays every column out on one word -> slot map (slot_map), in
+whatever order its vocabulary iterates, and fills in only each term's
+seen words.  No value depends on that order: each is computed per word,
+or is an exactly rounded sum (math.fsum, or one `+` of two floats), so
+any order gives the very same floats.  The builtin sum is never used on
+floats here, since its rounding changed in Python 3.12.
 """
 
 from __future__ import annotations
@@ -14,10 +21,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 SMOOTHINGS = ("laplace", "sgt")
 COMBINATIONS = ("qsum", "qavg", "mult", "median")
+
+# A comparison's word -> column slot map (see slot_map), and what the column
+# builders accept as a vocabulary: distinct words in column order, or their
+# slot map.
+Slots = Dict[str, int]
+Vocabulary = Union[Sequence[str], Slots]
 
 
 @dataclass
@@ -49,33 +62,65 @@ def laplace_lm(counts: Dict[str, int], vocabulary: Iterable[str]) -> SmoothedLM:
     distribution sum to exactly 1 over the vocabulary, and any word beyond
     it gets unseen_prob = 1/(C + V).
     """
-    vocab = sorted(set(vocabulary))
-    prob = dict(zip(vocab, _laplace_values(counts, vocab)))
+    vocab = set(vocabulary)
+    denom = _laplace_denominator(counts, vocab)
     return SmoothedLM(
         method="laplace",
-        prob=prob,
+        prob={w: (counts.get(w, 0) + 1) / denom for w in sorted(vocab)},
         unseen_mass=0.0,
-        unseen_prob=1.0 / (sum(counts.values()) + len(vocab)),
+        unseen_prob=1.0 / denom,
     )
 
 
-def _laplace_values(counts: Dict[str, int], vocabulary: Sequence[str]) -> List[float]:
-    """(c_w + 1)/(C + V) for each word of an ordered vocabulary of distinct words."""
+def _laplace_denominator(counts: Dict[str, int], vocabulary: Collection[str]) -> int:
+    """C + V, once the vocabulary is known to be non-empty and to cover the counts."""
     if not vocabulary:
         raise ValueError("laplace_lm requires a non-empty vocabulary")
-    missing = counts.keys() - vocabulary
-    if missing:
+    if not counts.keys() <= vocabulary:
+        missing = counts.keys() - set(vocabulary)
         raise ValueError(f"vocabulary must cover counts; missing {sorted(missing)[:3]}")
-    denom = sum(counts.values()) + len(vocabulary)
-    return [(counts.get(w, 0) + 1) / denom for w in vocabulary]
+    return sum(counts.values()) + len(vocabulary)
 
 
-def laplace_column(counts: Dict[str, int], vocabulary: Sequence[str]) -> List[float]:
+def slot_map(vocabulary: Iterable[str]) -> Slots:
+    """Each word's slot in a comparison's columns, numbered in iteration order.
+
+    Raises ValueError on a repeated word: a column has one slot per word.
+    """
+    words = list(vocabulary)
+    slots = dict(zip(words, range(len(words))))
+    if len(slots) != len(words):
+        raise ValueError("vocabulary words must be distinct")
+    return slots
+
+
+def _slots(vocabulary: Vocabulary) -> Slots:
+    return vocabulary if isinstance(vocabulary, dict) else slot_map(vocabulary)
+
+
+def _filled(
+    slots: Slots, fill: float, words: Iterable[str], values: Iterable[float]
+) -> List[float]:
+    """The one column builder: `fill` in every slot, then each seen word's value in its own.
+
+    Only a term's seen words are visited, never the whole vocabulary.
+    """
+    column = [fill] * len(slots)
+    for i, v in zip(map(slots.__getitem__, words), values):
+        column[i] = v
+    return column
+
+
+def laplace_column(counts: Dict[str, int], vocabulary: Vocabulary) -> List[float]:
     """aligned_probs(laplace_lm(counts, vocabulary), vocabulary), built directly.
 
-    `vocabulary` holds distinct words, in the order of the returned column.
+    `vocabulary` holds distinct words in the order of the returned column,
+    or is their slot_map.
     """
-    return _renormalized(_laplace_values(counts, vocabulary))
+    slots = _slots(vocabulary)
+    denom = _laplace_denominator(counts, slots.keys())
+    values = [(c + 1) / denom for c in counts.values()]
+    return _renormalized(_filled(slots, 1 / denom, counts, values))
 
 
 def _gale_sampson_smoother(ff: Dict[int, int]):
@@ -157,24 +202,28 @@ def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
     )
 
 
-def aligned_probs(model: SmoothedLM, vocabulary: Sequence[str]) -> List[float]:
-    """Model probabilities over an ordered comparison vocabulary.
+def aligned_probs(model: SmoothedLM, vocabulary: Vocabulary) -> List[float]:
+    """Model probabilities over a comparison vocabulary.
 
-    Out-of-vocabulary words share the model's unseen reserve (split evenly
-    for the Good-Turing reserve, per-word add-one mass for Laplace); the
-    aligned vector is renormalized so it is a proper distribution over
-    exactly this vocabulary.
+    `vocabulary` holds distinct words in the order of the returned column,
+    or is their slot_map.  Seen words outside it are ignored.  The words
+    the model has not seen share its unseen reserve: split evenly for the
+    Good-Turing reserve, unseen_prob each for a Laplace model (such as
+    sgt_lm's fallback).  The aligned vector is renormalized so it is a
+    proper distribution over exactly this vocabulary.
     """
-    return _renormalized(_aligned_values(model, vocabulary))
+    return _renormalized(_aligned_values(model, _slots(vocabulary)))
 
 
-def _aligned_values(model: SmoothedLM, vocabulary: Sequence[str]) -> List[float]:
-    values = list(map(model.prob.get, vocabulary))
-    n_unseen = values.count(None)
-    if n_unseen:
-        fill = model.unseen_mass / n_unseen if model.method == "sgt" else model.unseen_prob
-        values = [fill if v is None else v for v in values]
-    return values
+def _aligned_values(model: SmoothedLM, slots: Slots) -> List[float]:
+    prob = model.prob
+    words = prob if prob.keys() <= slots.keys() else [w for w in prob if w in slots]
+    n_unseen = len(slots) - len(words)
+    if model.method == "sgt" and n_unseen:
+        fill = model.unseen_mass / n_unseen
+    else:
+        fill = model.unseen_prob
+    return _filled(slots, fill, words, map(prob.__getitem__, words))
 
 
 def _renormalized(values: Sequence[float]) -> List[float]:
@@ -201,52 +250,89 @@ def _quantile_band(values: Sequence[float]) -> Tuple[float, float]:
     return at(0.25), at(0.75)
 
 
-def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
-    """Merge aligned per-term distributions (one list per term) into one.
+def combination_input(column: List[float], method: str) -> List[float]:
+    """What combine_inputs reads of one aligned column under `method`.
 
-    qsum / qavg: a column contributes a word's value only when that value
-    lies inside the column's own interquartile band (outlier suppression);
-    per-word contributions are summed or averaged, and words left with no
-    contributor get the smallest positive combined value.  mult multiplies
-    per-word values; median takes the per-word median.  The result is
-    renormalized to sum to 1.
+    For qsum and qavg it is the column with every value outside the
+    column's own inclusive [Q1, Q3] band set to 0.0 (outlier suppression).
+    Q1 must be positive, so 0.0 marks exactly the words the column does
+    not contribute.  For mult and median it is the column itself.  A
+    comparison computes it once per term and shares it between its two
+    phrases.
     """
     if method not in COMBINATIONS:
         raise ValueError(f"unknown combination method {method!r}")
-    if not columns:
-        raise ValueError("combine_columns requires at least one column")
-    if not all(columns):
+    if not column:
         raise ValueError("combination vocabulary is empty")
+    if method in ("mult", "median"):
+        return column
+    q1, q3 = _quantile_band(column)
+    if q1 <= 0.0:
+        raise ValueError(f"quantile combination needs a positive band, got Q1 = {q1!r}")
+    return [v if q1 <= v <= q3 else 0.0 for v in column]
+
+
+def combine_inputs(inputs: Sequence[List[float]], method: str) -> List[float]:
+    """Merge per-term combination_input columns (one per term) into one distribution.
+
+    qsum sums each word's contributions and qavg averages them; a word
+    left with no contributor gets the smallest positive combined value.
+    mult multiplies per-word values; median takes the per-word median.
+    The result is renormalized to sum to 1.
+    """
+    if method not in COMBINATIONS:
+        raise ValueError(f"unknown combination method {method!r}")
+    if not inputs:
+        raise ValueError("combination requires at least one column")
+    if not all(inputs):
+        raise ValueError("combination vocabulary is empty")
+    if len(set(map(len, inputs))) > 1:
+        raise ValueError(f"columns differ in length: {sorted(set(map(len, inputs)))}")
     if method == "mult":
-        combined = list(map(math.prod, zip(*columns)))
+        combined = list(map(math.prod, zip(*inputs)))
     elif method == "median":
         combined = []
-        for row in zip(*columns):
+        for row in zip(*inputs):
             vals = sorted(row)
             mid = len(vals) // 2
             combined.append(
                 vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2.0
             )
     else:
-        bands = [_quantile_band(col) for col in columns]
-        # An outside value counts as 0.0, which leaves the exactly rounded
-        # fsum of the contributions unchanged.
-        masked = [
-            [v if q1 <= v <= q3 else 0.0 for v in col] for col, (q1, q3) in zip(columns, bands)
-        ]
-        combined = list(map(math.fsum, zip(*masked)))
-        if method == "qavg":
-            inside = [[q1 <= v <= q3 for v in col] for col, (q1, q3) in zip(columns, bands)]
+        # A left-out value is 0.0, which leaves the exactly rounded sum of
+        # the contributions unchanged.  One IEEE addition is exactly
+        # rounded too, so a row of two takes one `+` instead of fsum.
+        # Contributions are positive, so a row sums to 0.0 exactly when it
+        # has no contributor, and a nonzero value counts one.
+        rows = zip(*inputs)
+        if len(inputs) == 2:
+            if method == "qsum":
+                combined = [a + b for a, b in rows]
+            else:
+                combined = [(a + b) / 2 if a and b else a + b for a, b in rows]
+        elif method == "qsum":
+            combined = list(map(math.fsum, rows))
+        else:
+            m = len(inputs)
             combined = [
-                total / n if n else 0.0 for total, n in zip(combined, map(sum, zip(*inside)))
+                math.fsum(row) / (m - row.count(0.0)) if any(row) else 0.0 for row in rows
             ]
-        positive = [v for v in combined if v > 0.0]
-        if not positive:
-            raise ValueError("quantile combination produced no contributions")
-        floor = min(positive)
-        combined = [v if v > 0.0 else floor for v in combined]
+        if 0.0 in combined:
+            # No value is negative, so the nonzero ones are the positive ones.
+            floor = min(filter(None, combined), default=0.0)
+            if not floor:
+                raise ValueError("quantile combination produced no contributions")
+            combined = [v or floor for v in combined]
     total = math.fsum(combined)
     return [v / total for v in combined]
+
+
+def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
+    """Merge aligned per-term distributions (one list per term) into one.
+
+    combine_inputs over each column's combination_input; see both.
+    """
+    return combine_inputs([combination_input(c, method) for c in columns], method)
 
 
 def kld(p: SmoothedLM, q: SmoothedLM, vocabulary: Optional[Iterable[str]] = None) -> float:
@@ -260,7 +346,8 @@ def kld(p: SmoothedLM, q: SmoothedLM, vocabulary: Optional[Iterable[str]] = None
         vocab = sorted(p.vocabulary | q.vocabulary)
     else:
         vocab = sorted(set(vocabulary))
-    return kld_lists(_aligned_values(p, vocab), _aligned_values(q, vocab))
+    slots = slot_map(vocab)
+    return kld_lists(_aligned_values(p, slots), _aligned_values(q, slots))
 
 
 def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
@@ -270,10 +357,11 @@ def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
     comparison vocabulary does.  Rounding can take the sum of a near-equal
     pair just below 0; KL divergence is non-negative, so it is clamped.
     """
+    if len(p) != len(q):
+        raise ValueError(f"p and q differ in length: {len(p)} and {len(q)}")
     pp = _renormalized(p)
     qq = _renormalized(q)
     for name, vals in (("p", pp), ("q", qq)):
-        for v in vals:
-            if v <= 0.0:
-                raise ValueError(f"{name} assigns non-positive probability")
+        if min(vals) <= 0.0:
+            raise ValueError(f"{name} assigns non-positive probability")
     return max(0.0, math.fsum([a * math.log(a / b) for a, b in zip(pp, qq)]))

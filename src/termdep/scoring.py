@@ -22,11 +22,14 @@ from .corpus import PositionalIndex, Query
 from .langmodel import (
     COMBINATIONS,
     SMOOTHINGS,
+    Slots,
     aligned_probs,
-    combine_columns,
+    combination_input,
+    combine_inputs,
     kld_lists,
     laplace_column,
     sgt_lm,
+    slot_map,
 )
 from .perturb import Perturbation, SynonymLexicon, perturb
 from .vectors import SCHEMES, build_term_vector, compose_query_vector, cosine_distance
@@ -129,10 +132,10 @@ def _lm_prepare(
 ) -> Callable[[Query], Divergence]:
     sgt = cache(lambda term: sgt_lm(windows(term).window_cf))
 
-    def column(term: str, vocab: List[str]) -> List[float]:
+    def column(term: str, slots: Slots) -> List[float]:
         if smoothing == "laplace":
-            return laplace_column(windows(term).window_cf, vocab)
-        return aligned_probs(sgt(term), vocab)
+            return laplace_column(windows(term).window_cf, slots)
+        return aligned_probs(sgt(term), slots)
 
     def prepare(query: Query) -> Divergence:
         query_vocab: Set[str] = set()
@@ -142,13 +145,18 @@ def _lm_prepare(
         def divergence(p: Perturbation, diagnostics: List[str]) -> float:
             # Union vocabulary of both phrases' windows; Laplace V and the
             # Good-Turing unseen split are both relative to this comparison.
-            vocab = sorted(query_vocab.union(windows(p.replacement).window_cf))
-            columns = {t: column(t, vocab) for t in {*query.terms, p.replacement}}
+            # Its words take their slots in set order: every value below is
+            # per word or an exactly rounded sum, so no order can change it.
+            slots = slot_map(query_vocab.union(windows(p.replacement).window_cf))
+            inputs = {
+                t: combination_input(column(t, slots), combination)
+                for t in {*query.terms, p.replacement}
+            }
             if smoothing == "sgt":
                 for t in query.terms + p.terms:
                     diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
-            lm_q = combine_columns([columns[t] for t in query.terms], combination)
-            lm_p = combine_columns([columns[t] for t in p.terms], combination)
+            lm_q = combine_inputs([inputs[t] for t in query.terms], combination)
+            lm_p = combine_inputs([inputs[t] for t in p.terms], combination)
             return kld_lists(lm_q, lm_p)
 
         return divergence

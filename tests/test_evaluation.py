@@ -85,6 +85,25 @@ class TestQrelsLoading:
         assert report.per_query["q1"]["ndcg10"] == 1.0
 
 
+class TestIdealDcg:
+    def test_hand_value_and_no_relevant_documents(self):
+        qrels = qrels_of({("q1", "a"): 1, ("q1", "b"): 2, ("q1", "c"): 0, ("q2", "d"): 0})
+        assert qrels.ideal_dcg("q1") == 3.0 + 1.0 / math.log2(3.0)
+        assert qrels.ideal_dcg("q2") == 0.0
+        assert qrels.ideal_dcg("unjudged") == 0.0
+
+    def test_computed_once_per_qid_not_per_evaluation(self, monkeypatch):
+        run = run_of({"q1": ["b", "a"]})
+        qrels = qrels_of({("q1", "a"): 1, ("q1", "b"): 2})
+        first = evaluate(run, qrels).per_query["q1"]["ndcg10"]
+
+        def refuse(relevant):
+            raise AssertionError("ideal DCG recomputed")
+
+        monkeypatch.setattr("termdep.evaluation._ideal_dcg", refuse)
+        assert evaluate(run, qrels).per_query["q1"]["ndcg10"] == first == 1.0
+
+
 class TestHandMetrics:
     def test_perfect_prefix(self):
         run = run_of({"q1": ["d1", "d2", "d3", "d4"]})

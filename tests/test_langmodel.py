@@ -6,12 +6,15 @@ import pytest
 from termdep.langmodel import (
     SmoothedLM,
     aligned_probs,
+    combination_input,
     combine_columns,
+    combine_inputs,
     kld,
     kld_lists,
     laplace_column,
     laplace_lm,
     sgt_lm,
+    slot_map,
 )
 
 from oracles import ref_kld, ref_simple_good_turing
@@ -129,6 +132,34 @@ class TestSimpleGoodTuring:
 
 
 class TestAlignedProbs:
+    def test_vocabulary_order_or_slot_map_gives_one_column(self):
+        lm = sgt_lm({"a": 1, "b": 1, "c": 2})
+        vocab = ["y", "c", "a", "x", "b"]
+        assert aligned_probs(lm, vocab) == aligned_probs(lm, slot_map(vocab))
+        assert laplace_column({"a": 2}, vocab) == laplace_column({"a": 2}, slot_map(vocab))
+
+    def test_seen_words_outside_the_vocabulary_ignored(self):
+        # Two of the three seen words are left out; the one unseen word takes
+        # the whole reserve before the column is renormalized.
+        lm = sgt_lm({"a": 1, "b": 1, "c": 2})
+        probs = aligned_probs(lm, ["a", "x"])
+        total = lm.prob["a"] + lm.unseen_mass
+        assert probs == [lm.prob["a"] / total, lm.unseen_mass / total]
+
+    def test_laplace_fallback_fills_with_unseen_prob(self):
+        lm = sgt_lm({"a": 2, "b": 2})
+        assert lm.method == "laplace"
+        probs = aligned_probs(lm, ["a", "b", "x", "y"])
+        raw = [lm.prob["a"], lm.prob["b"], lm.unseen_prob, lm.unseen_prob]
+        assert probs == [v / math.fsum(raw) for v in raw]
+
+    def test_repeated_word_rejected(self):
+        lm = sgt_lm({"a": 1, "b": 2})
+        with pytest.raises(ValueError, match="distinct"):
+            aligned_probs(lm, ["a", "b", "a"])
+        with pytest.raises(ValueError, match="distinct"):
+            laplace_column({"a": 1}, ["a", "a"])
+
     def test_covers_union_vocabulary_and_sums_to_one(self):
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
         vocab = ["a", "b", "c", "x", "y"]
@@ -249,6 +280,32 @@ class TestCombination:
         with pytest.raises(ValueError, match="method"):
             combine_columns([aligned_probs(lm, ["a"])], "geometric")
 
+    def test_unequal_column_lengths_rejected(self):
+        # zip would otherwise pair the words of misaligned columns silently.
+        for method in ("qsum", "qavg", "mult", "median"):
+            with pytest.raises(ValueError, match="differ in length"):
+                combine_columns([[0.5, 0.5], [0.2, 0.3, 0.5]], method)
+            with pytest.raises(ValueError, match="differ in length"):
+                combine_inputs([[0.5, 0.5], [0.5, 0.0, 0.5]], method)
+
+    def test_quantile_methods_reject_a_band_reaching_zero(self):
+        # A left-out value is marked 0.0, so a 0.0 inside the band could not be
+        # told apart from it.  A 0.0 below the band is left out either way.
+        for method in ("qsum", "qavg"):
+            with pytest.raises(ValueError, match="positive band"):
+                combine_columns([[0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]], method)
+            assert combination_input([0.0, 0.2, 0.3, 0.5], method) == [0.0, 0.2, 0.3, 0.0]
+
+    def test_shared_inputs_equal_combine_columns(self):
+        # Scoring masks each column once and combines the masks of both phrases.
+        cols, _ = self.make_columns({"a": 3, "b": 1}, {"b": 4, "c": 1}, {"a": 1, "c": 2})
+        for method in ("qsum", "qavg", "mult", "median"):
+            inputs = [combination_input(c, method) for c in cols]
+            for pick in ([0, 1], [0, 0, 2], [2, 1, 0], [1]):
+                assert combine_inputs([inputs[i] for i in pick], method) == combine_columns(
+                    [cols[i] for i in pick], method
+                )
+
 
 class TestKld:
     def test_self_divergence_zero(self):
@@ -277,6 +334,10 @@ class TestKld:
                 ref_kld(aligned_probs(p, sorted(vocab)), aligned_probs(q, sorted(vocab))),
                 atol=1e-9,
             )
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            kld_lists([0.5, 0.5], [0.2, 0.3, 0.5])
 
     def test_near_equal_lists_clamp_to_zero(self):
         # Unclamped, rounding makes this sum -2.47e-17.

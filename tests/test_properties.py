@@ -4,10 +4,12 @@ mu-grid runs against rank, selective ranking against its bow and fd lists,
 ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
 range of metrics on runs read back, a window set's views (whichever is read
-first) against the brute-force oracle, the list-level LM kernels, the sign
-of KLD, and the range of vector divergences."""
+first) against the brute-force oracle, the list-level LM kernels, LM scores
+against the model-level path, the sign of KLD, and the range of vector
+divergences."""
 
 import math
+import random
 import re
 
 import pytest
@@ -25,7 +27,7 @@ from termdep.langmodel import (
     laplace_lm,
     sgt_lm,
 )
-from termdep.perturb import SynonymLexicon
+from termdep.perturb import SynonymLexicon, perturb
 from termdep.corpus import phrase_occurrences
 from termdep.retrieval import (
     RankedRun,
@@ -544,6 +546,108 @@ def test_kld_is_never_negative(p, data):
         assert kld_lists(q, p) >= 0.0
 
 
+# Repeated tokens give a context term counts above 1 that differ between
+# windows; clipping at document edges gives windows of different sizes.
+REPEATS = [("d0", ("a", "b", "a", "a", "c", "b")), ("d1", ("b", "a", "a")), ("d2", ("c", "c", "a"))]
+
+
+LM_VARIANTS = tuple(f"lm:{sm}:{cm}" for sm in ("laplace", "sgt") for cm in COMBINATIONS)
+
+
+def reference_lm_score(query, variant, index, lexicon, n, order):
+    """(n_q, divergences) of one query from the model-level kernels.
+
+    Each comparison smooths a model per term (laplace_lm over the union
+    vocabulary, or sgt_lm), aligns every model on that vocabulary in
+    `order`, combines each phrase's columns with combine_columns and
+    compares the two with kld_lists.  None where the query is unscoreable.
+    """
+    _, smoothing, combination = variant.split(":")
+
+    def cf(term):
+        return extract_windows(index, (term,), n=n).window_cf
+
+    if query.m < 2:
+        return None
+    perturbations = perturb(query, lexicon)
+    if not perturbations or not all(cf(t) for t in query.terms):
+        return None
+    divergences = []
+    for p in perturbations:
+        if not cf(p.replacement):
+            continue
+        counts = {t: cf(t) for t in {*query.terms, p.replacement}}
+        vocab = order(set().union(*counts.values()))
+        if smoothing == "laplace":
+            models = {t: laplace_lm(c, vocab) for t, c in counts.items()}
+        else:
+            models = {t: sgt_lm(c) for t, c in counts.items()}
+        columns = {t: aligned_probs(m, vocab) for t, m in models.items()}
+        lm_q = combine_columns([columns[t] for t in query.terms], combination)
+        lm_p = combine_columns([columns[t] for t in p.terms], combination)
+        divergences.append(kld_lists(lm_q, lm_p))
+    if not divergences:
+        return None
+    return sum(divergences) / len(divergences), divergences
+
+
+def lm_query(qid, *terms):
+    return Query(qid, " ".join(terms), terms)
+
+
+# Every window of "a" spans the whole document, so its counts are all 4:
+# no hapax, and sgt_lm falls back to Laplace.
+NO_HAPAX = [("d0", ("a", "b", "a", "b", "c", "c"))]
+
+
+@PROPERTY
+@given(
+    corpora(),
+    query_batches(),
+    st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(
+    corpus=(NO_HAPAX, build_index(NO_HAPAX)),
+    # A repeated query term, and synonyms that are other query terms.
+    queries=[lm_query("q0", "a", "a", "b"), lm_query("q1", "b", "c")],
+    synonyms={"a": "b", "c": "a"},
+    n=5,
+    shuffle_seed=1,
+)
+@example(
+    corpus=(REPEATS, build_index(REPEATS)),
+    queries=[lm_query("q0", "a", "b", "c"), lm_query("q1", "c", "c")],
+    synonyms={"a": "c", "b": "a", "c": "b"},
+    n=1,
+    shuffle_seed=7,
+)
+def test_lm_scores_equal_model_level_reference(corpus, queries, synonyms, n, shuffle_seed):
+    # Scoring builds each column from its term's seen words on a slot map in
+    # set order, masks each column once per comparison and adds rows of two
+    # with one `+`.  Every divergence and n_q must still be the very float
+    # of the model-level path, over the sorted vocabulary or a shuffled one.
+    _, index = corpus
+    lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
+
+    def shuffled(words):
+        words = sorted(words)
+        random.Random(shuffle_seed).shuffle(words)
+        return words
+
+    for variant in LM_VARIANTS:
+        for query, score in zip(queries, score_batch(queries, variant, index, lexicon, n=n)):
+            if score.reason.startswith("error: "):
+                got = "ValueError: " + score.reason[len("error: ") :]
+            else:
+                got = (score.n_q, score.divergences) if score.scoreable else None
+            for order in (sorted, shuffled):
+                assert got == outcome(
+                    lambda: reference_lm_score(query, variant, index, lexicon, n, order)
+                )
+
+
 @PROPERTY
 @given(corpora(), query_batches(), st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)))
 def test_vector_divergences_stay_in_cosine_range(corpus, queries, synonyms):
@@ -555,11 +659,6 @@ def test_vector_divergences_stay_in_cosine_range(corpus, queries, synonyms):
             if score.scoreable:
                 assert 0.0 <= score.n_q <= 2.0
                 assert all(0.0 <= d <= 2.0 for d in score.divergences)
-
-
-# Repeated tokens give a context term counts above 1 that differ between
-# windows; clipping at document edges gives windows of different sizes.
-REPEATS = [("d0", ("a", "b", "a", "a", "c", "b")), ("d1", ("b", "a", "a")), ("d2", ("c", "c", "a"))]
 
 
 VIEWS = ("window_cf", "stats", "windows")

@@ -234,7 +234,7 @@ class TestScoreBatch:
             assert got == score_query(query, variant, index, lexicon)
         assert [s.scoreable for s in scores] == [True, True, True, False, True, False]
 
-    @pytest.mark.parametrize("variant", ["vector:tfidf", "lm:sgt:qsum"])
+    @pytest.mark.parametrize("variant", ["vector:tfidf", "lm:sgt:qsum", "lm:laplace:qavg"])
     def test_window_memo_freed_when_batch_returns(self, planted_state, variant, monkeypatch):
         # The batch's memos must not sit in a reference cycle: they are freed
         # when score_batch returns, with the cyclic collector switched off.
