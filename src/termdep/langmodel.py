@@ -11,9 +11,9 @@ event space.
 A comparison lays every column out on one word -> slot map (slot_map), in
 whatever order its vocabulary iterates, and fills in only each term's
 seen words.  No value depends on that order: each is computed per word,
-or is an exactly rounded sum (math.fsum, or one `+` of two floats), so
-any order gives the very same floats.  The builtin sum is never used on
-floats here, since its rounding changed in Python 3.12.
+or is an exactly rounded math.fsum, so any order gives the very same
+floats.  The builtin sum is never used on floats here, since its rounding
+changed in Python 3.12.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 SMOOTHINGS = ("laplace", "sgt")
 COMBINATIONS = ("qsum", "qavg", "mult", "median")
 
-# A comparison's word -> column slot map (see slot_map), and what the column
-# builders accept as a vocabulary: distinct words in column order, or their
-# slot map.
+# A comparison's word -> column slot map (see slot_map).
 Slots = Dict[str, int]
-Vocabulary = Union[Sequence[str], Slots]
 
 
 @dataclass
@@ -94,10 +91,6 @@ def slot_map(vocabulary: Iterable[str]) -> Slots:
     return slots
 
 
-def _slots(vocabulary: Vocabulary) -> Slots:
-    return vocabulary if isinstance(vocabulary, dict) else slot_map(vocabulary)
-
-
 def _filled(
     slots: Slots, fill: float, words: Iterable[str], values: Iterable[float]
 ) -> List[float]:
@@ -111,13 +104,8 @@ def _filled(
     return column
 
 
-def laplace_column(counts: Dict[str, int], vocabulary: Vocabulary) -> List[float]:
-    """aligned_probs(laplace_lm(counts, vocabulary), vocabulary), built directly.
-
-    `vocabulary` holds distinct words in the order of the returned column,
-    or is their slot_map.
-    """
-    slots = _slots(vocabulary)
+def laplace_column(counts: Dict[str, int], slots: Slots) -> List[float]:
+    """aligned_probs(laplace_lm(counts, slots), slots), built directly."""
     denom = _laplace_denominator(counts, slots.keys())
     values = [(c + 1) / denom for c in counts.values()]
     return _renormalized(_filled(slots, 1 / denom, counts, values))
@@ -202,22 +190,21 @@ def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
     )
 
 
-def aligned_probs(model: SmoothedLM, vocabulary: Vocabulary) -> List[float]:
-    """Model probabilities over a comparison vocabulary.
+def aligned_probs(model: SmoothedLM, slots: Slots) -> List[float]:
+    """Model probabilities over a comparison vocabulary, laid out by its slot_map.
 
-    `vocabulary` holds distinct words in the order of the returned column,
-    or is their slot_map.  Seen words outside it are ignored.  The words
+    Seen words outside the vocabulary are ignored.  The words
     the model has not seen share its unseen reserve: split evenly for the
     Good-Turing reserve, unseen_prob each for a Laplace model (such as
     sgt_lm's fallback).  The aligned vector is renormalized so it is a
     proper distribution over exactly this vocabulary.
     """
-    return _renormalized(_aligned_values(model, _slots(vocabulary)))
+    return _renormalized(_aligned_values(model, slots))
 
 
 def _aligned_values(model: SmoothedLM, slots: Slots) -> List[float]:
     prob = model.prob
-    words = prob if prob.keys() <= slots.keys() else [w for w in prob if w in slots]
+    words = [w for w in prob if w in slots]
     n_unseen = len(slots) - len(words)
     if model.method == "sgt" and n_unseen:
         fill = model.unseen_mass / n_unseen
@@ -299,18 +286,12 @@ def combine_inputs(inputs: Sequence[List[float]], method: str) -> List[float]:
                 vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2.0
             )
     else:
-        # A left-out value is 0.0, which leaves the exactly rounded sum of
-        # the contributions unchanged.  One IEEE addition is exactly
-        # rounded too, so a row of two takes one `+` instead of fsum.
-        # Contributions are positive, so a row sums to 0.0 exactly when it
-        # has no contributor, and a nonzero value counts one.
+        # A left-out value is 0.0, which leaves the exactly rounded fsum of
+        # the contributions unchanged.  Contributions are positive, so a row
+        # sums to 0.0 exactly when it has no contributor, and each nonzero
+        # value counts one.
         rows = zip(*inputs)
-        if len(inputs) == 2:
-            if method == "qsum":
-                combined = [a + b for a, b in rows]
-            else:
-                combined = [(a + b) / 2 if a and b else a + b for a, b in rows]
-        elif method == "qsum":
+        if method == "qsum":
             combined = list(map(math.fsum, rows))
         else:
             m = len(inputs)

@@ -3,8 +3,9 @@
 Everything here is deliberately written from the definitions, favoring
 brute force over cleverness, and shares no code with the package: the
 window extractor rescans token streams quadratically, the metric
-reference walks rankings document by document, and the Good-Turing
-reference redoes the Gale-Sampson procedure with numpy's polyfit.
+reference walks rankings document by document, the Good-Turing
+reference redoes the Gale-Sampson procedure with numpy's polyfit, and the
+combination reference bands, masks and sums one word's row at a time.
 """
 
 from __future__ import annotations
@@ -172,6 +173,59 @@ def ref_simple_good_turing(counts: Dict[str, int]) -> Tuple[Dict[str, float], fl
 
 def ref_kld(p: Sequence[float], q: Sequence[float]) -> float:
     return float(np.sum(np.array(p) * np.log(np.array(p) / np.array(q))))
+
+
+def ref_quartile_band(column: Sequence[float]) -> Tuple[float, float]:
+    """Inclusive [Q1, Q3], linearly interpolated between order statistics."""
+    s = sorted(column)
+    ends = []
+    for q in (0.25, 0.75):
+        pos = q * (len(s) - 1)
+        lo, hi = math.floor(pos), math.ceil(pos)
+        ends.append(s[lo] if lo == hi else s[lo] * (1.0 - (pos - lo)) + s[hi] * (pos - lo))
+    return ends[0], ends[1]
+
+
+def ref_combine_columns(columns: Sequence[Sequence[float]], method: str) -> List[float]:
+    """Per-term columns merged one method at a time, each from its definition.
+
+    qsum / qavg: a band per column; a word's contributions are the values
+    inside their own column's band, fsum-ed (and divided by their count
+    for qavg); a word with none takes the smallest positive combined
+    value.  mult multiplies, median takes the middle of the sorted row.
+    Every result is fsum-renormalized.  Raises ValueError with the
+    package's messages where the combination is undefined.
+    """
+    if method not in ("qsum", "qavg", "mult", "median"):
+        raise ValueError(f"unknown combination method {method!r}")
+    if not columns:
+        raise ValueError("combination requires at least one column")
+    if not all(columns):
+        raise ValueError("combination vocabulary is empty")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {sorted({len(c) for c in columns})}")
+    bands = [ref_quartile_band(c) for c in columns]
+    combined = []
+    for i in range(len(columns[0])):
+        row = [c[i] for c in columns]
+        if method == "mult":
+            combined.append(math.prod(row))
+        elif method == "median":
+            row.sort()
+            mid = len(row) // 2
+            combined.append(row[mid] if len(row) % 2 else (row[mid - 1] + row[mid]) / 2.0)
+        else:
+            inside = [v for v, (q1, q3) in zip(row, bands) if q1 <= v <= q3]
+            total = math.fsum(inside)
+            combined.append(total / len(inside) if method == "qavg" and inside else total)
+    if method in ("qsum", "qavg"):
+        positive = [v for v in combined if v > 0.0]
+        if not positive:
+            raise ValueError("quantile combination produced no contributions")
+        floor = min(positive)
+        combined = [v if v > 0.0 else floor for v in combined]
+    total = math.fsum(combined)
+    return [v / total for v in combined]
 
 
 # ---------------------------------------------------------------- retrieval

@@ -17,7 +17,7 @@ from termdep.langmodel import (
     slot_map,
 )
 
-from oracles import ref_kld, ref_simple_good_turing
+from oracles import ref_combine_columns, ref_kld, ref_simple_good_turing
 
 
 def random_counts(rng, max_vocab=30, max_count=12):
@@ -61,15 +61,16 @@ class TestLaplace:
         with pytest.raises(ValueError, match="cover"):
             laplace_lm({"a": 1}, {"b"})
         with pytest.raises(ValueError, match="cover"):
-            laplace_column({"a": 1}, ["b"])
+            laplace_column({"a": 1}, slot_map(["b"]))
 
     def test_column_is_the_aligned_model(self):
         # These add-one values do not fsum to exactly 1, so the column keeps
         # the renormalization that aligning the model applies.
         counts = {"b": 2, "c": 5, "d": 5, "e": 5}
         vocab = ["a", "b", "c", "d", "e"]
-        column = laplace_column(counts, vocab)
-        assert column == aligned_probs(laplace_lm(counts, vocab), vocab)
+        slots = slot_map(vocab)
+        column = laplace_column(counts, slots)
+        assert column == aligned_probs(laplace_lm(counts, vocab), slots)
         assert column != [(counts.get(w, 0) + 1) / (17 + 5) for w in vocab]
 
 
@@ -132,38 +133,40 @@ class TestSimpleGoodTuring:
 
 
 class TestAlignedProbs:
-    def test_vocabulary_order_or_slot_map_gives_one_column(self):
+    def test_slot_order_leaves_each_words_value(self):
+        # A comparison's vocabulary takes its slots in set order, so a word's
+        # value must not depend on the slot it lands in.
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
         vocab = ["y", "c", "a", "x", "b"]
-        assert aligned_probs(lm, vocab) == aligned_probs(lm, slot_map(vocab))
-        assert laplace_column({"a": 2}, vocab) == laplace_column({"a": 2}, slot_map(vocab))
+        for other in (sorted(vocab), vocab[::-1]):
+            for build in (lambda s: aligned_probs(lm, s), lambda s: laplace_column({"a": 2}, s)):
+                got = dict(zip(vocab, build(slot_map(vocab))))
+                assert got == dict(zip(other, build(slot_map(other))))
 
     def test_seen_words_outside_the_vocabulary_ignored(self):
         # Two of the three seen words are left out; the one unseen word takes
         # the whole reserve before the column is renormalized.
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
-        probs = aligned_probs(lm, ["a", "x"])
+        probs = aligned_probs(lm, slot_map(["a", "x"]))
         total = lm.prob["a"] + lm.unseen_mass
         assert probs == [lm.prob["a"] / total, lm.unseen_mass / total]
 
     def test_laplace_fallback_fills_with_unseen_prob(self):
         lm = sgt_lm({"a": 2, "b": 2})
         assert lm.method == "laplace"
-        probs = aligned_probs(lm, ["a", "b", "x", "y"])
+        probs = aligned_probs(lm, slot_map(["a", "b", "x", "y"]))
         raw = [lm.prob["a"], lm.prob["b"], lm.unseen_prob, lm.unseen_prob]
         assert probs == [v / math.fsum(raw) for v in raw]
 
     def test_repeated_word_rejected(self):
-        lm = sgt_lm({"a": 1, "b": 2})
+        # A column has one slot per word.
         with pytest.raises(ValueError, match="distinct"):
-            aligned_probs(lm, ["a", "b", "a"])
-        with pytest.raises(ValueError, match="distinct"):
-            laplace_column({"a": 1}, ["a", "a"])
+            slot_map(["a", "b", "a"])
 
     def test_covers_union_vocabulary_and_sums_to_one(self):
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
         vocab = ["a", "b", "c", "x", "y"]
-        probs = aligned_probs(lm, vocab)
+        probs = aligned_probs(lm, slot_map(vocab))
         assert len(probs) == 5
         np.testing.assert_allclose(sum(probs), 1.0, atol=1e-9)
         # The two unseen words split the reserve evenly.
@@ -171,7 +174,7 @@ class TestAlignedProbs:
 
     def test_no_unseen_words_renormalizes_seen(self):
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
-        probs = aligned_probs(lm, ["a", "b", "c"])
+        probs = aligned_probs(lm, slot_map(["a", "b", "c"]))
         np.testing.assert_allclose(sum(probs), 1.0, atol=1e-9)
 
 
@@ -187,7 +190,7 @@ class TestCombination:
         else:
             models = [sgt_lm(c) for c in count_maps]
         vocab = sorted(vocab)
-        return [aligned_probs(m, vocab) for m in models], vocab
+        return [aligned_probs(m, slot_map(vocab)) for m in models], vocab
 
     def test_multiply_is_product_renormalized(self):
         cols, vocab = self.make_columns({"a": 2, "b": 1}, {"a": 1, "b": 2})
@@ -210,14 +213,14 @@ class TestCombination:
             SmoothedLM("laplace", {"a": 0.2, "b": 0.8}, 0.0, 1e-6),
             SmoothedLM("laplace", {"a": 0.6, "b": 0.4}, 0.0, 1e-6),
         ]
-        combined = combine_columns([aligned_probs(m, ["a", "b"]) for m in models], "median")
+        combined = combine_columns([aligned_probs(m, slot_map("ab")) for m in models], "median")
         np.testing.assert_allclose(combined[0], 0.2 / (0.2 + 0.8))
 
     def test_single_model_identity_for_mult_and_median(self):
         lm = laplace_lm({"a": 2, "b": 1}, {"a", "b", "c"})
         vocab = sorted(lm.vocabulary)
         for method in ("mult", "median"):
-            combined = combine_columns([aligned_probs(lm, vocab)], method)
+            combined = combine_columns([aligned_probs(lm, slot_map(vocab))], method)
             for w, got in zip(vocab, combined):
                 np.testing.assert_allclose(got, lm.prob[w], atol=1e-12)
 
@@ -239,7 +242,7 @@ class TestCombination:
             ),
         ]
         vocab = sorted({"spike", "a", "b", "c", "d"})
-        cols = [aligned_probs(m, vocab) for m in models]
+        cols = [aligned_probs(m, slot_map(vocab)) for m in models]
         combined = dict(zip(vocab, combine_columns(cols, "qsum")))
         assert combined["spike"] < combined["a"]
         np.testing.assert_allclose(combined["spike"], combined["c"], atol=1e-12)
@@ -250,7 +253,7 @@ class TestCombination:
             SmoothedLM("laplace", {"a": 0.5, "b": 0.3, "c": 0.2}, 0.0, 1e-6),
             SmoothedLM("laplace", {"a": 0.5, "b": 0.3, "c": 0.2}, 0.0, 1e-6),
         ]
-        cols = [aligned_probs(m, ["a", "b", "c"]) for m in models]
+        cols = [aligned_probs(m, slot_map("abc")) for m in models]
         np.testing.assert_allclose(
             combine_columns(cols, "qsum"), combine_columns(cols, "qavg"), atol=1e-12
         )
@@ -278,7 +281,7 @@ class TestCombination:
     def test_unknown_method_rejected(self):
         lm = laplace_lm({"a": 1}, {"a"})
         with pytest.raises(ValueError, match="method"):
-            combine_columns([aligned_probs(lm, ["a"])], "geometric")
+            combine_columns([aligned_probs(lm, slot_map("a"))], "geometric")
 
     def test_unequal_column_lengths_rejected(self):
         # zip would otherwise pair the words of misaligned columns silently.
@@ -296,15 +299,25 @@ class TestCombination:
                 combine_columns([[0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]], method)
             assert combination_input([0.0, 0.2, 0.3, 0.5], method) == [0.0, 0.2, 0.3, 0.0]
 
-    def test_shared_inputs_equal_combine_columns(self):
-        # Scoring masks each column once and combines the masks of both phrases.
-        cols, _ = self.make_columns({"a": 3, "b": 1}, {"b": 4, "c": 1}, {"a": 1, "c": 2})
-        for method in ("qsum", "qavg", "mult", "median"):
-            inputs = [combination_input(c, method) for c in cols]
-            for pick in ([0, 1], [0, 0, 2], [2, 1, 0], [1]):
-                assert combine_inputs([inputs[i] for i in pick], method) == combine_columns(
-                    [cols[i] for i in pick], method
-                )
+    def test_shared_inputs_equal_reference_combination(self):
+        # Scoring masks each column once and combines the masks of both
+        # phrases; a repeated term contributes its mask twice.  Rows of one,
+        # two and three columns must give the very floats of the one-row-at-
+        # a-time reference.
+        rng = np.random.default_rng(53)
+        cases = [self.make_columns({"a": 3, "b": 1}, {"b": 4, "c": 1}, {"a": 1, "c": 2})[0]]
+        for smoothing in ("laplace", "sgt"):
+            cases += [
+                self.make_columns(*[random_counts(rng) for _ in range(3)], smoothing=smoothing)[0]
+                for _ in range(5)
+            ]
+        for cols in cases:
+            for method in ("qsum", "qavg", "mult", "median"):
+                inputs = [combination_input(c, method) for c in cols]
+                for pick in ([0, 1], [0, 0, 2], [2, 1, 0], [1], [1, 1]):
+                    expected = ref_combine_columns([cols[i] for i in pick], method)
+                    assert combine_inputs([inputs[i] for i in pick], method) == expected
+                    assert combine_columns([cols[i] for i in pick], method) == expected
 
 
 class TestKld:
@@ -328,10 +341,11 @@ class TestKld:
             p = laplace_lm(counts_p, vocab)
             q = laplace_lm(counts_q, vocab)
             d = kld(p, q, vocabulary=vocab)
+            slots = slot_map(sorted(vocab))
             assert d >= -1e-12
             np.testing.assert_allclose(
                 d,
-                ref_kld(aligned_probs(p, sorted(vocab)), aligned_probs(q, sorted(vocab))),
+                ref_kld(aligned_probs(p, slots), aligned_probs(q, slots)),
                 atol=1e-9,
             )
 

@@ -26,6 +26,7 @@ from termdep.langmodel import (
     laplace_column,
     laplace_lm,
     sgt_lm,
+    slot_map,
 )
 from termdep.perturb import SynonymLexicon, perturb
 from termdep.corpus import phrase_occurrences
@@ -41,7 +42,7 @@ from termdep.scoring import score_batch
 from termdep.vectors import SCHEMES, build_term_vector, weight
 from termdep.windows import extract_windows
 
-from oracles import brute_force_window_stats, brute_force_windows
+from oracles import brute_force_window_stats, brute_force_windows, ref_combine_columns
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -514,16 +515,17 @@ def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, sm
     # floats of the one-word-at-a-time reference.
     vocab_set = set(extra).union(*q_tables, *p_tables)
     vocab = sorted(vocab_set)
+    slots = slot_map(vocab)
     if smoothing == "laplace":
         q_models = [laplace_lm(c, vocab_set) for c in q_tables]
         p_models = [laplace_lm(c, vocab_set) for c in p_tables]
-        q_cols = [laplace_column(c, vocab) for c in q_tables]
-        p_cols = [laplace_column(c, vocab) for c in p_tables]
+        q_cols = [laplace_column(c, slots) for c in q_tables]
+        p_cols = [laplace_column(c, slots) for c in p_tables]
     else:
         q_models = [sgt_lm(c) for c in q_tables]
         p_models = [sgt_lm(c) for c in p_tables]
-        q_cols = [aligned_probs(m, vocab) for m in q_models]
-        p_cols = [aligned_probs(m, vocab) for m in p_models]
+        q_cols = [aligned_probs(m, slots) for m in q_models]
+        p_cols = [aligned_probs(m, slots) for m in p_models]
 
     def kernels():
         combined_q = combine_columns(q_cols, method)
@@ -559,8 +561,9 @@ def reference_lm_score(query, variant, index, lexicon, n, order):
 
     Each comparison smooths a model per term (laplace_lm over the union
     vocabulary, or sgt_lm), aligns every model on that vocabulary in
-    `order`, combines each phrase's columns with combine_columns and
-    compares the two with kld_lists.  None where the query is unscoreable.
+    `order`, combines each phrase's columns with the one-row-at-a-time
+    ref_combine_columns and compares the two with kld_lists.  None where
+    the query is unscoreable.
     """
     _, smoothing, combination = variant.split(":")
 
@@ -582,9 +585,9 @@ def reference_lm_score(query, variant, index, lexicon, n, order):
             models = {t: laplace_lm(c, vocab) for t, c in counts.items()}
         else:
             models = {t: sgt_lm(c) for t, c in counts.items()}
-        columns = {t: aligned_probs(m, vocab) for t, m in models.items()}
-        lm_q = combine_columns([columns[t] for t in query.terms], combination)
-        lm_p = combine_columns([columns[t] for t in p.terms], combination)
+        columns = {t: aligned_probs(m, slot_map(vocab)) for t, m in models.items()}
+        lm_q = ref_combine_columns([columns[t] for t in query.terms], combination)
+        lm_p = ref_combine_columns([columns[t] for t in p.terms], combination)
         divergences.append(kld_lists(lm_q, lm_p))
     if not divergences:
         return None
@@ -625,9 +628,9 @@ NO_HAPAX = [("d0", ("a", "b", "a", "b", "c", "c"))]
 )
 def test_lm_scores_equal_model_level_reference(corpus, queries, synonyms, n, shuffle_seed):
     # Scoring builds each column from its term's seen words on a slot map in
-    # set order, masks each column once per comparison and adds rows of two
-    # with one `+`.  Every divergence and n_q must still be the very float
-    # of the model-level path, over the sorted vocabulary or a shuffled one.
+    # set order and masks each column once per comparison.  Every divergence
+    # and n_q must still be the very float of the model-level path, over the
+    # sorted vocabulary or a shuffled one.
     _, index = corpus
     lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
 
