@@ -202,7 +202,7 @@ def _cmd_tune(args) -> int:
     config = RankingConfig(top_k=args.top_k)
     _check_lexicon(args, "tune")
     index, queries, lexicon = _load_inputs(args)
-    _check_fold_count(len(queries), plan)
+    _check_fold_count(len(queries))
     qrels = load_qrels(args.qrels)
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads

@@ -2,10 +2,11 @@
 
 Documents arrive as JSON-lines ({"doc_id": ..., "text": ...}), queries as
 TSV (qid<TAB>text), stopwords as one word per line.  The index is
-count-first, positions inverted on first lookup: ingestion only counts
-tokens, and a term's position lists are built when a query, phrase or
-context window first asks for them, so Dirichlet ranking reads counts and
-exact ordered phrase matching reads positions of the few terms it needs.
+count-first: ingestion keeps each document's tokens and counts them, and
+PositionalIndex.positions, the one way to a term's positions, inverts a
+term when a query, phrase or context window first asks for it.  So
+Dirichlet ranking reads counts, and exact ordered phrase matching reads
+positions of the few terms it needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import stat
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -46,10 +46,6 @@ def tokenize(text: str, stopwords: Optional[Set[str]] = None) -> List[str]:
 class Document:
     doc_id: str
     tokens: Tuple[str, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -131,87 +127,30 @@ def _has_whitespace(identifier: str) -> bool:
     return any(ch.isspace() for ch in identifier)
 
 
-class _LazyPostings(Mapping):
-    """Read-only term -> {doc_id: ascending positions}, inverted on first lookup.
-
-    A term's entry is built by scanning the per-document counters in
-    ingestion order and locating its positions with tuple.index, then kept
-    until the next add_document.
-    """
-
-    def __init__(self, index: "PositionalIndex"):
-        self._index = index
-        self._memo: Dict[str, Dict[str, List[int]]] = {}
-
-    def __getitem__(self, term: str) -> Dict[str, List[int]]:
-        by_doc = self.get(term)
-        if by_doc is None:
-            raise KeyError(term)
-        return by_doc
-
-    def get(self, term: str, default=None):
-        # Overrides Mapping.get, which would add a frame and raise for absent terms.
-        by_doc = self._memo.get(term)
-        if by_doc is None:
-            if term not in self._index.collection_counts:
-                return default
-            by_doc = self._memo[term] = self._invert(term)
-        return by_doc
-
-    def _invert(self, term: str) -> Dict[str, List[int]]:
-        by_doc: Dict[str, List[int]] = {}
-        doc_tokens = self._index.doc_tokens
-        for doc_id, counts in self._index.doc_counts.items():
-            if term in counts:
-                tokens = doc_tokens[doc_id]
-                positions = []
-                p = -1
-                for _ in range(counts[term]):
-                    p = tokens.index(term, p + 1)
-                    positions.append(p)
-                by_doc[doc_id] = positions
-        return by_doc
-
-    def __contains__(self, term: object) -> bool:
-        # Mapping's default would go through __getitem__ and invert the term.
-        return term in self._index.collection_counts
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index.collection_counts)
-
-    def __len__(self) -> int:
-        return len(self._index.collection_counts)
-
-    def clear_memo(self) -> None:
-        self._memo.clear()
-
-
 _NO_COUNTS: Dict[str, int] = {}
 
 
 class PositionalIndex:
     """Count-first index: token counts at ingestion, positions inverted on first lookup.
 
-    doc_counts maps doc_id -> Counter of its tokens and collection_counts
-    term -> total occurrences, both counted in C by add_document, so
-    frequency lookups are constant time.  postings is a read-only lazy
-    mapping term -> {doc_id: ascending position list}, documents in
-    ingestion order; only the terms looked up are ever inverted.  The index
-    is immutable by convention once built; nothing mutates it after
-    ingestion.
+    doc_tokens maps doc_id -> its token tuple, doc_counts doc_id -> Counter
+    of its tokens and collection_counts term -> total occurrences, all in
+    ingestion order and counted in C by add_document, so frequency lookups
+    are constant time.  positions(term) gives a term's positions; postings
+    is its memo, holding only the terms looked up since the last
+    add_document.
     """
 
     def __init__(self) -> None:
+        self.doc_tokens: Dict[str, Tuple[str, ...]] = {}
         self.doc_counts: Dict[str, Counter] = {}
         self.collection_counts: Counter = Counter()
-        self.doc_lengths: Dict[str, int] = {}
-        self.doc_tokens: Dict[str, Tuple[str, ...]] = {}
         self.total_terms = 0
-        self.postings = _LazyPostings(self)
+        self.postings: Dict[str, Dict[str, List[int]]] = {}
 
     @property
     def doc_count(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_tokens)
 
     @property
     def vocab_size(self) -> int:
@@ -223,15 +162,38 @@ class PositionalIndex:
     def term_frequency(self, term: str, doc_id: str) -> int:
         return self.doc_counts.get(doc_id, _NO_COUNTS).get(term, 0)
 
+    def positions(self, term: str) -> Dict[str, List[int]]:
+        """{doc_id: ascending positions of term}, documents in ingestion order.
+
+        Empty for a term the corpus lacks.  A term is inverted on its first
+        lookup, by scanning the per-document counters and locating its
+        positions with tuple.index; callers must not mutate the result.
+        """
+        by_doc = self.postings.get(term)
+        if by_doc is None:
+            by_doc = {}
+            if term in self.collection_counts:
+                doc_tokens = self.doc_tokens
+                for doc_id, counts in self.doc_counts.items():
+                    if term in counts:
+                        tokens = doc_tokens[doc_id]
+                        found = []
+                        p = -1
+                        for _ in range(counts[term]):
+                            p = tokens.index(term, p + 1)
+                            found.append(p)
+                        by_doc[doc_id] = found
+                self.postings[term] = by_doc
+        return by_doc
+
     def add_document(self, doc: Document) -> None:
-        if doc.doc_id in self.doc_lengths:
+        if doc.doc_id in self.doc_tokens:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
-        self.doc_lengths[doc.doc_id] = doc.length
         self.doc_tokens[doc.doc_id] = doc.tokens
         self.doc_counts[doc.doc_id] = Counter(doc.tokens)
         self.collection_counts.update(doc.tokens)
-        self.total_terms += doc.length
-        self.postings.clear_memo()
+        self.total_terms += len(doc.tokens)
+        self.postings.clear()
 
 
 def ingest_corpus(
@@ -323,14 +285,12 @@ def phrase_positions(index: PositionalIndex, terms: Sequence[str]) -> Dict[str, 
 
     The one phrase matcher: documents in ingestion order, positions
     ascending, documents without an occurrence omitted.  A single term
-    gives its postings entry itself, which callers must not mutate.
+    gives index.positions of it, which callers must not mutate.
     """
     if not terms:
         raise ValueError("phrase matching requires at least one term")
-    first = index.postings.get(terms[0])
-    if first is None:
-        return {}
-    if len(terms) == 1:
+    first = index.positions(terms[0])
+    if len(terms) == 1 or not first:
         return first
     rest = tuple(terms[1:])
     if not all(t in index.collection_counts for t in rest):

@@ -20,6 +20,7 @@ from .corpus import read_lines, write_lines
 from .retrieval import RankedRun
 
 MEASURES = ("map", "ndcg10", "p10")
+FOLDS = 3
 
 
 @dataclass
@@ -42,9 +43,6 @@ class Qrels:
             if grade > 0:
                 by_doc[doc_id] = grade
         self._ideal_dcg = {qid: _ideal_dcg(rel) for qid, rel in self._relevant.items()}
-
-    def grade(self, qid: str, doc_id: str) -> int:
-        return self.judgments.get((qid, doc_id), 0)
 
     def judged_qids(self) -> List[str]:
         return sorted(self._relevant)
@@ -101,7 +99,7 @@ def _precision_at_10(ranked: Sequence[str], relevant: Dict[str, int]) -> float:
 
 def _ideal_dcg(relevant: Dict[str, int]) -> float:
     ideal = sorted(relevant.values(), reverse=True)[:10]
-    return sum((2**grade - 1) / math.log2(i + 1) for i, grade in enumerate(ideal, start=1))
+    return math.fsum((2**grade - 1) / math.log2(i + 1) for i, grade in enumerate(ideal, start=1))
 
 
 def _ndcg_at_10(ranked: Sequence[str], relevant: Dict[str, int], idcg: float) -> float:
@@ -138,7 +136,7 @@ def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
         }
     for measure in MEASURES:
         rows = [m[measure] for m in report.per_query.values()]
-        report.means[measure] = sum(rows) / len(rows) if rows else 0.0
+        report.means[measure] = math.fsum(rows) / len(rows) if rows else 0.0
     return report
 
 
@@ -161,7 +159,6 @@ class CvPlan:
     mu_grid: Tuple[float, ...]
     theta_grid: Tuple[int, ...]
     measure: str = "map"
-    folds: int = 3
 
     def __post_init__(self):
         if not self.mu_grid or not self.theta_grid:
@@ -174,8 +171,6 @@ class CvPlan:
             raise ValueError(f"theta grid entries must be >= 0, got {negative[0]}")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        if self.folds < 2:
-            raise ValueError("cross-validation needs at least 2 folds")
 
 
 @dataclass
@@ -187,16 +182,16 @@ class CvResult:
     diagnostics: List[str] = field(default_factory=list)
 
 
-def assign_folds(qids: Sequence[str], folds: int = 3) -> List[List[str]]:
-    """Round-robin over sorted qids: deterministic, no seed required."""
+def assign_folds(qids: Sequence[str]) -> List[List[str]]:
+    """FOLDS round-robin folds over sorted qids: deterministic, no seed required."""
     ordered = sorted(qids)
-    return [ordered[i::folds] for i in range(folds)]
+    return [ordered[i::FOLDS] for i in range(FOLDS)]
 
 
-def _check_fold_count(n_queries: int, plan: CvPlan) -> None:
+def _check_fold_count(n_queries: int) -> None:
     """Reject a batch too small to give every fold a query."""
-    if n_queries < plan.folds:
-        raise ValueError(f"need at least {plan.folds} queries, got {n_queries}")
+    if n_queries < FOLDS:
+        raise ValueError(f"need at least {FOLDS} queries, got {n_queries}")
 
 
 def _grid(plan: CvPlan) -> List[Tuple[float, int]]:
@@ -216,7 +211,7 @@ def cross_validate(
     grid point, in the grid's mu-major order; the diagnostics are every
     report's, first occurrence kept.
     """
-    _check_fold_count(len(qids), plan)
+    _check_fold_count(len(qids))
     values: Dict[Tuple[float, int], Dict[str, float]] = {}
     diagnostics: List[str] = []
     for mu, theta in _grid(plan):
@@ -241,18 +236,18 @@ def cross_validate_table(
     to the smaller mu, then the smaller theta.  diagnostics is copied into
     the result.
     """
-    _check_fold_count(len(qids), plan)
-    folds = assign_folds(qids, plan.folds)
+    _check_fold_count(len(qids))
+    folds = assign_folds(qids)
     grid = _grid(plan)
 
     def fold_mean(config: Tuple[float, int], members: Sequence[str]) -> float:
         row = values[config]
         picked = [row[q] for q in members if q in row]
-        return sum(picked) / len(picked) if picked else 0.0
+        return math.fsum(picked) / len(picked) if picked else 0.0
 
     choices: List[Tuple[float, int]] = []
     scores: List[float] = []
-    for held_out in range(plan.folds):
+    for held_out in range(FOLDS):
         train = [q for i, fold in enumerate(folds) if i != held_out for q in fold]
         best = grid[0]
         best_score = fold_mean(best, train)
@@ -266,6 +261,6 @@ def cross_validate_table(
         measure=plan.measure,
         fold_choices=choices,
         fold_scores=scores,
-        mean_score=sum(scores) / len(scores),
+        mean_score=math.fsum(scores) / len(scores),
         diagnostics=list(diagnostics),
     )

@@ -87,7 +87,7 @@ class _FeatureTable:
             phrases = [query.terms]
         maps = [phrase_occurrences(index, terms) for terms in phrases]
         self.docs = docs = _candidates(query, index)
-        self.doc_lens = [index.doc_lengths[doc_id] for doc_id in docs]
+        self.doc_lens = [len(index.doc_tokens[doc_id]) for doc_id in docs]
         doc_counts = index.doc_counts
         self.terms = [
             (
@@ -114,7 +114,7 @@ def _scores(
     the phrase log-probabilities over their count; the mixture is
     lambda_t * unigram + lambda_o * phrase part.
     """
-    log = math.log
+    log, fsum = math.log, math.fsum
     denoms = [doc_len + mu for doc_len in table.doc_lens]
     unigram = [0.0] * len(denoms)
     for c_tq, p_c, tf in table.terms:
@@ -128,7 +128,7 @@ def _scores(
         columns.append([log((c + mu_p) / d) for c, d in zip(counts, denoms)])
     n = len(columns)
     mixed = [
-        lambda_t * u + lambda_o * (sum(parts) / n) for u, parts in zip(unigram, zip(*columns))
+        lambda_t * u + lambda_o * (fsum(parts) / n) for u, parts in zip(unigram, zip(*columns))
     ]
     return unigram, mixed
 
@@ -144,7 +144,7 @@ def _candidates(query: Query, index: PositionalIndex) -> List[str]:
     seen: Set[str] = set()
     out: List[str] = []
     for t in set(query.terms):
-        for doc_id in index.postings.get(t, ()):
+        for doc_id in index.positions(t):
             if doc_id not in seen:
                 seen.add(doc_id)
                 out.append(doc_id)

@@ -14,6 +14,7 @@ being a count of queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -205,7 +206,7 @@ def score_query(
             reason="no usable perturbations",
             diagnostics=diagnostics,
         )
-    n_q = sum(divergences) / len(divergences)
+    n_q = math.fsum(divergences) / len(divergences)
     return NcdScore(query.qid, variant, n_q, divergences, diagnostics=diagnostics)
 
 

@@ -46,10 +46,11 @@ class TestPositionalIndex:
         assert index.doc_count == 2
         assert index.total_terms == 5
         assert index.vocab_size == 4
-        assert index.postings["tape"] == {"d1": [1], "d2": [0]}
-        assert list(index.postings["tape"]) == ["d1", "d2"]
-        assert index.postings["red"] == {"d1": [0]}
-        assert index.doc_lengths == {"d1": 3, "d2": 2}
+        assert index.positions("tape") == {"d1": [1], "d2": [0]}
+        assert list(index.positions("tape")) == ["d1", "d2"]
+        assert index.positions("red") == {"d1": [0]}
+        assert index.positions("zzz") == {}
+        assert index.doc_tokens == {"d1": ("red", "tape", "office"), "d2": ("tape", "measure")}
 
     def test_collection_and_term_frequency(self):
         index = make_index([("d1", "a b a"), ("d2", "a c")])

@@ -109,7 +109,7 @@ def reference_rank(queries, index, config, selected=()):
     eps = 1.0 / (2.0 * index.total_terms)
 
     def unigram_ql(query, doc_id):
-        doc_len = index.doc_lengths[doc_id]
+        doc_len = len(index.doc_tokens[doc_id])
         score = 0.0
         counts = {}
         for t in query.terms:
@@ -122,7 +122,7 @@ def reference_rank(queries, index, config, selected=()):
         return score
 
     def phrase_feature(doc_id, per_doc):
-        doc_len = index.doc_lengths[doc_id]
+        doc_len = len(index.doc_tokens[doc_id])
         collection_count = sum(per_doc.values())
         p_c = collection_count / index.total_terms if collection_count > 0 else eps
         c_pd = per_doc.get(doc_id, 0)
@@ -135,7 +135,7 @@ def reference_rank(queries, index, config, selected=()):
             mode = "fd" if query.qid in selected else "bow"
         docs = []
         for t in set(query.terms):
-            for doc_id in index.postings.get(t, ()):
+            for doc_id in index.positions(t):
                 if doc_id not in docs:
                     docs.append(doc_id)
         phrase_maps = []
@@ -151,9 +151,9 @@ def reference_rank(queries, index, config, selected=()):
             if query.m < 2 or mode == "bow":
                 score = unigram
             else:
-                phrase_part = sum(phrase_feature(doc_id, per_doc) for per_doc in phrase_maps) / len(
-                    phrase_maps
-                )
+                phrase_part = math.fsum(
+                    phrase_feature(doc_id, per_doc) for per_doc in phrase_maps
+                ) / len(phrase_maps)
                 score = config.lambda_t * unigram + config.lambda_o * phrase_part
             scored.append((doc_id, score))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -271,7 +271,7 @@ def test_frequencies_match_brute_force_counts(corpus):
         for doc_id, count in per_doc.items():
             assert index.term_frequency(term, doc_id) == count
         # Postings list the documents holding the term in ingestion order.
-        assert list(index.postings.get(term, {})) == [
+        assert list(index.positions(term)) == [
             doc_id for doc_id, tokens in docs if term in tokens
         ]
     assert index.term_frequency("a", "no-such-doc") == 0
@@ -297,17 +297,13 @@ def test_postings_equal_brute_force_in_any_lookup_order(corpus, order):
     docs, index = corpus
     for term in order:
         expected = brute_force_starts(docs, (term,))
-        if expected:
-            assert index.postings[term] == expected
-            assert list(index.postings[term]) == list(expected)
-        else:
-            assert term not in index.postings
-            assert index.postings.get(term) is None
+        assert index.positions(term) == expected
+        assert list(index.positions(term)) == list(expected)
     # A second pass reads the memo and must agree with the first.
-    assert dict(index.postings.items()) == {
-        t: brute_force_starts(docs, (t,)) for t in VOCAB if any(t in tokens for _, tokens in docs)
-    }
-    assert list(index.postings) == list(index.collection_counts)
+    for term in VOCAB + (ABSENT,):
+        assert index.positions(term) == brute_force_starts(docs, (term,))
+    # The memo holds the corpus terms looked up, and no absent term.
+    assert set(index.postings) == set(index.collection_counts)
 
 
 @PROPERTY
@@ -317,7 +313,7 @@ def test_add_document_after_lookup_leaves_nothing_stale(corpus, data):
     cut = data.draw(st.integers(min_value=0, max_value=len(docs)))
     index = build_index(docs[:cut])
     for term in data.draw(st.lists(st.sampled_from(VOCAB + (ABSENT,)))):
-        index.postings.get(term)
+        index.positions(term)
         phrase_positions(index, (term, term))
     for doc_id, tokens in docs[cut:]:
         index.add_document(Document(doc_id, tokens))
@@ -325,7 +321,7 @@ def test_add_document_after_lookup_leaves_nothing_stale(corpus, data):
     assert index.vocab_size == fresh.vocab_size
     assert index.total_terms == fresh.total_terms
     for term in VOCAB + (ABSENT,):
-        assert index.postings.get(term) == fresh.postings.get(term)
+        assert index.positions(term) == fresh.positions(term)
         assert index.collection_frequency(term) == fresh.collection_frequency(term)
         for doc_id, _ in docs:
             assert index.term_frequency(term, doc_id) == fresh.term_frequency(term, doc_id)
@@ -591,7 +587,7 @@ def reference_lm_score(query, variant, index, lexicon, n, order):
         divergences.append(kld_lists(lm_q, lm_p))
     if not divergences:
         return None
-    return sum(divergences) / len(divergences), divergences
+    return math.fsum(divergences) / len(divergences), divergences
 
 
 def lm_query(qid, *terms):

@@ -1,5 +1,6 @@
 """Every input file goes through corpus.read_lines: one decoding and
-line-numbering rule for the seven readers, and no other way in."""
+line-numbering rule for the seven readers, and no other way in.  Likewise,
+term positions come only through PositionalIndex.positions."""
 
 import ast
 import json
@@ -149,3 +150,19 @@ def test_no_other_read_path(path):
         if not (path.name == "corpus.py" and function == "read_lines")
     ]
     assert outside == [], f"files opened for reading outside read_lines: {outside}"
+
+
+def postings_reads(path):
+    """Line of each `.postings` attribute in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "postings"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_positions_only_through_the_index(path):
+    outside = [] if path.name == "corpus.py" else postings_reads(path)
+    assert outside == [], f"{path.name} reads .postings at lines {outside}; use index.positions()"
