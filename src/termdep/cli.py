@@ -32,7 +32,8 @@ from .evaluation import (
     MEASURES,
     CvPlan,
     _check_fold_count,
-    cross_validate_table,
+    _per_query,
+    cross_validate_selective,
     evaluate,
     load_qrels,
     write_metric_report,
@@ -210,7 +211,6 @@ def _cmd_tune(args) -> int:
     # Selection at theta is the first theta entries of one ordering; an
     # unscoreable query is not in it, so it is never selected.
     ordered, _ = select_dependent(scores, len(scores))
-    position = {qid: i for i, qid in enumerate(ordered)}
     # Report each grid theta that selects every scoreable query, as score and run do.
     for theta in sorted(set(plan.theta_grid)):
         if theta > len(ordered):
@@ -219,19 +219,22 @@ def _cmd_tune(args) -> int:
     # A selective run at (mu, theta) is, query by query, the fd run at mu
     # if the query is selected, else the bow run, and a query's metric value
     # depends on its own list alone: each distinct mu is ranked once in both
-    # modes and evaluated once per mode, and its runs are dropped at once.
-    values: Dict[Tuple[float, int], Dict[str, float]] = {}
+    # modes, each run is scored once on the tuned measure alone, and the
+    # runs are dropped at once.  Every run holds the whole batch, so each
+    # mu's bow run gives the same diagnostics.
+    measures = (plan.measure,)
+    values: Dict[float, Tuple[Dict[str, float], Dict[str, float]]] = {}
     diagnostics: List[str] = []
     for mu, bow, fd in rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config):
-        bow_report, fd_report = evaluate(bow, qrels), evaluate(fd, qrels)
-        diagnostics.extend(d for d in bow_report.diagnostics if d not in diagnostics)
-        fd_value = {qid: row[plan.measure] for qid, row in fd_report.per_query.items()}
-        for theta in set(plan.theta_grid):
-            values[(mu, theta)] = {
-                qid: fd_value[qid] if position.get(qid, theta) < theta else row[plan.measure]
-                for qid, row in bow_report.per_query.items()
-            }
-    result = cross_validate_table([q.qid for q in queries], values, plan, diagnostics)
+        diagnostics = []
+        bow_rows = _per_query(bow, qrels, measures, diagnostics)
+        fd_rows = _per_query(fd, qrels, measures, [])
+        values[mu] = (
+            {qid: row[plan.measure] for qid, row in bow_rows.items()},
+            {qid: row[plan.measure] for qid, row in fd_rows.items()},
+        )
+    qids = [q.qid for q in queries]
+    result = cross_validate_selective(qids, ordered, values, plan, diagnostics)
     payload = {
         "measure": result.measure,
         "folds": [

@@ -3,24 +3,31 @@
 Graded judgments come from TREC-format qrels; binary relevance for MAP
 and P@10 is grade > 0.  Cross-validation deterministically splits the
 qid-sorted query set round-robin into three folds, tunes (mu, theta) on
-two folds, and reports the mean score of the held-out thirds.  It reads a
-value table: per grid point, each evaluated query's value of the tuned
-measure.  cross_validate fills the table by evaluating one run per grid
-point; a caller that knows the runs' structure, such as tune's selective
-runs, may fill it any way that gives the same values.
+two folds, and reports the mean score of the held-out thirds.  One fold
+walk does it for both callers.  At each grid point it reads, per fold, the
+tuned measure's values of the fold's evaluated queries.  cross_validate
+gets them by evaluating one run per grid point.  cross_validate_selective
+gets them from each mu's bow and fd values: a selective run takes fd's
+value for a selected query and bow's for the rest.  Every mean is a
+math.fsum, which is exactly rounded, so the order of a fold's values
+never changes a result.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import read_lines, write_lines
 from .retrieval import RankedRun
 
 MEASURES = ("map", "ndcg10", "p10")
 FOLDS = 3
+_GRADE = re.compile(r"[+-]?[0-9]+")
+Ranked = Sequence[Tuple[str, float]]
 
 
 @dataclass
@@ -58,19 +65,31 @@ class Qrels:
 def load_qrels(path: str) -> Qrels:
     """Read `qid 0 doc_id grade` rows; later duplicates overwrite earlier."""
     judgments: Dict[Tuple[str, str], int] = {}
+    grades: Dict[str, int] = {}  # each distinct grade string is checked once
     for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected `qid 0 doc_id grade`")
         qid, _, doc_id, grade_s = parts
-        try:
-            grade = int(grade_s)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: grade must be an integer") from exc
-        if grade > 1000:  # ten NDCG gains 2**g - 1 must sum to a finite float
-            raise ValueError(f"{path}:{lineno}: grade {grade} exceeds 1000")
-        judgments[(qid, doc_id)] = max(0, grade)
+        grade = grades.get(grade_s)
+        if grade is None:
+            grade = grades[grade_s] = _grade(grade_s, f"{path}:{lineno}")
+        judgments[(qid, doc_id)] = grade
     return Qrels(judgments)
+
+
+def _grade(grade_s: str, where: str) -> int:
+    """grade_s as an ASCII integer at most 1000, a negative one clamped to 0."""
+    try:
+        # int() alone would also take `1_0` and non-ASCII digits.
+        if not _GRADE.fullmatch(grade_s):
+            raise ValueError(grade_s)
+        grade = int(grade_s)  # fails on more digits than it converts
+    except ValueError:
+        raise ValueError(f"{where}: grade {grade_s!r} must be an ASCII integer") from None
+    if grade > 1000:  # ten NDCG gains 2**g - 1 must sum to a finite float
+        raise ValueError(f"{where}: grade {grade} exceeds 1000")
+    return max(0, grade)
 
 
 @dataclass
@@ -82,10 +101,10 @@ class MetricReport:
     diagnostics: List[str] = field(default_factory=list)
 
 
-def _average_precision(ranked: Sequence[str], relevant: Dict[str, int]) -> float:
+def _average_precision(ranked: Ranked, relevant: Dict[str, int], idcg: float) -> float:
     hits = 0
     precision_sum = 0.0
-    for i, doc_id in enumerate(ranked, start=1):
+    for i, (doc_id, _) in enumerate(ranked, start=1):
         if doc_id in relevant:
             hits += 1
             precision_sum += hits / i
@@ -93,8 +112,8 @@ def _average_precision(ranked: Sequence[str], relevant: Dict[str, int]) -> float
     return precision_sum / len(relevant)
 
 
-def _precision_at_10(ranked: Sequence[str], relevant: Dict[str, int]) -> float:
-    return sum(1 for doc_id in ranked[:10] if doc_id in relevant) / 10.0
+def _precision_at_10(ranked: Ranked, relevant: Dict[str, int], idcg: float) -> float:
+    return sum(1 for doc_id, _ in ranked[:10] if doc_id in relevant) / 10.0
 
 
 def _ideal_dcg(relevant: Dict[str, int]) -> float:
@@ -102,13 +121,51 @@ def _ideal_dcg(relevant: Dict[str, int]) -> float:
     return math.fsum((2**grade - 1) / math.log2(i + 1) for i, grade in enumerate(ideal, start=1))
 
 
-def _ndcg_at_10(ranked: Sequence[str], relevant: Dict[str, int], idcg: float) -> float:
+def _ndcg_at_10(ranked: Ranked, relevant: Dict[str, int], idcg: float) -> float:
     dcg = 0.0
-    for i, doc_id in enumerate(ranked[:10], start=1):
+    for i, (doc_id, _) in enumerate(ranked[:10], start=1):
         grade = relevant.get(doc_id, 0)
         if grade > 0:
             dcg += (2**grade - 1) / math.log2(i + 1)
     return dcg / idcg
+
+
+# Each measure of one query's (doc_id, score) list, given its relevant
+# documents and its ideal DCG@10.
+_MEASURE_FNS: Dict[str, Callable[[Ranked, Dict[str, int], float], float]] = {
+    "map": _average_precision,
+    "ndcg10": _ndcg_at_10,
+    "p10": _precision_at_10,
+}
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The exactly rounded mean of values; 0.0 for none."""
+    return math.fsum(values) / len(values) if values else 0.0
+
+
+def _per_query(
+    run: RankedRun, qrels: Qrels, measures: Sequence[str], diagnostics: List[str]
+) -> Dict[str, Dict[str, float]]:
+    """Each judged run query's values of measures, in run order.
+
+    A query present in the run with no qrels rows at all is dropped, and
+    one that is judged but has no relevant documents is excluded; each
+    appends a line to diagnostics.
+    """
+    fns = [(measure, _MEASURE_FNS[measure]) for measure in measures]
+    rows: Dict[str, Dict[str, float]] = {}
+    for qid, entries in run.results.items():
+        if qid not in qrels._relevant:
+            diagnostics.append(f"qid {qid} has no judgments; dropped")
+            continue
+        relevant = qrels.relevant_docs(qid)
+        if not relevant:
+            diagnostics.append(f"qid {qid} has no relevant documents; excluded")
+            continue
+        idcg = qrels.ideal_dcg(qid)
+        rows[qid] = {measure: fn(entries, relevant, idcg) for measure, fn in fns}
+    return rows
 
 
 def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
@@ -119,24 +176,9 @@ def evaluate(run: RankedRun, qrels: Qrels) -> MetricReport:
     excluded from the means, also with a diagnostic.
     """
     report = MetricReport()
-    judged = set(qrels.judged_qids())
-    for qid, entries in run.results.items():
-        if qid not in judged:
-            report.diagnostics.append(f"qid {qid} has no judgments; dropped")
-            continue
-        relevant = qrels.relevant_docs(qid)
-        if not relevant:
-            report.diagnostics.append(f"qid {qid} has no relevant documents; excluded")
-            continue
-        ranked = [doc_id for doc_id, _ in entries]
-        report.per_query[qid] = {
-            "map": _average_precision(ranked, relevant),
-            "p10": _precision_at_10(ranked, relevant),
-            "ndcg10": _ndcg_at_10(ranked, relevant, qrels.ideal_dcg(qid)),
-        }
+    report.per_query = _per_query(run, qrels, MEASURES, report.diagnostics)
     for measure in MEASURES:
-        rows = [m[measure] for m in report.per_query.values()]
-        report.means[measure] = math.fsum(rows) / len(rows) if rows else 0.0
+        report.means[measure] = _mean([m[measure] for m in report.per_query.values()])
     return report
 
 
@@ -205,62 +247,95 @@ def cross_validate(
     qrels: Qrels,
     plan: CvPlan,
 ) -> CvResult:
-    """cross_validate_table over evaluate(run_for(mu, theta), qrels).
+    """The fold walk over evaluate(run_for(mu, theta), qrels).
 
     run_for(mu, theta) must rank the full batch.  It is called once per
-    grid point, in the grid's mu-major order; the diagnostics are every
-    report's, first occurrence kept.
+    grid point, in the grid's mu-major order; a qid the report lacks
+    (unjudged, or with no relevant document) is left out of the fold
+    means.  The diagnostics are every report's, first occurrence kept.
     """
     _check_fold_count(len(qids))
-    values: Dict[Tuple[float, int], Dict[str, float]] = {}
+    folds = assign_folds(qids)
     diagnostics: List[str] = []
-    for mu, theta in _grid(plan):
+
+    def fold_values(mu: float, theta: int) -> List[List[float]]:
         report = evaluate(run_for(mu, theta), qrels)
         diagnostics.extend(d for d in report.diagnostics if d not in diagnostics)
-        values[(mu, theta)] = {qid: row[plan.measure] for qid, row in report.per_query.items()}
-    return cross_validate_table(qids, values, plan, diagnostics)
+        row = report.per_query
+        return [[row[q][plan.measure] for q in fold if q in row] for fold in folds]
+
+    return _walk(fold_values, plan, diagnostics)
 
 
-def cross_validate_table(
+def cross_validate_selective(
     qids: Sequence[str],
-    values: Mapping[Tuple[float, int], Mapping[str, float]],
+    order: Sequence[str],
+    values: Mapping[float, Tuple[Mapping[str, float], Mapping[str, float]]],
+    plan: CvPlan,
+    diagnostics: Sequence[str],
+) -> CvResult:
+    """The fold walk over selective runs, from each mu's bow and fd values.
+
+    values[mu] is (bow, fd) for every mu of plan.mu_grid: each maps every
+    evaluated qid to its value of plan.measure in that mode's run at mu, and
+    both hold the same qids.  The selective run at (mu, theta) gives a query
+    fd's value if it is among the first theta of order, else bow's; a qid
+    not in order is never selected.  Per mu and fold, the evaluated members
+    are laid out once in order's order, unselectable ones last, so the
+    fold's values at theta are fd's for a prefix and bow's for the rest.
+    diagnostics is copied into the result.
+    """
+    _check_fold_count(len(qids))
+    folds = assign_folds(qids)
+    position = {qid: i for i, qid in enumerate(order)}
+    unselectable = len(order)
+    columns: Dict[float, List[Tuple[List[int], List[float], List[float]]]] = {}
+    for mu, (bow, fd) in values.items():
+        columns[mu] = []
+        for fold in folds:
+            members = sorted(
+                (q for q in fold if q in bow), key=lambda q: position.get(q, unselectable)
+            )
+            selectable = [position[q] for q in members if q in position]
+            columns[mu].append((selectable, [fd[q] for q in members], [bow[q] for q in members]))
+
+    def fold_values(mu: float, theta: int) -> List[List[float]]:
+        spliced = []
+        for selectable, fd_col, bow_col in columns[mu]:
+            j = bisect_left(selectable, theta)
+            spliced.append(fd_col[:j] + bow_col[j:])
+        return spliced
+
+    return _walk(fold_values, plan, diagnostics)
+
+
+def _walk(
+    fold_values: Callable[[float, int], List[List[float]]],
     plan: CvPlan,
     diagnostics: Sequence[str],
 ) -> CvResult:
     """Tune (mu, theta) per fold on the other folds, score on the held-out one.
 
-    values[(mu, theta)] maps each evaluated qid to its plan.measure value
-    at that grid point; a qid it lacks (unjudged, or with no relevant
-    document) is left out of the fold means.  Fold membership only
-    controls which values feed tuning versus testing.  Grid ties resolve
-    to the smaller mu, then the smaller theta.  diagnostics is copied into
-    the result.
+    fold_values(mu, theta) gives, for each fold of assign_folds, the values
+    of plan.measure of its evaluated members at that grid point.  It is
+    called once per grid point, in _grid's order.  A training mean joins
+    the other folds' values.  Grid ties resolve to the smaller mu, then the
+    smaller theta.  diagnostics is copied into the result after the walk.
     """
-    _check_fold_count(len(qids))
-    folds = assign_folds(qids)
-    grid = _grid(plan)
-
-    def fold_mean(config: Tuple[float, int], members: Sequence[str]) -> float:
-        row = values[config]
-        picked = [row[q] for q in members if q in row]
-        return math.fsum(picked) / len(picked) if picked else 0.0
-
-    choices: List[Tuple[float, int]] = []
-    scores: List[float] = []
-    for held_out in range(FOLDS):
-        train = [q for i, fold in enumerate(folds) if i != held_out for q in fold]
-        best = grid[0]
-        best_score = fold_mean(best, train)
-        for config in grid[1:]:
-            score = fold_mean(config, train)
-            if score > best_score:
-                best, best_score = config, score
-        choices.append(best)
-        scores.append(fold_mean(best, folds[held_out]))
+    choices: List[Optional[Tuple[float, int]]] = [None] * FOLDS
+    best_train = [0.0] * FOLDS
+    held_out: List[List[float]] = [[]] * FOLDS
+    for config in _grid(plan):
+        per_fold = fold_values(*config)
+        for k in range(FOLDS):
+            score = _mean(sum(per_fold[:k] + per_fold[k + 1 :], []))
+            if choices[k] is None or score > best_train[k]:
+                choices[k], best_train[k], held_out[k] = config, score, per_fold[k]
+    scores = [_mean(fold) for fold in held_out]
     return CvResult(
         measure=plan.measure,
         fold_choices=choices,
         fold_scores=scores,
-        mean_score=math.fsum(scores) / len(scores),
+        mean_score=_mean(scores),
         diagnostics=list(diagnostics),
     )

@@ -227,27 +227,33 @@ def write_run(run: RankedRun, path: str, tag: str) -> None:
 def read_run(path: str) -> RankedRun:
     """Read a TREC run file back into a RankedRun (tag discarded).
 
-    A row with the wrong field count, a score that is not a finite number,
-    or a (qid, doc_id) pair seen before is rejected with its path:line.
+    A row with the wrong field count, a score that is not a finite number
+    in ASCII without `_` separators, or a (qid, doc_id) pair seen before is
+    rejected with its path:line.
     """
     run = RankedRun()
     listed_by_qid: Dict[str, Set[str]] = {}
+    qid = None
     for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
-        qid, _, doc_id, _, raw, _ = parts
+        row_qid, _, doc_id, _, raw, _ = parts
         try:
+            # float() alone would also take `1_0.5` and non-ASCII digits.
+            if "_" in raw or not raw.isascii():
+                raise ValueError(raw)
             score = float(raw)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: score {raw!r} is not a number") from None
         if not math.isfinite(score):
             raise ValueError(f"{path}:{lineno}: score {raw!r} is not finite")
-        listed = listed_by_qid.get(qid)
-        if listed is None:
-            listed = listed_by_qid[qid] = set()
+        if row_qid != qid:  # a qid's rows usually come together: look its lists up once
+            qid = row_qid
+            listed = listed_by_qid.setdefault(qid, set())
+            entries = run.results.setdefault(qid, [])
         if doc_id in listed:
             raise ValueError(f"{path}:{lineno}: doc_id {doc_id!r} repeated for qid {qid!r}")
         listed.add(doc_id)
-        run.results.setdefault(qid, []).append((doc_id, score))
+        entries.append((doc_id, score))
     return run

@@ -7,7 +7,7 @@ import pytest
 
 from termdep.cli import DEFAULT_MU_GRID, DEFAULT_THETA_GRID, main
 from termdep.corpus import ingest_corpus, load_queries
-from termdep.evaluation import CvPlan, cross_validate, load_qrels
+from termdep.evaluation import MEASURES, CvPlan, cross_validate, load_qrels
 from termdep.perturb import load_lexicon
 from termdep.retrieval import RankingConfig, rank
 from termdep.scoring import score_batch, select_dependent
@@ -65,8 +65,8 @@ def forbid_loading_and_scoring(monkeypatch):
     monkeypatch.setattr("termdep.cli.score_batch", no_scoring)
 
 
-def tune_reference(paths, plan, path):
-    """Write, at path, the tune.json of cross_validate over selective rank at every grid point."""
+def tune_reference(paths, plan):
+    """The tune.json bytes of cross_validate over selective rank at every grid point."""
     index = ingest_corpus(paths["corpus"])
     queries = load_queries(paths["queries"])
     scores = score_batch(queries, "vector:tfidf", index, load_lexicon(paths["lexicon"]), n=5)
@@ -85,10 +85,41 @@ def tune_reference(paths, plan, path):
         "mean_score": result.mean_score,
         "diagnostics": result.diagnostics,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def assert_tune_matches_reference(paths, mu_grid, theta_grid, tmp_path):
+    """Tune on the grids for every measure; each tune.json must equal tune_reference's.
+
+    Each measure is scored on its own in tune, so each is checked.  Returns
+    the payloads, keyed by measure.
+    """
+    payloads = {}
+    for measure in MEASURES:
+        out = tmp_path / f"tune-{measure}.json"
+        code = main(
+            [
+                "tune",
+                *base_flags(paths),
+                "--lexicon",
+                paths["lexicon"],
+                "--qrels",
+                paths["qrels"],
+                "--measure",
+                measure,
+                "--mu-grid",
+                *map(str, mu_grid),
+                "--theta-grid",
+                *map(str, theta_grid),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid, measure=measure)
+        assert out.read_bytes() == tune_reference(paths, plan), measure
+        payloads[measure] = json.loads(out.read_text())
+    return payloads
 
 
 class TestFixtureCommand:
@@ -747,65 +778,15 @@ class TestTuneCommand:
         np.testing.assert_allclose(payload["mean_score"], 1.0, atol=1e-9)
 
     def test_matches_selective_rank_at_every_grid_point(self, retrieval_paths, tmp_path):
-        # tune splices per-mu bow and fd runs; the reference ranks the batch
+        # tune splices per-mu bow and fd values; the reference ranks the batch
         # in selective mode at every (mu, theta), as the grid defines it.
-        mu_grid, theta_grid, measure = (500.0, 2000.0), (0, 3, 7), "ndcg10"
-        out = tmp_path / "tune.json"
-        code = main(
-            [
-                "tune",
-                *base_flags(retrieval_paths),
-                "--lexicon",
-                retrieval_paths["lexicon"],
-                "--qrels",
-                retrieval_paths["qrels"],
-                "--measure",
-                measure,
-                "--threads",
-                "1",
-                "--mu-grid",
-                *map(str, mu_grid),
-                "--theta-grid",
-                *map(str, theta_grid),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid, measure=measure)
-        reference = tune_reference(retrieval_paths, plan, tmp_path / "reference.json")
-        assert out.read_bytes() == reference.read_bytes()
+        assert_tune_matches_reference(retrieval_paths, (500.0, 2000.0), (0, 3, 7), tmp_path)
 
     def test_unsorted_grids_with_repeats_match_selective_rank(self, retrieval_paths, tmp_path):
         # Repeated mu and theta entries: tune ranks each distinct mu once,
         # while cross_validate walks the sorted grid with every repeat.
         mu_grid, theta_grid = (2000.0, 500.0, 2000.0), (7, 0, 3, 3)
-        out = tmp_path / "tune.json"
-        code = main(
-            [
-                "tune",
-                *base_flags(retrieval_paths),
-                "--lexicon",
-                retrieval_paths["lexicon"],
-                "--qrels",
-                retrieval_paths["qrels"],
-                "--mu-grid",
-                "2000",
-                "500",
-                "2000",
-                "--theta-grid",
-                "7",
-                "0",
-                "3",
-                "3",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
-        reference = tune_reference(retrieval_paths, plan, tmp_path / "reference.json")
-        assert out.read_bytes() == reference.read_bytes()
+        assert_tune_matches_reference(retrieval_paths, mu_grid, theta_grid, tmp_path)
 
     def test_unjudged_zero_and_unscoreable_queries_match_selective_rank(
         self, retrieval_paths, tmp_path
@@ -827,63 +808,23 @@ class TestTuneCommand:
         with open(retrieval_paths["lexicon"], encoding="utf-8") as fh:
             lexicon.write_text("".join(line for line in fh if not line.startswith("term01a")))
         paths = {**retrieval_paths, "qrels": str(qrels), "lexicon": str(lexicon)}
-        mu_grid, theta_grid = (500.0, 2000.0), (0, 3, 7, 30)
-        out = tmp_path / "tune.json"
-        code = main(
-            [
-                "tune",
-                *base_flags(paths),
-                "--lexicon",
-                paths["lexicon"],
-                "--qrels",
-                paths["qrels"],
-                "--mu-grid",
-                *map(str, mu_grid),
-                "--theta-grid",
-                *map(str, theta_grid),
-                "--out",
-                str(out),
+        payloads = assert_tune_matches_reference(paths, (500.0, 2000.0), (0, 3, 7, 30), tmp_path)
+        for payload in payloads.values():
+            assert payload["diagnostics"] == [
+                "qid q02 has no judgments; dropped",
+                "qid q05 has no relevant documents; excluded",
             ]
-        )
-        assert code == 0
-        diagnostics = json.loads(out.read_text())["diagnostics"]
-        assert diagnostics == [
-            "qid q02 has no judgments; dropped",
-            "qid q05 has no relevant documents; excluded",
-        ]
-        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
-        reference = tune_reference(paths, plan, tmp_path / "reference.json")
-        assert out.read_bytes() == reference.read_bytes()
 
     def test_theta_overflow_reported_once_per_grid_theta(self, retrieval_paths, tmp_path, capsys):
         # 20 scoreable queries: 25 and 30 each select all of them, and each
-        # distinct theta is reported once, in ascending order.
+        # distinct theta is reported once, in ascending order, by each of
+        # the three tune calls (one per measure).
         mu_grid, theta_grid = (1000.0,), (30, 3, 25, 30, 20)
-        out = tmp_path / "tune.json"
-        code = main(
-            [
-                "tune",
-                *base_flags(retrieval_paths),
-                "--lexicon",
-                retrieval_paths["lexicon"],
-                "--qrels",
-                retrieval_paths["qrels"],
-                "--mu-grid",
-                *map(str, mu_grid),
-                "--theta-grid",
-                *map(str, theta_grid),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        assert_tune_matches_reference(retrieval_paths, mu_grid, theta_grid, tmp_path)
         assert capsys.readouterr().err.splitlines() == [
             "theta=25 exceeds 20 scoreable queries; selecting all",
             "theta=30 exceeds 20 scoreable queries; selecting all",
-        ]
-        plan = CvPlan(mu_grid=mu_grid, theta_grid=theta_grid)
-        reference = tune_reference(retrieval_paths, plan, tmp_path / "reference.json")
-        assert out.read_bytes() == reference.read_bytes()
+        ] * len(MEASURES)
 
     def test_empty_lexicon_rejected_before_reading(
         self, retrieval_paths, tmp_path, capsys, monkeypatch

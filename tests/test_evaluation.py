@@ -11,7 +11,7 @@ from termdep.evaluation import (
     Qrels,
     assign_folds,
     cross_validate,
-    cross_validate_table,
+    cross_validate_selective,
     evaluate,
     load_qrels,
     write_metric_report,
@@ -63,6 +63,24 @@ class TestQrelsLoading:
         path.write_text("q1 0 docA high\n")
         with pytest.raises(ValueError, match="integer"):
             load_qrels(str(path))
+
+    @pytest.mark.parametrize("grade", ["1_0", "\u0663", "\uff13", "1.0", "0x3", "+-1"])
+    def test_lenient_integer_grades_rejected(self, tmp_path, grade):
+        # int() takes the first three: a digit separator, an Arabic-Indic
+        # and a fullwidth digit.  Only ASCII [+-]?[0-9]+ is a grade.
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 docA 1\nq1 0 docB {grade}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"qrels\.txt:2: grade .* must be an ASCII integer$"):
+            load_qrels(str(path))
+
+    def test_signed_and_zero_padded_grades_accepted(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 docA +3\nq1 0 docB -07\nq1 0 docC 0002\n")
+        assert load_qrels(str(path)).judgments == {
+            ("q1", "docA"): 3,
+            ("q1", "docB"): 0,
+            ("q1", "docC"): 2,
+        }
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -367,48 +385,55 @@ class TestCrossValidate:
         assert any("q5" in d for d in result.diagnostics)
         assert any("q6" in d for d in result.diagnostics)
 
-    def test_table_variant_equals_run_variant(self):
-        # cross_validate evaluates run_for once per grid point, mu-major,
-        # and tunes on the table of those values; a table filled by hand
-        # with the same values, and the same diagnostics, gives an equal result.
-        table = {1: {"q1": 1, "q2": 2, "q3": 1, "q4": 0, "q5": 2, "q6": 1}}
-        table[2] = {q: (p % 2) + 1 for q, p in table[1].items()}
+    def test_selective_variant_equals_run_variant(self):
+        # cross_validate evaluates run_for once per grid point, mu-major.
+        # Here fd places every relevant doc first and bow places it per
+        # bow_at[mu]; the run at (mu, theta) is fd for the first theta of
+        # order.  cross_validate_selective, given each mu's bow and fd
+        # values and the same diagnostics, gives an equal result.
+        order = ["q3", "q1", "q5"]
+        bow_at = {
+            100.0: {"q1": 2, "q2": 1, "q3": 0, "q4": 2, "q5": 2, "q6": 1},
+            500.0: {"q1": 0, "q2": 2, "q3": 2, "q4": 1, "q5": 0, "q6": 2},
+        }
         calls = []
 
         def run_for(mu, theta):
             calls.append((mu, theta))
-            return single_relevant_run(table[theta])
+            return single_relevant_run(
+                {q: 1 if q in order[:theta] else p for q, p in bow_at[mu].items()}
+            )
 
         qrels = qrels_of({(q, f"{q}-rel"): 1 for q in self.QIDS[:5]})
-        plan = CvPlan(mu_grid=(500.0, 100.0), theta_grid=(2, 1))
+        plan = CvPlan(mu_grid=(500.0, 100.0), theta_grid=(2, 0))
         result = cross_validate(self.QIDS, run_for, qrels, plan)
-        assert calls == [(100.0, 1), (100.0, 2), (500.0, 1), (500.0, 2)]
+        assert calls == [(100.0, 0), (100.0, 2), (500.0, 0), (500.0, 2)]
         ap = {0: 0.0, 1: 1.0, 2: 0.5}
         values = {
-            (mu, theta): {q: ap[p] for q, p in table[theta].items() if q != "q6"}
-            for mu in (100.0, 500.0)
-            for theta in (1, 2)
+            mu: ({q: ap[p] for q, p in bow.items() if q != "q6"}, {q: 1.0 for q in self.QIDS[:5]})
+            for mu, bow in bow_at.items()
         }
         diagnostics = ["qid q6 has no judgments; dropped"]
         assert result.diagnostics == diagnostics
-        assert cross_validate_table(self.QIDS, values, plan, diagnostics) == result
+        assert cross_validate_selective(self.QIDS, order, values, plan, diagnostics) == result
 
     def test_fold_means_are_exactly_rounded(self):
         # As for evaluate's means: 0.1, 0.2 and 0.3 average to math.fsum's
         # mean, within a fold and across the folds.
-        plan = CvPlan(mu_grid=(100.0,), theta_grid=(1,))
+        plan = CvPlan(mu_grid=(100.0,), theta_grid=(0,))
         mean = math.fsum([0.1, 0.2, 0.3]) / 3
         # Folds [q1, q4, q7], [q2, q5, q8] and [q3, q6, q9] each hold all three values.
-        values = {(100.0, 1): {f"q{k}": (0.1, 0.2, 0.3)[(k - 1) // 3] for k in range(1, 10)}}
-        result = cross_validate_table([f"q{k}" for k in range(1, 10)], values, plan, [])
+        qids = [f"q{k}" for k in range(1, 10)]
+        bow = {q: (0.1, 0.2, 0.3)[(k - 1) // 3] for k, q in enumerate(qids, start=1)}
+        result = cross_validate_selective(qids, [], {100.0: (bow, bow)}, plan, [])
         assert result.fold_scores == [mean] * 3
         # One query per fold: the fold scores are the three values.
-        values = {(100.0, 1): {"q1": 0.1, "q2": 0.2, "q3": 0.3}}
-        result = cross_validate_table(["q1", "q2", "q3"], values, plan, [])
+        bow = {"q1": 0.1, "q2": 0.2, "q3": 0.3}
+        result = cross_validate_selective(["q1", "q2", "q3"], [], {100.0: (bow, bow)}, plan, [])
         assert result.fold_scores == [0.1, 0.2, 0.3]
         assert result.mean_score == mean
 
-    def test_table_too_few_queries_rejected(self):
+    def test_selective_too_few_queries_rejected(self):
         plan = CvPlan(mu_grid=(100.0,), theta_grid=(1,))
         with pytest.raises(ValueError, match="at least 3"):
-            cross_validate_table(["q1", "q2"], {(100.0, 1): {}}, plan, [])
+            cross_validate_selective(["q1", "q2"], [], {100.0: ({}, {})}, plan, [])

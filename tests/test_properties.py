@@ -17,7 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termdep.corpus import Document, PositionalIndex, Query, phrase_positions, tokenize
-from termdep.evaluation import MEASURES, Qrels, evaluate
+from termdep.evaluation import (
+    MEASURES,
+    CvPlan,
+    CvResult,
+    Qrels,
+    cross_validate_selective,
+    evaluate,
+)
 from termdep.langmodel import (
     COMBINATIONS,
     aligned_probs,
@@ -89,7 +96,7 @@ def query_batches(draw):
 )
 def test_spliced_run_equals_selective_rank(corpus, queries, mu, top_k, data):
     # Selective ranking is, query by query, fd's list if the qid is selected
-    # and bow's otherwise; tune fills its value table on that rule.
+    # and bow's otherwise; tune splices its per-fold values on that rule.
     _, index = corpus
     selected = data.draw(st.sets(st.sampled_from([q.qid for q in queries])))
     bow, fd = (
@@ -423,6 +430,63 @@ def test_metrics_of_a_run_read_back_lie_in_unit_interval(tmp_path_factory, resul
         assert set(row) == set(MEASURES)
         assert all(0.0 <= value <= 1.0 for value in row.values())
 
+
+# Few distinct values, so that fold means often tie.
+metric_values = st.one_of(
+    st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.5, 1.0)), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@st.composite
+def selective_tuning_cases(draw):
+    """qids, a selection order, per-mu (bow, fd) values and a plan.
+
+    The order holds the scoreable qids; the values leave out the qids that
+    are unjudged or have no relevant document.  The grids repeat entries
+    and reach theta 0 and thetas past the scoreable count.
+    """
+    n = draw(st.integers(min_value=3, max_value=10))
+    qids = draw(st.permutations([f"q{i}" for i in range(n)]))
+    order = draw(st.permutations(qids))[: draw(st.integers(min_value=0, max_value=n))]
+    evaluated = [q for q in sorted(qids) if draw(st.integers(0, 4))]
+    mu_grid = draw(st.lists(st.sampled_from((100.0, 500.0, 2000.0)), min_size=1, max_size=4))
+    theta_grid = draw(st.lists(st.integers(min_value=0, max_value=n + 2), min_size=1, max_size=5))
+    values = {
+        mu: tuple({q: draw(metric_values) for q in evaluated} for _ in ("bow", "fd"))
+        for mu in sorted(set(mu_grid))
+    }
+    plan = CvPlan(tuple(mu_grid), tuple(theta_grid), draw(st.sampled_from(MEASURES)))
+    return qids, order, values, plan
+
+
+def brute_force_selective_cv(qids, order, values, plan, diagnostics):
+    """Per held-out fold, the first grid point of best training mean, by brute force."""
+    ranked = sorted(qids)
+    folds = [ranked[i::3] for i in range(3)]
+    grid = [(mu, theta) for mu in sorted(plan.mu_grid) for theta in sorted(plan.theta_grid)]
+
+    def mean(members, mu, theta):
+        bow, fd = values[mu]
+        picked = [fd[q] if q in order[:theta] else bow[q] for q in members if q in bow]
+        return math.fsum(picked) / len(picked) if picked else 0.0
+
+    choices, scores = [], []
+    for k in range(3):
+        train = [q for i, fold in enumerate(folds) if i != k for q in fold]
+        # max keeps the first of equal maxima: the smaller mu, then theta.
+        best = max(grid, key=lambda config: mean(train, *config))
+        choices.append(best)
+        scores.append(mean(folds[k], *best))
+    return CvResult(plan.measure, choices, scores, math.fsum(scores) / 3, list(diagnostics))
+
+
+@PROPERTY
+@given(selective_tuning_cases())
+def test_selective_fold_walk_matches_brute_force(case):
+    qids, order, values, plan = case
+    diagnostics = ["qid q0 has no judgments; dropped"]
+    expected = brute_force_selective_cv(qids, order, values, plan, diagnostics)
+    assert cross_validate_selective(qids, order, values, plan, diagnostics) == expected
 
 WORDS = tuple("abcdefgh")
 count_tables = st.dictionaries(

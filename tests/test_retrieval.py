@@ -405,6 +405,16 @@ class TestRunIO:
         with pytest.raises(ValueError, match=r"abc\.run:1: score 'abc' is not a number"):
             read_run(str(path))
 
+    @pytest.mark.parametrize("score", ["1_0.5", "-1_000", "\u0661.\u0665", "\uff11.5"])
+    def test_read_rejects_underscore_and_non_ascii_scores(self, tmp_path, score):
+        # float() itself takes each of these: digit separators, Arabic-Indic
+        # and fullwidth digits.
+        assert math.isfinite(float(score))
+        path = tmp_path / "lax.run"
+        path.write_text(f"q1 Q0 d1 1 -1.0 t\nq1 Q0 d2 2 {score} t\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"lax\.run:2: score .* is not a number$"):
+            read_run(str(path))
+
     def test_read_skips_blank_lines(self, tmp_path):
         path = tmp_path / "ok.run"
         path.write_text("q1 Q0 doc 1 -1.000000 tag\n\n")
