@@ -331,25 +331,20 @@ def _add_common_io(p: argparse.ArgumentParser, queries: bool = True) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="termdep",
-        description="Selective term-dependence retrieval driven by query non-compositionality",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", help="summarize a corpus index")
+def _index_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_index)
 
-    p = sub.add_parser("windows", help="export window statistics for query terms")
+
+def _windows_args(p: argparse.ArgumentParser) -> None:
     _add_common_io(p)
     p.add_argument("--lexicon", help="include each term's first synonym")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_windows)
 
-    p = sub.add_parser("score", help="score query non-compositionality")
+
+def _score_args(p: argparse.ArgumentParser) -> None:
     _add_common_io(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--variant", required=True, choices=VARIANTS)
@@ -357,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="scores CSV path")
     p.set_defaults(fn=_cmd_score)
 
-    p = sub.add_parser("run", help="rank documents and write a TREC run file")
+
+def _run_args(p: argparse.ArgumentParser) -> None:
     _add_common_io(p)
     p.add_argument("--lexicon", help="needed when selective mode scores on the fly")
     p.add_argument("--mode", required=True, choices=MODES)
@@ -370,13 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("eval", help="evaluate a run file against qrels")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="metric report CSV path")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("tune", help="3-fold cross-validated (mu, theta) tuning")
+
+def _tune_args(p: argparse.ArgumentParser) -> None:
     _add_common_io(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--qrels", required=True)
@@ -388,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="tuning result JSON path")
     p.set_defaults(fn=_cmd_tune)
 
-    p = sub.add_parser("figure-data", help="per-query deltas and theta sweeps")
+
+def _figure_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qrels", required=True)
     p.add_argument("--measure", default="map", choices=MEASURES)
     p.add_argument("--run-a", help="run file A (delta = A - B)")
@@ -397,17 +396,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_figure_data)
 
-    p = sub.add_parser("fixture", help="write a bundled synthetic fixture")
+
+def _fixture_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=("planted", "retrieval"))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_fixture)
 
+
+# Each subcommand's help line and the function adding its arguments, in the
+# order the full parser lists them.
+COMMANDS = {
+    "index": ("summarize a corpus index", _index_args),
+    "windows": ("export window statistics for query terms", _windows_args),
+    "score": ("score query non-compositionality", _score_args),
+    "run": ("rank documents and write a TREC run file", _run_args),
+    "eval": ("evaluate a run file against qrels", _eval_args),
+    "tune": ("3-fold cross-validated (mu, theta) tuning", _tune_args),
+    "figure-data": ("per-query deltas and theta sweeps", _figure_data_args),
+    "fixture": ("write a bundled synthetic fixture", _fixture_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    A parser of one subcommand parses that command's arguments as the full
+    parser does, and prints the same usage: its subcommand list names every
+    command.  Help and errors about the command itself (a missing or an
+    unknown one) need the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="termdep",
+        description="Selective term-dependence retrieval driven by query non-compositionality",
+    )
+    # The full parser's usage spells out its commands; one command's parser
+    # must spell out the same list.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named command's parser is built; anything else (-h, no
+    # command, an unknown one) goes to the full parser.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if args.command == "run" and args.tag is None:
         args.tag = args.mode
     try:

@@ -8,26 +8,53 @@ perturbation models share the union vocabulary of both phrases' context
 windows, so every divergence is computed over a common, strictly positive
 event space.
 
-A comparison lays every column out on one word -> slot map (slot_map), in
-whatever order its vocabulary iterates, and fills in only each term's
-seen words.  No value depends on that order: each is computed per word,
-or is an exactly rounded math.fsum, so any order gives the very same
-floats.  The builtin sum is never used on floats here, since its rounding
-changed in Python 3.12.
+A comparison (one query phrase against one perturbation) is phrase_kld.
+A word's value in a term's column depends only on the word's count in
+that term's windows and on the size of the comparison's vocabulary, so
+words with the same tuple of counts over the comparison's terms (one
+count pattern) get the same value at every later step too:
+renormalization, the quartile band and mask, the combination and the KLD
+term.  phrase_kld therefore counts each pattern's words once, in C,
+builds each term's column once per distinct count, and combines and
+compares once per pattern.  Every normalizing total and the KLD sum is a
+math.fsum over the per-word multiset (each value repeated by its
+multiplicity, in C), and fsum is exactly rounded, so the floats are those
+of the word-by-word path (aligned_probs, combine_columns, kld_lists).
+That path is the same arithmetic with every word its own pattern, so no
+value depends on the order in which a vocabulary iterates.  The builtin
+sum is never used on floats here, since its rounding changed in Python
+3.12.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, mul, truediv
+from typing import (
+    AbstractSet,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 SMOOTHINGS = ("laplace", "sgt")
 COMBINATIONS = ("qsum", "qavg", "mult", "median")
 
 # A comparison's word -> column slot map (see slot_map).
 Slots = Dict[str, int]
+# How many vocabulary words each value of a list stands for (the words
+# sharing its count or its count pattern); None when each is one word's.
+Weights = Optional[Sequence[int]]
 
 
 @dataclass
@@ -38,7 +65,9 @@ class SmoothedLM:
     unseen_mass, to 1.  unseen_prob is the probability handed to a single
     out-of-vocabulary word; for the Good-Turing model the reserve is split
     evenly over however many unseen words a comparison introduces (see
-    aligned_probs).
+    aligned_probs).  by_count maps each count of a seen word to its
+    probability: laplace_lm and sgt_lm compute a word's probability from
+    its count alone, and phrase_kld reads it per count.
     """
 
     method: str
@@ -46,6 +75,7 @@ class SmoothedLM:
     unseen_mass: float
     unseen_prob: float
     diagnostics: List[str] = field(default_factory=list)
+    by_count: Dict[int, float] = field(default_factory=dict)
 
     @property
     def vocabulary(self) -> Set[str]:
@@ -66,6 +96,7 @@ def laplace_lm(counts: Dict[str, int], vocabulary: Iterable[str]) -> SmoothedLM:
         prob={w: (counts.get(w, 0) + 1) / denom for w in sorted(vocab)},
         unseen_mass=0.0,
         unseen_prob=1.0 / denom,
+        by_count={c: (c + 1) / denom for c in set(counts.values())},
     )
 
 
@@ -89,26 +120,6 @@ def slot_map(vocabulary: Iterable[str]) -> Slots:
     if len(slots) != len(words):
         raise ValueError("vocabulary words must be distinct")
     return slots
-
-
-def _filled(
-    slots: Slots, fill: float, words: Iterable[str], values: Iterable[float]
-) -> List[float]:
-    """The one column builder: `fill` in every slot, then each seen word's value in its own.
-
-    Only a term's seen words are visited, never the whole vocabulary.
-    """
-    column = [fill] * len(slots)
-    for i, v in zip(map(slots.__getitem__, words), values):
-        column[i] = v
-    return column
-
-
-def laplace_column(counts: Dict[str, int], slots: Slots) -> List[float]:
-    """aligned_probs(laplace_lm(counts, slots), slots), built directly."""
-    denom = _laplace_denominator(counts, slots.keys())
-    values = [(c + 1) / denom for c in counts.values()]
-    return _renormalized(_filled(slots, 1 / denom, counts, values))
 
 
 def _gale_sampson_smoother(ff: Dict[int, int]):
@@ -180,13 +191,17 @@ def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
         switched = True
         r_star[r] = lgt
     c_q = sum(counts.values())
-    raw = {w: r_star[c] / c_q for w, c in counts.items()}
+    raw = {r: r_star[r] / c_q for r in ff}
     raw_unseen = ff[1] / c_q
-    total = raw_unseen + math.fsum(raw.values())
-    prob = {w: v / total for w, v in raw.items()}
+    total = raw_unseen + math.fsum(_expanded(list(raw.values()), list(ff.values())))
+    by_count = {r: v / total for r, v in raw.items()}
     unseen_mass = raw_unseen / total
     return SmoothedLM(
-        method="sgt", prob=prob, unseen_mass=unseen_mass, unseen_prob=unseen_mass
+        method="sgt",
+        prob={w: by_count[c] for w, c in counts.items()},
+        unseen_mass=unseen_mass,
+        unseen_prob=unseen_mass,
+        by_count=by_count,
     )
 
 
@@ -205,74 +220,88 @@ def aligned_probs(model: SmoothedLM, slots: Slots) -> List[float]:
 def _aligned_values(model: SmoothedLM, slots: Slots) -> List[float]:
     prob = model.prob
     words = [w for w in prob if w in slots]
-    n_unseen = len(slots) - len(words)
+    column = [_unseen_fill(model, len(slots) - len(words))] * len(slots)
+    for i, w in zip(map(slots.__getitem__, words), words):
+        column[i] = prob[w]
+    return column
+
+
+def _unseen_fill(model: SmoothedLM, n_unseen: int) -> float:
+    """The value of each of a comparison's n_unseen words the model has not seen."""
     if model.method == "sgt" and n_unseen:
-        fill = model.unseen_mass / n_unseen
-    else:
-        fill = model.unseen_prob
-    return _filled(slots, fill, words, map(prob.__getitem__, words))
+        return model.unseen_mass / n_unseen
+    return model.unseen_prob
 
 
-def _renormalized(values: Sequence[float]) -> List[float]:
-    total = math.fsum(values)
+def _expanded(values: Sequence[float], weights: Weights) -> Iterable[float]:
+    """Each value repeated by its weight, in C: the per-word multiset fsum reads."""
+    if weights is None:
+        return values
+    return chain.from_iterable(map(repeat, values, weights))
+
+
+def _renormalized(values: Sequence[float], weights: Weights = None) -> List[float]:
+    total = math.fsum(_expanded(values, weights))
     if total <= 0.0:
         raise ValueError("aligned model has no probability mass")
-    return [v / total for v in values]
+    return list(map(truediv, values, repeat(total)))
 
 
-def _quantile_band(values: Sequence[float]) -> Tuple[float, float]:
-    """Inclusive [Q1, Q3] with linear interpolation between order stats."""
-    s = sorted(values)
-    n = len(s)
+def _quantile_band(values: Sequence[float], weights: Weights) -> Tuple[float, float]:
+    """Inclusive [Q1, Q3] of the per-word multiset, interpolated linearly between order stats.
+
+    The order statistics are read from the sorted (value, weight) pairs:
+    ends[i] is one past the last multiset position of the i-th pair.
+    """
+    pairs = sorted(zip(values, repeat(1) if weights is None else weights))
+    ends = list(accumulate(map(itemgetter(1), pairs)))
 
     def at(q: float) -> float:
-        pos = q * (n - 1)
+        pos = q * (ends[-1] - 1)
         lo = int(math.floor(pos))
         hi = int(math.ceil(pos))
+        low = pairs[bisect_right(ends, lo)][0]
         if lo == hi:
-            return s[lo]
+            return low
         frac = pos - lo
-        return s[lo] * (1.0 - frac) + s[hi] * frac
+        return low * (1.0 - frac) + pairs[bisect_right(ends, hi)][0] * frac
 
     return at(0.25), at(0.75)
 
 
-def combination_input(column: List[float], method: str) -> List[float]:
-    """What combine_inputs reads of one aligned column under `method`.
+def _check_method(method: str) -> None:
+    if method not in COMBINATIONS:
+        raise ValueError(f"unknown combination method {method!r}")
+
+
+def _masked(column: List[float], weights: Weights, method: str) -> List[float]:
+    """What _combined reads of one column under `method`.
 
     For qsum and qavg it is the column with every value outside the
     column's own inclusive [Q1, Q3] band set to 0.0 (outlier suppression).
     Q1 must be positive, so 0.0 marks exactly the words the column does
-    not contribute.  For mult and median it is the column itself.  A
-    comparison computes it once per term and shares it between its two
-    phrases.
+    not contribute.  For mult and median it is the column itself.
     """
-    if method not in COMBINATIONS:
-        raise ValueError(f"unknown combination method {method!r}")
     if not column:
         raise ValueError("combination vocabulary is empty")
     if method in ("mult", "median"):
         return column
-    q1, q3 = _quantile_band(column)
+    q1, q3 = _quantile_band(column, weights)
     if q1 <= 0.0:
         raise ValueError(f"quantile combination needs a positive band, got Q1 = {q1!r}")
     return [v if q1 <= v <= q3 else 0.0 for v in column]
 
 
-def combine_inputs(inputs: Sequence[List[float]], method: str) -> List[float]:
-    """Merge per-term combination_input columns (one per term) into one distribution.
+def _combined(inputs: Sequence[List[float]], weights: Weights, method: str) -> List[float]:
+    """Merge per-term _masked columns (one per term) into one distribution.
 
     qsum sums each word's contributions and qavg averages them; a word
     left with no contributor gets the smallest positive combined value.
     mult multiplies per-word values; median takes the per-word median.
     The result is renormalized to sum to 1.
     """
-    if method not in COMBINATIONS:
-        raise ValueError(f"unknown combination method {method!r}")
     if not inputs:
         raise ValueError("combination requires at least one column")
-    if not all(inputs):
-        raise ValueError("combination vocabulary is empty")
     if len(set(map(len, inputs))) > 1:
         raise ValueError(f"columns differ in length: {sorted(set(map(len, inputs)))}")
     if method == "mult":
@@ -304,16 +333,102 @@ def combine_inputs(inputs: Sequence[List[float]], method: str) -> List[float]:
             if not floor:
                 raise ValueError("quantile combination produced no contributions")
             combined = [v or floor for v in combined]
-    total = math.fsum(combined)
-    return [v / total for v in combined]
+    total = math.fsum(_expanded(combined, weights))
+    return list(map(truediv, combined, repeat(total)))
 
 
 def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
     """Merge aligned per-term distributions (one list per term) into one.
 
-    combine_inputs over each column's combination_input; see both.
+    phrase_kld's combination with every word its own pattern: each column
+    is masked by its own quartile band for qsum and qavg (see _masked),
+    then the columns are merged word by word (see _combined).
     """
-    return combine_inputs([combination_input(c, method) for c in columns], method)
+    _check_method(method)
+    return _combined([_masked(c, None, method) for c in columns], None, method)
+
+
+def _kld(p: Sequence[float], q: Sequence[float], weights: Weights) -> float:
+    pp = _renormalized(p, weights)
+    qq = _renormalized(q, weights)
+    for name, vals in (("p", pp), ("q", qq)):
+        if min(vals) <= 0.0:
+            raise ValueError(f"{name} assigns non-positive probability")
+    terms = list(map(mul, pp, map(math.log, map(truediv, pp, qq))))
+    return max(0.0, math.fsum(_expanded(terms, weights)))
+
+
+def _count_column(
+    table: Dict[str, int],
+    vocabulary: AbstractSet[str],
+    model: Optional[SmoothedLM],
+    method: str,
+) -> Dict[int, float]:
+    """What _combined reads of a term's column, keyed by the count behind each value.
+
+    The column is laplace_lm(table, vocabulary) when model is None, else
+    model (sgt_lm(table), read through its by_count), aligned on the
+    vocabulary as aligned_probs does, then _masked.  Each step is done
+    once per distinct count, over the multiset of the vocabulary's counts
+    (0 for a word the term has not seen).
+    """
+    if model is None:
+        denom = _laplace_denominator(table, vocabulary)
+    elif not table.keys() <= vocabulary:
+        # A model's seen words outside the vocabulary are ignored.
+        table = {w: table[w] for w in table.keys() & vocabulary}
+    words = Counter(table.values())
+    n_unseen = len(vocabulary) - len(table)
+    if n_unseen:
+        words[0] += n_unseen
+    if model is None:
+        # An unseen word's 1/denom is the (0 + 1)/denom of count 0.
+        values = [(c + 1) / denom for c in words]
+    else:
+        by_count = model.by_count
+        fill = _unseen_fill(model, n_unseen)
+        values = [by_count[c] if c else fill for c in words]
+    weights = list(words.values())
+    column = _renormalized(values, weights)
+    return dict(zip(words, _masked(column, weights, method)))
+
+
+def phrase_kld(
+    vocabulary: AbstractSet[str],
+    tables: Mapping[str, Dict[str, int]],
+    query_terms: Sequence[str],
+    perturbed_terms: Sequence[str],
+    combination: str,
+    models: Optional[Mapping[str, SmoothedLM]] = None,
+) -> float:
+    """KLD of a query phrase's combined model from a perturbation's, over `vocabulary`.
+
+    tables maps each distinct term of both phrases to its count table.  A
+    term's column is laplace_lm(tables[t], vocabulary) when models is None,
+    else models[t], which must be sgt_lm(tables[t]); either way aligned on
+    the vocabulary as aligned_probs does.  Each phrase's columns, in phrase
+    order and with any repeats, are merged as combine_columns does, and
+    the two results are compared as kld_lists does.  The floats are those
+    of that word-by-word path, and every error it raises is raised with
+    its message, but each step is done once per distinct count of a term
+    (its column) or once per count pattern (combination and KLD).
+    """
+    _check_method(combination)
+    terms = list(tables)
+    # One pass over a set walks its whole hash table: walk it once.
+    words = list(vocabulary)
+    patterns = Counter(zip(*[map(tables[t].get, words, repeat(0)) for t in terms]))
+    weights = list(patterns.values())
+    # Each term's count in every pattern; () for all of them over an empty vocabulary.
+    term_counts = list(zip(*patterns)) or [()] * len(terms)
+    inputs: Dict[str, List[float]] = {}
+    for t, counts in zip(terms, term_counts):
+        model = None if models is None else models[t]
+        value = _count_column(tables[t], vocabulary, model, combination)
+        inputs[t] = list(map(value.__getitem__, counts))
+    lm_q = _combined([inputs[t] for t in query_terms], weights, combination)
+    lm_p = _combined([inputs[t] for t in perturbed_terms], weights, combination)
+    return _kld(lm_q, lm_p, weights)
 
 
 def kld(p: SmoothedLM, q: SmoothedLM, vocabulary: Optional[Iterable[str]] = None) -> float:
@@ -340,9 +455,4 @@ def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
     """
     if len(p) != len(q):
         raise ValueError(f"p and q differ in length: {len(p)} and {len(q)}")
-    pp = _renormalized(p)
-    qq = _renormalized(q)
-    for name, vals in (("p", pp), ("q", qq)):
-        if min(vals) <= 0.0:
-            raise ValueError(f"{name} assigns non-positive probability")
-    return max(0.0, math.fsum([a * math.log(a / b) for a, b in zip(pp, qq)]))
+    return _kld(p, q, None)

@@ -7,9 +7,11 @@ phrase and its one-synonym perturbations; higher N_q = less
 compositional = stronger term dependence.  score_batch scores every
 query through one pair of closures whose functools.cache memos hold each
 term's windows and its vector or Good-Turing model; nothing else refers
-to them, so they are freed when the batch returns.  select_dependent
-picks the theta least-compositional scoreable queries of a batch, theta
-being a count of queries.
+to them, so they are freed when the batch returns.  An LM comparison is
+one langmodel.phrase_kld call over its terms' count tables (and their
+Good-Turing models), which works per count pattern, not per word.
+select_dependent picks the theta least-compositional scoreable queries
+of a batch, theta being a count of queries.
 """
 
 from __future__ import annotations
@@ -20,18 +22,7 @@ from functools import cache
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .corpus import PositionalIndex, Query
-from .langmodel import (
-    COMBINATIONS,
-    SMOOTHINGS,
-    Slots,
-    aligned_probs,
-    combination_input,
-    combine_inputs,
-    kld_lists,
-    laplace_column,
-    sgt_lm,
-    slot_map,
-)
+from .langmodel import COMBINATIONS, SMOOTHINGS, phrase_kld, sgt_lm
 from .perturb import Perturbation, SynonymLexicon, perturb
 from .vectors import SCHEMES, build_term_vector, compose_query_vector, cosine_distance
 from .windows import WindowSet, extract_windows
@@ -133,11 +124,6 @@ def _lm_prepare(
 ) -> Callable[[Query], Divergence]:
     sgt = cache(lambda term: sgt_lm(windows(term).window_cf))
 
-    def column(term: str, slots: Slots) -> List[float]:
-        if smoothing == "laplace":
-            return laplace_column(windows(term).window_cf, slots)
-        return aligned_probs(sgt(term), slots)
-
     def prepare(query: Query) -> Divergence:
         query_vocab: Set[str] = set()
         for term in set(query.terms):
@@ -146,19 +132,15 @@ def _lm_prepare(
         def divergence(p: Perturbation, diagnostics: List[str]) -> float:
             # Union vocabulary of both phrases' windows; Laplace V and the
             # Good-Turing unseen split are both relative to this comparison.
-            # Its words take their slots in set order: every value below is
-            # per word or an exactly rounded sum, so no order can change it.
-            slots = slot_map(query_vocab.union(windows(p.replacement).window_cf))
-            inputs = {
-                t: combination_input(column(t, slots), combination)
-                for t in {*query.terms, p.replacement}
-            }
+            terms = {*query.terms, p.replacement}
+            tables = {t: windows(t).window_cf for t in terms}
+            models = None
             if smoothing == "sgt":
+                models = {t: sgt(t) for t in terms}
                 for t in query.terms + p.terms:
                     diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
-            lm_q = combine_inputs([inputs[t] for t in query.terms], combination)
-            lm_p = combine_inputs([inputs[t] for t in p.terms], combination)
-            return kld_lists(lm_q, lm_p)
+            vocab = query_vocab.union(tables[p.replacement])
+            return phrase_kld(vocab, tables, query.terms, p.terms, combination, models)
 
         return divergence
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from termdep.cli import DEFAULT_MU_GRID, DEFAULT_THETA_GRID, main
+from termdep.cli import COMMANDS, DEFAULT_MU_GRID, DEFAULT_THETA_GRID, build_parser, main
 from termdep.corpus import ingest_corpus, load_queries
 from termdep.evaluation import MEASURES, CvPlan, cross_validate, load_qrels
 from termdep.perturb import load_lexicon
@@ -120,6 +120,42 @@ def assert_tune_matches_reference(paths, mu_grid, theta_grid, tmp_path):
         assert out.read_bytes() == tune_reference(paths, plan), measure
         payloads[measure] = json.loads(out.read_text())
     return payloads
+
+
+class TestParser:
+    """main builds only the named command's parser; what it prints must not show it."""
+
+    @staticmethod
+    def printed(parse, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "-h"] for command in COMMANDS]
+        + [
+            ["-h"],
+            [],
+            ["nope"],
+            ["-x", "score"],
+            ["score"],
+            ["score", "--corpus"],
+            ["score", "--variant", "lm:nope", "--corpus", "c"],
+            ["score", "--bogus", "x"],
+            ["index", "--corpus", "c", "--out", "o", "extra"],
+            ["tune", "--theta-grid", "x"],
+        ],
+    )
+    def test_help_and_usage_errors_match_the_full_parser(self, argv, capsys):
+        expected = self.printed(lambda: build_parser().parse_args(argv), capsys)
+        assert self.printed(lambda: main(argv), capsys) == expected
+        assert expected[1] or expected[2]
+
+    def test_one_command_parser_parses_as_the_full_one(self):
+        argv = ["run", "--corpus", "c", "--queries", "q", "--mode", "fd", "--out", "o"]
+        assert vars(build_parser("run").parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 class TestFixtureCommand:

@@ -6,13 +6,11 @@ import pytest
 from termdep.langmodel import (
     SmoothedLM,
     aligned_probs,
-    combination_input,
     combine_columns,
-    combine_inputs,
     kld,
     kld_lists,
-    laplace_column,
     laplace_lm,
+    phrase_kld,
     sgt_lm,
     slot_map,
 )
@@ -61,17 +59,22 @@ class TestLaplace:
         with pytest.raises(ValueError, match="cover"):
             laplace_lm({"a": 1}, {"b"})
         with pytest.raises(ValueError, match="cover"):
-            laplace_column({"a": 1}, slot_map(["b"]))
+            phrase_kld({"b"}, {"t": {"a": 1}}, ["t"], ["t"], "mult")
 
     def test_column_is_the_aligned_model(self):
-        # These add-one values do not fsum to exactly 1, so the column keeps
-        # the renormalization that aligning the model applies.
+        # These add-one values do not fsum to exactly 1, so the comparison
+        # keeps the renormalization that aligning the model applies: without
+        # it, the divergence would come out different.
         counts = {"b": 2, "c": 5, "d": 5, "e": 5}
         vocab = ["a", "b", "c", "d", "e"]
         slots = slot_map(vocab)
-        column = laplace_column(counts, slots)
-        assert column == aligned_probs(laplace_lm(counts, vocab), slots)
-        assert column != [(counts.get(w, 0) + 1) / (17 + 5) for w in vocab]
+        column = aligned_probs(laplace_lm(counts, vocab), slots)
+        raw = [(counts.get(w, 0) + 1) / (17 + 5) for w in vocab]
+        assert column != raw
+        other = aligned_probs(laplace_lm({"a": 1}, vocab), slots)
+        got = phrase_kld(set(vocab), {"t": counts, "u": {"a": 1}}, ["t"], ["u"], "mult")
+        assert got == kld_lists(combine_columns([column], "mult"), combine_columns([other], "mult"))
+        assert got != kld_lists(combine_columns([raw], "mult"), combine_columns([other], "mult"))
 
 
 class TestSimpleGoodTuring:
@@ -134,14 +137,19 @@ class TestSimpleGoodTuring:
 
 class TestAlignedProbs:
     def test_slot_order_leaves_each_words_value(self):
-        # A comparison's vocabulary takes its slots in set order, so a word's
-        # value must not depend on the slot it lands in.
+        # A comparison's vocabulary iterates in set order, so neither a word's
+        # value nor a comparison may depend on the order it comes in.
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
         vocab = ["y", "c", "a", "x", "b"]
+        tables = {"t": {"a": 2}, "u": {"a": 1, "b": 1, "c": 2}}
         for other in (sorted(vocab), vocab[::-1]):
-            for build in (lambda s: aligned_probs(lm, s), lambda s: laplace_column({"a": 2}, s)):
-                got = dict(zip(vocab, build(slot_map(vocab))))
-                assert got == dict(zip(other, build(slot_map(other))))
+            got = dict(zip(vocab, aligned_probs(lm, slot_map(vocab))))
+            assert got == dict(zip(other, aligned_probs(lm, slot_map(other))))
+            for models in (None, {t: sgt_lm(c) for t, c in tables.items()}):
+                got = phrase_kld(dict.fromkeys(vocab).keys(), tables, ["t"], ["u"], "qsum", models)
+                assert got == phrase_kld(
+                    dict.fromkeys(other).keys(), tables, ["t"], ["u"], "qsum", models
+                )
 
     def test_seen_words_outside_the_vocabulary_ignored(self):
         # Two of the three seen words are left out; the one unseen word takes
@@ -289,7 +297,7 @@ class TestCombination:
             with pytest.raises(ValueError, match="differ in length"):
                 combine_columns([[0.5, 0.5], [0.2, 0.3, 0.5]], method)
             with pytest.raises(ValueError, match="differ in length"):
-                combine_inputs([[0.5, 0.5], [0.5, 0.0, 0.5]], method)
+                combine_columns([[0.5, 0.5], [0.5, 0.0, 0.5]], method)
 
     def test_quantile_methods_reject_a_band_reaching_zero(self):
         # A left-out value is marked 0.0, so a 0.0 inside the band could not be
@@ -297,27 +305,34 @@ class TestCombination:
         for method in ("qsum", "qavg"):
             with pytest.raises(ValueError, match="positive band"):
                 combine_columns([[0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]], method)
-            assert combination_input([0.0, 0.2, 0.3, 0.5], method) == [0.0, 0.2, 0.3, 0.0]
+            # The 0.0 below the band and the 0.5 above it both take the floor.
+            combined = combine_columns([[0.0, 0.2, 0.3, 0.5]], method)
+            assert combined == ref_combine_columns([[0.0, 0.2, 0.3, 0.5]], method)
+            assert combined[0] == combined[1] == combined[3] < combined[2]
 
     def test_shared_inputs_equal_reference_combination(self):
-        # Scoring masks each column once and combines the masks of both
-        # phrases; a repeated term contributes its mask twice.  Rows of one,
-        # two and three columns must give the very floats of the one-row-at-
-        # a-time reference.
+        # A comparison masks each term's column once and combines the masks
+        # of both phrases; a repeated term contributes its mask twice.  Rows
+        # of one, two and three columns must give the very floats of the
+        # one-row-at-a-time reference, and so must the divergence.
         rng = np.random.default_rng(53)
-        cases = [self.make_columns({"a": 3, "b": 1}, {"b": 4, "c": 1}, {"a": 1, "c": 2})[0]]
+        cases = [([{"a": 3, "b": 1}, {"b": 4, "c": 1}, {"a": 1, "c": 2}], "laplace")]
         for smoothing in ("laplace", "sgt"):
-            cases += [
-                self.make_columns(*[random_counts(rng) for _ in range(3)], smoothing=smoothing)[0]
-                for _ in range(5)
-            ]
-        for cols in cases:
+            cases += [([random_counts(rng) for _ in range(3)], smoothing) for _ in range(5)]
+        picks = ([0, 1], [0, 0, 2], [2, 1, 0], [1], [1, 1])
+        for count_maps, smoothing in cases:
+            cols, vocab = self.make_columns(*count_maps, smoothing=smoothing)
+            tables = dict(enumerate(count_maps))
+            models = None
+            if smoothing == "sgt":
+                models = {i: sgt_lm(c) for i, c in tables.items()}
             for method in ("qsum", "qavg", "mult", "median"):
-                inputs = [combination_input(c, method) for c in cols]
-                for pick in ([0, 1], [0, 0, 2], [2, 1, 0], [1], [1, 1]):
-                    expected = ref_combine_columns([cols[i] for i in pick], method)
-                    assert combine_inputs([inputs[i] for i in pick], method) == expected
-                    assert combine_columns([cols[i] for i in pick], method) == expected
+                for q_pick, p_pick in zip(picks, picks[1:] + picks[:1]):
+                    expected = ref_combine_columns([cols[i] for i in q_pick], method)
+                    assert combine_columns([cols[i] for i in q_pick], method) == expected
+                    lm_p = ref_combine_columns([cols[i] for i in p_pick], method)
+                    got = phrase_kld(set(vocab), tables, q_pick, p_pick, method, models)
+                    assert got == kld_lists(expected, lm_p)
 
 
 class TestKld:

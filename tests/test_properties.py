@@ -4,8 +4,9 @@ mu-grid runs against rank, selective ranking against its bow and fd lists,
 ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
 range of metrics on runs read back, a window set's views (whichever is read
-first) against the brute-force oracle, the list-level LM kernels, LM scores
-against the model-level path, the sign of KLD, and the range of vector
+first) against the brute-force oracle, the list-level LM kernels, the
+count-pattern comparison against the word-by-word path, LM scores against
+the model-level path, the sign of KLD, and the range of vector
 divergences."""
 
 import math
@@ -30,8 +31,8 @@ from termdep.langmodel import (
     aligned_probs,
     combine_columns,
     kld_lists,
-    laplace_column,
     laplace_lm,
+    phrase_kld,
     sgt_lm,
     slot_map,
 )
@@ -507,7 +508,8 @@ def reference_phrase_kld(q_models, p_models, method, vocab):
 
     The float operations, in order, that phrase scoring has always
     performed: align each model on the vocabulary and renormalize, combine
-    and renormalize, renormalize both combined models again, then sum.
+    and renormalize, renormalize both combined models again, then sum and
+    clamp a sum rounded below 0 to 0.
     """
 
     def normalized(values):
@@ -559,7 +561,7 @@ def reference_phrase_kld(q_models, p_models, method, vocab):
 
     lm_q, lm_p = combine(q_models), combine(p_models)
     pp, qq = normalized(lm_q), normalized(lm_p)
-    return lm_q, math.fsum(a * math.log(a / b) for a, b in zip(pp, qq))
+    return lm_q, max(0.0, math.fsum(a * math.log(a / b) for a, b in zip(pp, qq)))
 
 
 @PROPERTY
@@ -571,28 +573,133 @@ def reference_phrase_kld(q_models, p_models, method, vocab):
     st.sampled_from(("laplace", "sgt")),
 )
 def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, smoothing):
-    # Scoring's path (columns -> combine_columns -> kld_lists) gives the very
-    # floats of the one-word-at-a-time reference.
+    # Scoring's path (phrase_kld over count patterns) and the word-by-word
+    # path (aligned columns -> combine_columns) give the very floats of the
+    # one-word-at-a-time reference.
     vocab_set = set(extra).union(*q_tables, *p_tables)
     vocab = sorted(vocab_set)
     slots = slot_map(vocab)
+    tables = {f"q{i}": c for i, c in enumerate(q_tables)}
+    tables.update((f"p{i}", c) for i, c in enumerate(p_tables))
     if smoothing == "laplace":
+        models = None
         q_models = [laplace_lm(c, vocab_set) for c in q_tables]
         p_models = [laplace_lm(c, vocab_set) for c in p_tables]
-        q_cols = [laplace_column(c, slots) for c in q_tables]
-        p_cols = [laplace_column(c, slots) for c in p_tables]
     else:
-        q_models = [sgt_lm(c) for c in q_tables]
-        p_models = [sgt_lm(c) for c in p_tables]
-        q_cols = [aligned_probs(m, slots) for m in q_models]
-        p_cols = [aligned_probs(m, slots) for m in p_models]
+        models = {t: sgt_lm(c) for t, c in tables.items()}
+        q_models = [models[f"q{i}"] for i in range(len(q_tables))]
+        p_models = [models[f"p{i}"] for i in range(len(p_tables))]
+    q_terms = [f"q{i}" for i in range(len(q_tables))]
+    p_terms = [f"p{i}" for i in range(len(p_tables))]
 
     def kernels():
-        combined_q = combine_columns(q_cols, method)
-        return combined_q, kld_lists(combined_q, combine_columns(p_cols, method))
+        combined_q = combine_columns([aligned_probs(m, slots) for m in q_models], method)
+        return combined_q, phrase_kld(vocab_set, tables, q_terms, p_terms, method, models)
 
     expected = outcome(lambda: reference_phrase_kld(q_models, p_models, method, vocab))
     assert outcome(kernels) == expected
+
+
+def dense_phrase_kld(vocabulary, tables, query_terms, perturbed_terms, method, models):
+    """phrase_kld word by word: aligned_probs of laplace_lm (or models[t]) per
+    term, ref_combine_columns per phrase, then kld_lists."""
+    slots = slot_map(sorted(vocabulary))
+    columns = {}
+    for t, counts in tables.items():
+        model = laplace_lm(counts, vocabulary) if models is None else models[t]
+        columns[t] = aligned_probs(model, slots)
+    lm_q = ref_combine_columns([columns[t] for t in query_terms], method)
+    lm_p = ref_combine_columns([columns[t] for t in perturbed_terms], method)
+    return kld_lists(lm_q, lm_p)
+
+
+TERMS = ("s", "t", "u", "v")
+
+
+@st.composite
+def comparisons(draw):
+    """(vocabulary, tables, query terms, perturbed terms) of one comparison.
+
+    The perturbation replaces one query position with a term that may be a
+    query term itself.  The vocabulary is the tables' union plus extra
+    words, minus any dropped ones: Laplace rejects a vocabulary that does
+    not cover a table, and Good-Turing ignores the seen words it leaves out.
+    """
+    query = draw(st.lists(st.sampled_from(TERMS), min_size=1, max_size=4))
+    position = draw(st.integers(min_value=0, max_value=len(query) - 1))
+    perturbed = list(query)
+    perturbed[position] = draw(st.sampled_from(TERMS))
+    tables = {t: draw(count_tables) for t in dict.fromkeys(query + perturbed)}
+    extra = draw(st.sets(st.sampled_from(WORDS + ("x", "y"))))
+    dropped = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(WORDS), max_size=2)))
+    return set(extra).union(*tables.values()) - dropped, tables, query, perturbed
+
+
+@PROPERTY
+@given(comparisons(), st.sampled_from(COMBINATIONS), st.sampled_from(("laplace", "sgt")))
+@example(
+    # Six words: Q1 sits between order statistics 1 and 2 of t's column,
+    # which are the values of counts 0 and 1.
+    comparison=(
+        set("abcdef"),
+        {"t": {"a": 1, "b": 2, "c": 2, "d": 3}, "u": {"e": 1}, "v": {"f": 2}},
+        ["t", "u"],
+        ["t", "v"],
+    ),
+    method="qsum",
+    smoothing="laplace",
+)
+@example(
+    # Every term has seen every word: no unseen reserve is split.
+    comparison=(
+        set("ab"),
+        {"t": {"a": 1, "b": 2}, "u": {"a": 2, "b": 1}, "v": {"a": 1, "b": 1}},
+        ["t", "u"],
+        ["v", "u"],
+    ),
+    method="qavg",
+    smoothing="sgt",
+)
+@example(
+    comparison=({"a"}, {"t": {"a": 1}, "u": {"a": 3}, "v": {"a": 2}}, ["t", "u"], ["t", "v"]),
+    method="qsum",
+    smoothing="laplace",
+)
+@example(
+    # No hapax in t or v: sgt_lm falls back to Laplace, whose unseen words
+    # each take unseen_prob.
+    comparison=(
+        set("abcd"),
+        {"t": {"a": 2, "b": 3}, "u": {"b": 1, "c": 1}, "v": {"d": 2}},
+        ["t", "u"],
+        ["v", "u"],
+    ),
+    method="mult",
+    smoothing="sgt",
+)
+@example(
+    # A repeated query term contributes its column twice to both phrases.
+    comparison=(
+        set("abc"),
+        {"t": {"a": 1, "b": 2}, "u": {"c": 1}, "v": {"a": 2, "c": 1}},
+        ["t", "t", "u"],
+        ["t", "t", "v"],
+    ),
+    method="qavg",
+    smoothing="laplace",
+)
+@example(
+    # The replacement is a query term: the perturbation repeats it.
+    comparison=(set("abc"), {"t": {"a": 1, "b": 1}, "u": {"c": 2}}, ["t", "u"], ["t", "t"]),
+    method="median",
+    smoothing="sgt",
+)
+def test_phrase_kld_equals_dense_path(comparison, method, smoothing):
+    # Count patterns change no float and no error of the word-by-word path.
+    vocab, tables, query, perturbed = comparison
+    models = None if smoothing == "laplace" else {t: sgt_lm(c) for t, c in tables.items()}
+    expected = outcome(lambda: dense_phrase_kld(vocab, tables, query, perturbed, method, models))
+    assert outcome(lambda: phrase_kld(vocab, tables, query, perturbed, method, models)) == expected
 
 
 positive_lists = st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=8)
