@@ -4,9 +4,12 @@ Documents arrive as JSON-lines ({"doc_id": ..., "text": ...}), queries as
 TSV (qid<TAB>text), stopwords as one word per line.  The index is
 count-first: ingestion keeps each document's tokens and counts them, and
 PositionalIndex.positions, the one way to a term's positions, inverts a
-term when a query, phrase or context window first asks for it.  So
-Dirichlet ranking reads counts, and exact ordered phrase matching reads
-positions of the few terms it needs.
+term when a query, phrase or context window first asks for it.  Every
+collection statistic is derived on read: a term's collection frequency
+from its positions, the vocabulary size from the per-document counts.
+So ranking (tf and cf alike) and exact ordered phrase matching read
+positions of the few terms they need, and nothing vocabulary-wide is
+built at ingestion.
 """
 
 from __future__ import annotations
@@ -133,18 +136,18 @@ _NO_COUNTS: Dict[str, int] = {}
 class PositionalIndex:
     """Count-first index: token counts at ingestion, positions inverted on first lookup.
 
-    doc_tokens maps doc_id -> its token tuple, doc_counts doc_id -> Counter
-    of its tokens and collection_counts term -> total occurrences, all in
-    ingestion order and counted in C by add_document, so frequency lookups
-    are constant time.  positions(term) gives a term's positions; postings
-    is its memo, holding only the terms looked up since the last
-    add_document.
+    doc_tokens maps doc_id -> its token tuple and doc_counts doc_id ->
+    Counter of its tokens, both in ingestion order and filled by
+    add_document; they are the index's own, read only in this module.
+    positions(term) gives a term's positions, and collection_frequency
+    counts them; postings is their memo, holding only the corpus terms
+    looked up since the last add_document.  vocab_size unions the
+    per-document counts on each read.
     """
 
     def __init__(self) -> None:
         self.doc_tokens: Dict[str, Tuple[str, ...]] = {}
         self.doc_counts: Dict[str, Counter] = {}
-        self.collection_counts: Counter = Counter()
         self.total_terms = 0
         self.postings: Dict[str, Dict[str, List[int]]] = {}
 
@@ -154,10 +157,10 @@ class PositionalIndex:
 
     @property
     def vocab_size(self) -> int:
-        return len(self.collection_counts)
+        return len(set().union(*self.doc_counts.values()))
 
     def collection_frequency(self, term: str) -> int:
-        return self.collection_counts.get(term, 0)
+        return sum(map(len, self.positions(term).values()))
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         return self.doc_counts.get(doc_id, _NO_COUNTS).get(term, 0)
@@ -167,22 +170,24 @@ class PositionalIndex:
 
         Empty for a term the corpus lacks.  A term is inverted on its first
         lookup, by scanning the per-document counters and locating its
-        positions with tuple.index; callers must not mutate the result.
+        positions with tuple.index.  Only a term the corpus holds is
+        memoized, so an absent one is scanned for again on every lookup.
+        Callers must not mutate the result.
         """
         by_doc = self.postings.get(term)
         if by_doc is None:
             by_doc = {}
-            if term in self.collection_counts:
-                doc_tokens = self.doc_tokens
-                for doc_id, counts in self.doc_counts.items():
-                    if term in counts:
-                        tokens = doc_tokens[doc_id]
-                        found = []
-                        p = -1
-                        for _ in range(counts[term]):
-                            p = tokens.index(term, p + 1)
-                            found.append(p)
-                        by_doc[doc_id] = found
+            doc_tokens = self.doc_tokens
+            for doc_id, counts in self.doc_counts.items():
+                if term in counts:
+                    tokens = doc_tokens[doc_id]
+                    found = []
+                    p = -1
+                    for _ in range(counts[term]):
+                        p = tokens.index(term, p + 1)
+                        found.append(p)
+                    by_doc[doc_id] = found
+            if by_doc:
                 self.postings[term] = by_doc
         return by_doc
 
@@ -191,7 +196,6 @@ class PositionalIndex:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
         self.doc_tokens[doc.doc_id] = doc.tokens
         self.doc_counts[doc.doc_id] = Counter(doc.tokens)
-        self.collection_counts.update(doc.tokens)
         self.total_terms += len(doc.tokens)
         self.postings.clear()
 
@@ -293,7 +297,7 @@ def phrase_positions(index: PositionalIndex, terms: Sequence[str]) -> Dict[str, 
     if len(terms) == 1 or not first:
         return first
     rest = tuple(terms[1:])
-    if not all(t in index.collection_counts for t in rest):
+    if not all(index.positions(t) for t in rest):
         return {}
     end = len(terms)
     starts: Dict[str, List[int]] = {}

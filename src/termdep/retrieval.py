@@ -88,15 +88,11 @@ class _FeatureTable:
         maps = [phrase_occurrences(index, terms) for terms in phrases]
         self.docs = docs = _candidates(query, index)
         self.doc_lens = [len(index.doc_tokens[doc_id]) for doc_id in docs]
-        doc_counts = index.doc_counts
-        self.terms = [
-            (
-                c_tq,
-                _p_c(index.collection_frequency(t), index),
-                [doc_counts[doc_id].get(t, 0) for doc_id in docs],
-            )
-            for t, c_tq in Counter(query.terms).items()
-        ]
+        self.terms = []
+        for t, c_tq in Counter(query.terms).items():
+            by_doc = index.positions(t)
+            tf = [len(by_doc.get(doc_id, ())) for doc_id in docs]
+            self.terms.append((c_tq, _p_c(index.collection_frequency(t), index), tf))
         self.phrases = [
             (_p_c(sum(per_doc.values()), index), [per_doc.get(doc_id, 0) for doc_id in docs])
             for per_doc in maps

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from termdep.cli import COMMANDS, DEFAULT_MU_GRID, DEFAULT_THETA_GRID, build_parser, main
-from termdep.corpus import ingest_corpus, load_queries
+from termdep.corpus import ingest_corpus, load_queries, tokenize
 from termdep.evaluation import MEASURES, CvPlan, cross_validate, load_qrels
 from termdep.perturb import load_lexicon
 from termdep.retrieval import RankingConfig, rank
@@ -189,7 +189,9 @@ class TestIndexCommand:
         stats = json.loads(out.read_text())
         assert stats["doc_count"] == 24
         assert stats["total_terms"] == 24 * 6
-        assert stats["vocab_size"] > 0
+        lines = (planted_paths["dir"] / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        texts = [json.loads(line)["text"] for line in lines]
+        assert stats["vocab_size"] == len({t for text in texts for t in tokenize(text)})
 
     def test_missing_corpus_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "stats.json"

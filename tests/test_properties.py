@@ -283,6 +283,11 @@ def test_frequencies_match_brute_force_counts(corpus):
             doc_id for doc_id, tokens in docs if term in tokens
         ]
     assert index.term_frequency("a", "no-such-doc") == 0
+    assert index.vocab_size == len({t for _, tokens in docs for t in tokens})
+    assert index.total_terms == sum(len(tokens) for _, tokens in docs)
+    # Counting an absent term memoizes nothing.
+    assert index.collection_frequency(ABSENT) == 0
+    assert ABSENT not in index.postings
 
 
 def brute_force_starts(docs, phrase):
@@ -311,7 +316,7 @@ def test_postings_equal_brute_force_in_any_lookup_order(corpus, order):
     for term in VOCAB + (ABSENT,):
         assert index.positions(term) == brute_force_starts(docs, (term,))
     # The memo holds the corpus terms looked up, and no absent term.
-    assert set(index.postings) == set(index.collection_counts)
+    assert set(index.postings) == {t for _, tokens in docs for t in tokens}
 
 
 @PROPERTY

@@ -152,17 +152,23 @@ def test_no_other_read_path(path):
     assert outside == [], f"files opened for reading outside read_lines: {outside}"
 
 
-def postings_reads(path):
-    """Line of each `.postings` attribute in a module."""
+def attribute_reads(path, attr):
+    """Line of each `.<attr>` attribute in a module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "postings"
+        if isinstance(node, ast.Attribute) and node.attr == attr
     ]
+
+
+# The index's own backing: the program reads a term's positions through
+# index.positions(), and counts through the index's methods.
+INDEX_INTERNALS = ("postings", "doc_counts")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_positions_only_through_the_index(path):
-    outside = [] if path.name == "corpus.py" else postings_reads(path)
-    assert outside == [], f"{path.name} reads .postings at lines {outside}; use index.positions()"
+    attrs = () if path.name == "corpus.py" else INDEX_INTERNALS
+    outside = [f".{attr} at line {line}" for attr in attrs for line in attribute_reads(path, attr)]
+    assert outside == [], f"{path.name} reads {outside}; use index.positions()"
