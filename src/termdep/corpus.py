@@ -2,14 +2,14 @@
 
 Documents arrive as JSON-lines ({"doc_id": ..., "text": ...}), queries as
 TSV (qid<TAB>text), stopwords as one word per line.  The index is
-count-first: ingestion keeps each document's tokens and counts them, and
-PositionalIndex.positions, the one way to a term's positions, inverts a
-term when a query, phrase or context window first asks for it.  Every
-collection statistic is derived on read: a term's collection frequency
-from its positions, the vocabulary size from the per-document counts.
-So ranking (tf and cf alike) and exact ordered phrase matching read
-positions of the few terms they need, and nothing vocabulary-wide is
-built at ingestion.
+count-first: ingestion keeps only each document's tokens, the first term
+lookup counts them, and PositionalIndex.positions, the one way to a
+term's positions, inverts a term when a query, phrase or context window
+first asks for it.  Every collection statistic is derived on read: a
+term's collection frequency from its positions, the vocabulary size from
+the token tuples.  So ranking (tf and cf alike) and exact ordered phrase
+matching read positions of the few terms they need, and a call that looks
+no term up (`termdep index`) counts nothing.
 """
 
 from __future__ import annotations
@@ -134,20 +134,22 @@ _NO_COUNTS: Dict[str, int] = {}
 
 
 class PositionalIndex:
-    """Count-first index: token counts at ingestion, positions inverted on first lookup.
+    """Count-first index: tokens at ingestion, counts and positions on first lookup.
 
-    doc_tokens maps doc_id -> its token tuple and doc_counts doc_id ->
-    Counter of its tokens, both in ingestion order and filled by
-    add_document; they are the index's own, read only in this module.
+    doc_tokens maps doc_id -> its token tuple, in ingestion order, filled
+    by add_document.  _doc_counts maps doc_id -> Counter of its tokens; it
+    is built in one pass, in ingestion order, by the first positions() or
+    term_frequency() call after the last add_document.  It and postings
+    are the index's own, read only in this module.
     positions(term) gives a term's positions, and collection_frequency
     counts them; postings is their memo, holding only the corpus terms
-    looked up since the last add_document.  vocab_size unions the
-    per-document counts on each read.
+    looked up since the last add_document.  vocab_size unions the token
+    tuples on each read.
     """
 
     def __init__(self) -> None:
         self.doc_tokens: Dict[str, Tuple[str, ...]] = {}
-        self.doc_counts: Dict[str, Counter] = {}
+        self._doc_counts: Optional[Dict[str, Counter]] = None
         self.total_terms = 0
         self.postings: Dict[str, Dict[str, List[int]]] = {}
 
@@ -157,13 +159,19 @@ class PositionalIndex:
 
     @property
     def vocab_size(self) -> int:
-        return len(set().union(*self.doc_counts.values()))
+        return len(set().union(*self.doc_tokens.values()))
+
+    def _counts(self) -> Dict[str, Counter]:
+        if self._doc_counts is None:
+            doc_tokens = self.doc_tokens
+            self._doc_counts = dict(zip(doc_tokens, map(Counter, doc_tokens.values())))
+        return self._doc_counts
 
     def collection_frequency(self, term: str) -> int:
         return sum(map(len, self.positions(term).values()))
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        return self.doc_counts.get(doc_id, _NO_COUNTS).get(term, 0)
+        return self._counts().get(doc_id, _NO_COUNTS).get(term, 0)
 
     def positions(self, term: str) -> Dict[str, List[int]]:
         """{doc_id: ascending positions of term}, documents in ingestion order.
@@ -178,7 +186,7 @@ class PositionalIndex:
         if by_doc is None:
             by_doc = {}
             doc_tokens = self.doc_tokens
-            for doc_id, counts in self.doc_counts.items():
+            for doc_id, counts in self._counts().items():
                 if term in counts:
                     tokens = doc_tokens[doc_id]
                     found = []
@@ -195,8 +203,8 @@ class PositionalIndex:
         if doc.doc_id in self.doc_tokens:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
         self.doc_tokens[doc.doc_id] = doc.tokens
-        self.doc_counts[doc.doc_id] = Counter(doc.tokens)
         self.total_terms += len(doc.tokens)
+        self._doc_counts = None
         self.postings.clear()
 
 
@@ -242,7 +250,11 @@ def ingest_corpus(
 
 
 def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]:
-    """Read qid<TAB>text rows; stopwords are removed from queries, never stemmed."""
+    """Read qid<TAB>text rows; stopwords are removed from queries, never stemmed.
+
+    A qid that is empty, holds whitespace or a comma, or repeats is
+    rejected with its path:line.
+    """
     queries: List[Query] = []
     seen: Set[str] = set()
     for lineno, line in read_lines(path):
@@ -254,6 +266,8 @@ def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]
             raise CorpusFormatError(f"{path}:{lineno}: empty qid")
         if _has_whitespace(qid):
             raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
+        if "," in qid:  # score, eval and delta CSV rows lead with the qid
+            raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains a comma")
         if qid in seen:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate qid {qid!r}")
         seen.add(qid)

@@ -63,7 +63,10 @@ class Qrels:
 
 
 def load_qrels(path: str) -> Qrels:
-    """Read `qid 0 doc_id grade` rows; later duplicates overwrite earlier."""
+    """Read `qid 0 doc_id grade` rows; later duplicates overwrite earlier.
+
+    A qid holding a comma is rejected with its path:line.
+    """
     judgments: Dict[Tuple[str, str], int] = {}
     grades: Dict[str, int] = {}  # each distinct grade string is checked once
     for lineno, line in read_lines(path):
@@ -71,6 +74,8 @@ def load_qrels(path: str) -> Qrels:
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected `qid 0 doc_id grade`")
         qid, _, doc_id, grade_s = parts
+        if "," in qid:  # eval and delta CSV rows lead with the qid
+            raise ValueError(f"{path}:{lineno}: qid {qid!r} contains a comma")
         grade = grades.get(grade_s)
         if grade is None:
             grade = grades[grade_s] = _grade(grade_s, f"{path}:{lineno}")

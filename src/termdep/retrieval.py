@@ -223,9 +223,9 @@ def write_run(run: RankedRun, path: str, tag: str) -> None:
 def read_run(path: str) -> RankedRun:
     """Read a TREC run file back into a RankedRun (tag discarded).
 
-    A row with the wrong field count, a score that is not a finite number
-    in ASCII without `_` separators, or a (qid, doc_id) pair seen before is
-    rejected with its path:line.
+    A row with the wrong field count, a qid holding a comma, a score that
+    is not a finite number in ASCII without `_` separators, or a (qid,
+    doc_id) pair seen before is rejected with its path:line.
     """
     run = RankedRun()
     listed_by_qid: Dict[str, Set[str]] = {}
@@ -246,6 +246,8 @@ def read_run(path: str) -> RankedRun:
             raise ValueError(f"{path}:{lineno}: score {raw!r} is not finite")
         if row_qid != qid:  # a qid's rows usually come together: look its lists up once
             qid = row_qid
+            if "," in qid:  # eval and delta CSV rows lead with the qid
+                raise ValueError(f"{path}:{lineno}: qid {qid!r} contains a comma")
             listed = listed_by_qid.setdefault(qid, set())
             entries = run.results.setdefault(qid, [])
         if doc_id in listed:

@@ -1,0 +1,98 @@
+"""tools/ab.py on canned numbers: the claim verdict (at least 10 pairs, at
+least 9 of 10 won, ties won by neither side, a median gain beyond the
+parent's IQR), the bound check and the seed range; and its imports,
+standard library only and never termdep."""
+
+import argparse
+import ast
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+AB_PATH = pathlib.Path(__file__).parent.parent / "tools" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", AB_PATH)
+ab = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = ab
+_spec.loader.exec_module(ab)
+
+# Parent runs with median 0.100 and quartiles 0.091, 0.10775: an IQR of 17%.
+PARENT = [0.086, 0.088, 0.092, 0.098, 0.100, 0.100, 0.104, 0.107, 0.110, 0.112]
+
+
+def scaled(factor):
+    return [x * factor for x in PARENT]
+
+
+def test_canned_parent_spread():
+    c = ab.Comparison("lower", PARENT, PARENT)
+    assert c.parent_iqr == pytest.approx(0.01675)
+    assert c.wins == 0  # every pair is a tie
+    assert not c.claim_met()
+
+
+def test_median_drop_within_parent_iqr_is_not_met():
+    # A refused claim: lower in every pair, the median 11% down, but the
+    # parent's IQR is 17%.
+    c = ab.Comparison("lower", PARENT, scaled(0.89))
+    assert c.wins == 10
+    assert c.gain == pytest.approx(0.011)
+    assert not c.claim_met()
+
+
+def test_median_drop_beyond_parent_iqr_in_every_pair_is_met():
+    c = ab.Comparison("lower", PARENT, scaled(0.68))
+    assert c.wins == 10
+    assert c.gain == pytest.approx(0.032)
+    assert c.claim_met()
+
+
+def test_a_tie_is_won_by_neither_side():
+    one_tie = scaled(0.6)
+    one_tie[0] = PARENT[0]
+    assert ab.Comparison("lower", PARENT, one_tie).wins == 9
+    assert ab.Comparison("lower", PARENT, one_tie).claim_met()
+    two_ties = list(one_tie)
+    two_ties[9] = PARENT[9]
+    c = ab.Comparison("lower", PARENT, two_ties)
+    assert c.wins == 8
+    assert c.gain > c.parent_iqr  # the pair count alone fails the claim
+    assert not c.claim_met()
+
+
+def test_fewer_than_ten_pairs_is_not_met():
+    # Every pair won and the median far below the parent's, but too few pairs.
+    for pairs in (2, 9):
+        c = ab.Comparison("lower", PARENT[:pairs], [x * 0.5 for x in PARENT[:pairs]])
+        assert c.wins == pairs
+        assert c.gain > c.parent_iqr
+        assert not c.claim_met()
+
+
+def test_higher_is_better_reads_the_other_way():
+    assert ab.Comparison("higher", PARENT, scaled(1.32)).claim_met()
+    assert ab.Comparison("higher", PARENT, scaled(0.68)).wins == 0
+
+
+def test_worse_than_bound_is_relative_to_the_parent_median():
+    assert ab.Comparison("lower", PARENT, scaled(1.26)).worse_than_bound(0.25)
+    assert not ab.Comparison("lower", PARENT, scaled(1.24)).worse_than_bound(0.25)
+    assert not ab.Comparison("lower", PARENT, scaled(0.5)).worse_than_bound(0.25)
+
+
+def test_seed_ranges():
+    assert ab.parse_seeds("901-910") == list(range(901, 911))
+    for bad in ("7-7", "9-1", "901", "a-b"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab.parse_seeds(bad)
+
+
+def test_imports_are_stdlib_and_never_termdep():
+    names = set()
+    for node in ast.walk(ast.parse(AB_PATH.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[0])
+    assert names <= set(sys.stdlib_module_names)

@@ -720,6 +720,63 @@ class TestEvalRejectsBadRuns:
         assert not report.exists()
 
 
+class TestCommaQidFailsAtLoad:
+    """Score, eval and delta CSV rows lead with the qid, so a qid holding a
+    comma would read back as another qid: each loader rejects it."""
+
+    def test_score_rejects_it_in_queries(self, retrieval_paths, tmp_path, capsys):
+        plain = (retrieval_paths["dir"] / "queries.tsv").read_text()
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(plain + "q,x\tterm01a term01b\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(
+            [
+                "score",
+                "--corpus",
+                retrieval_paths["corpus"],
+                "--queries",
+                str(queries),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--variant",
+                "vector:tfidf",
+                "--theta",
+                "10",
+                "--out",
+                str(out / "scores.csv"),
+            ]
+        )
+        assert code == 2
+        line = plain.count("\n") + 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {queries}:{line}: qid 'q,x' contains a comma"
+        ]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bad, row",
+        [("run", "q,x Q0 d01-a1 1 -1.000000 bow"), ("qrels", "q,x 0 d01-a1 1")],
+        ids=("run", "qrels"),
+    )
+    def test_eval_rejects_it(self, retrieval_paths, mode_runs, tmp_path, capsys, bad, row):
+        paths = {"run": tmp_path / "x.run", "qrels": tmp_path / "qrels.txt"}
+        paths["run"].write_text(mode_runs["bow"].read_text())
+        paths["qrels"].write_text((retrieval_paths["dir"] / "qrels.txt").read_text())
+        plain = paths[bad].read_text()
+        paths[bad].write_text(plain + row + "\n")
+        report = tmp_path / "report.csv"
+        code = main(
+            ["eval", "--run", str(paths["run"]), "--qrels", str(paths["qrels"]), "--out", str(report)]
+        )
+        assert code == 2
+        line = plain.count("\n") + 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[bad]}:{line}: qid 'q,x' contains a comma"
+        ]
+        assert not report.exists()
+
+
 class TestInputEncoding:
     def test_byte_order_mark_on_queries_changes_no_output(self, retrieval_paths, tmp_path):
         plain = retrieval_paths["dir"] / "queries.tsv"

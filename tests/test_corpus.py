@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import termdep.corpus
+from termdep.cli import main
 from termdep.corpus import (
     CorpusFormatError,
     Document,
@@ -63,6 +66,40 @@ class TestPositionalIndex:
         index = make_index([("d1", "a")])
         with pytest.raises(CorpusFormatError, match="duplicate"):
             index.add_document(Document("d1", ("b",)))
+
+
+class TestCountsOnFirstLookup:
+    def test_counters_built_once_and_only_by_a_lookup(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(termdep.corpus, "Counter", CountingCounter)
+        path = tmp_path / "corpus.jsonl"
+        rows = [("d1", "red tape office"), ("d2", "tape measure"), ("d3", "red red tape")]
+        path.write_text("".join(json.dumps({"doc_id": d, "text": t}) + "\n" for d, t in rows))
+        # The index summary needs no per-document counts.
+        assert main(["index", "--corpus", str(path), "--out", str(tmp_path / "index.json")]) == 0
+        assert built == []
+        index = ingest_corpus(str(path))
+        assert built == []
+        # The first lookup counts every document, in ingestion order.
+        assert index.positions("red") == {"d1": [0], "d3": [0, 1]}
+        assert built == [("red", "tape", "office"), ("tape", "measure"), ("red", "red", "tape")]
+        index.positions("tape")
+        index.term_frequency("red", "d3")
+        index.collection_frequency("absent")
+        assert len(built) == 3
+        # A document added after a lookup counts nothing itself; the next
+        # lookup reads counts that include it.
+        index.add_document(Document("d4", ("tape", "red")))
+        assert len(built) == 3
+        assert index.positions("red") == {"d1": [0], "d3": [0, 1], "d4": [1]}
+        assert index.term_frequency("tape", "d4") == 1
+        assert index.term_frequency("red", "d3") == 2
 
 
 class TestIngestCorpus:

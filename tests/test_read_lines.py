@@ -164,7 +164,7 @@ def attribute_reads(path, attr):
 
 # The index's own backing: the program reads a term's positions through
 # index.positions(), and counts through the index's methods.
-INDEX_INTERNALS = ("postings", "doc_counts")
+INDEX_INTERNALS = ("postings", "_doc_counts")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
