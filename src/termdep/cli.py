@@ -133,6 +133,10 @@ def _cmd_windows(args) -> int:
 def _cmd_score(args) -> int:
     _check_theta(args.theta)
     _check_lexicon(args, "score")
+    sel_path = os.path.join(os.path.dirname(args.out) or ".", "selected.txt")
+    # The selection would replace the scores just written at the same path.
+    if args.theta is not None and os.path.realpath(args.out) == os.path.realpath(sel_path):
+        raise ValueError(f"--out {args.out} is the selected.txt that --theta writes")
     index, queries, lexicon = _load_inputs(args)
     scores = score_batch(
         queries, args.variant, index, lexicon, n=args.window, threads=args.threads
@@ -140,7 +144,6 @@ def _cmd_score(args) -> int:
     write_lines(args.out, _scores_csv(scores))
     if args.theta is not None:
         selected, diagnostics = select_dependent(scores, args.theta)
-        sel_path = os.path.join(os.path.dirname(args.out) or ".", "selected.txt")
         write_lines(sel_path, (qid + "\n" for qid in selected))
         for d in diagnostics:
             print(d, file=sys.stderr)
@@ -312,10 +315,9 @@ def _cmd_fixture(args) -> int:
     return 0
 
 
-def _add_common_io(p: argparse.ArgumentParser, queries: bool = True) -> None:
+def _add_common_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
-    if queries:
-        p.add_argument("--queries", required=True, help="queries TSV path")
+    p.add_argument("--queries", required=True, help="queries TSV path")
     p.add_argument("--stopwords", help="optional stopword list, one per line")
     p.add_argument(
         "--stop-documents",

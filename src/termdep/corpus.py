@@ -2,14 +2,15 @@
 
 Documents arrive as JSON-lines ({"doc_id": ..., "text": ...}), queries as
 TSV (qid<TAB>text), stopwords as one word per line.  The index is
-count-first: ingestion keeps only each document's tokens, the first term
-lookup counts them, and PositionalIndex.positions, the one way to a
-term's positions, inverts a term when a query, phrase or context window
-first asks for it.  Every collection statistic is derived on read: a
-term's collection frequency from its positions, the vocabulary size from
-the token tuples.  So ranking (tf and cf alike) and exact ordered phrase
-matching read positions of the few terms they need, and a call that looks
-no term up (`termdep index`) counts nothing.
+count-first: ingestion keeps only each document's tokens, which
+PositionalIndex.tokens alone hands out, the first term lookup counts them,
+and PositionalIndex.positions, the one way to a term's positions, inverts
+a term when a query, phrase or context window first asks for it.  Every
+collection statistic is derived on read: a term's collection frequency
+from its positions, the vocabulary size from the token tuples.  So
+ranking (tf and cf alike) and exact ordered phrase matching read
+positions of the few terms they need, and a call that looks no term up
+(`termdep index`) counts nothing.
 """
 
 from __future__ import annotations
@@ -137,10 +138,11 @@ class PositionalIndex:
     """Count-first index: tokens at ingestion, counts and positions on first lookup.
 
     doc_tokens maps doc_id -> its token tuple, in ingestion order, filled
-    by add_document.  _doc_counts maps doc_id -> Counter of its tokens; it
-    is built in one pass, in ingestion order, by the first positions() or
-    term_frequency() call after the last add_document.  It and postings
-    are the index's own, read only in this module.
+    by add_document; tokens(doc_id) is the program's one way to it.
+    _doc_counts maps doc_id -> Counter of its tokens; it is built in one
+    pass, in ingestion order, by the first positions() or term_frequency()
+    call after the last add_document.  All three tables (doc_tokens,
+    _doc_counts, postings) are the index's own, read only in this module.
     positions(term) gives a term's positions, and collection_frequency
     counts them; postings is their memo, holding only the corpus terms
     looked up since the last add_document.  vocab_size unions the token
@@ -166,6 +168,10 @@ class PositionalIndex:
             doc_tokens = self.doc_tokens
             self._doc_counts = dict(zip(doc_tokens, map(Counter, doc_tokens.values())))
         return self._doc_counts
+
+    def tokens(self, doc_id: str) -> Tuple[str, ...]:
+        """The token tuple of document `doc_id`; KeyError if the index lacks it."""
+        return self.doc_tokens[doc_id]
 
     def collection_frequency(self, term: str) -> int:
         return sum(map(len, self.positions(term).values()))

@@ -87,7 +87,7 @@ class _FeatureTable:
             phrases = [query.terms]
         maps = [phrase_occurrences(index, terms) for terms in phrases]
         self.docs = docs = _candidates(query, index)
-        self.doc_lens = [len(index.doc_tokens[doc_id]) for doc_id in docs]
+        self.doc_lens = [len(index.tokens(doc_id)) for doc_id in docs]
         self.terms = []
         for t, c_tq in Counter(query.terms).items():
             by_doc = index.positions(t)

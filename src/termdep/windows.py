@@ -6,8 +6,9 @@ Every occurrence yields its own window: none is dropped and duplicates
 are kept.  The center tokens count toward the window's content, so
 sum(counts.values()) == size.
 
-Extraction keeps only each window's token span.  A WindowSet derives
-three views from the spans, each on first use: window_cf (all the LM
+Extraction cuts each window's token slice once, through the index's
+tokens(); a WindowSet keeps the slices, not the index, and derives
+three views from them, each on first use: window_cf (all the LM
 family reads), stats (N, n(t), M_i, max f, G and each term's window ids
 and in-window frequencies, all that term vectors read) and ContextWindow
 objects (for callers that walk single windows).
@@ -19,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .corpus import PositionalIndex, phrase_positions
 
@@ -79,36 +80,26 @@ class WindowStats:
 
 
 class WindowSet:
-    """The windows of one target term or phrase, held as token spans.
+    """The windows of one target term or phrase, held as token slices.
 
-    spans[i] is window i's (doc_id, position, lo, hi): the occurrence
-    starts at `position` and the window is doc_tokens[doc_id][lo:hi].
+    spans[i] is window i's (doc_id, position, tokens): the occurrence
+    starts at `position` and tokens is the window's slice of the document.
     The views are derived on first use and kept; none keeps a per-window
     dict unless `windows` is read.
     """
 
-    def __init__(
-        self,
-        target: Tuple[str, ...],
-        spans: List[Tuple[str, int, int, int]],
-        doc_tokens: Dict[str, Tuple[str, ...]],
-    ):
+    def __init__(self, target: Tuple[str, ...], spans: List[Tuple[str, int, Tuple[str, ...]]]):
         self.target = target
         self.spans = spans
-        self._doc_tokens = doc_tokens
 
     @property
     def n_windows(self) -> int:
         return len(self.spans)
 
-    def _slices(self) -> Iterator[Tuple[str, ...]]:
-        doc_tokens = self._doc_tokens
-        return (doc_tokens[doc_id][lo:hi] for doc_id, _, lo, hi in self.spans)
-
     @cached_property
     def window_cf(self) -> Dict[str, int]:
         """Each term's total count across the windows, in order of first appearance."""
-        return Counter(chain.from_iterable(self._slices()))
+        return Counter(chain.from_iterable(tokens for _, _, tokens in self.spans))
 
     @cached_property
     def stats(self) -> WindowStats:
@@ -118,7 +109,7 @@ class WindowSet:
         get = ids.get
         sizes: List[int] = []
         max_f: List[int] = []
-        for i, tokens in enumerate(self._slices()):
+        for i, (_, _, tokens) in enumerate(self.spans):
             peak = 1
             for t in tokens:
                 col = get(t)
@@ -150,10 +141,9 @@ class WindowSet:
 
     @cached_property
     def windows(self) -> List[ContextWindow]:
-        doc_tokens = self._doc_tokens
         return [
-            ContextWindow(doc_id, p, dict(Counter(doc_tokens[doc_id][lo:hi])), hi - lo)
-            for doc_id, p, lo, hi in self.spans
+            ContextWindow(doc_id, p, dict(Counter(tokens)), len(tokens))
+            for doc_id, p, tokens in self.spans
         ]
 
     def windows_for(self, term: str) -> List[int]:
@@ -174,9 +164,8 @@ def extract_windows(index: PositionalIndex, target: Sequence[str], n: int = 5) -
         raise ValueError("window half-width must be >= 0")
     target = tuple(target)
     span = len(target)
-    doc_tokens = index.doc_tokens
-    spans: List[Tuple[str, int, int, int]] = []
+    spans: List[Tuple[str, int, Tuple[str, ...]]] = []
     for doc_id, starts in phrase_positions(index, target).items():
-        length = len(doc_tokens[doc_id])
-        spans.extend((doc_id, p, max(0, p - n), min(length, p + span + n)) for p in starts)
-    return WindowSet(target, spans, doc_tokens)
+        tokens = index.tokens(doc_id)
+        spans.extend((doc_id, p, tokens[max(0, p - n) : p + span + n]) for p in starts)
+    return WindowSet(target, spans)

@@ -1,7 +1,7 @@
 """tools/ab.py on canned numbers: the claim verdict (at least 10 pairs, at
 least 9 of 10 won, ties won by neither side, a median gain beyond the
-parent's IQR), the bound check and the seed range; and its imports,
-standard library only and never termdep."""
+parent's IQR), the bound check and the seed range; a run that prints no
+result line; and its imports, standard library only and never termdep."""
 
 import argparse
 import ast
@@ -86,6 +86,14 @@ def test_seed_ranges():
     for bad in ("7-7", "9-1", "901", "a-b"):
         with pytest.raises(argparse.ArgumentTypeError):
             ab.parse_seeds(bad)
+
+
+@pytest.mark.parametrize("code", ["pass", "print('not json')", "print([1, 2])"])
+def test_a_run_without_a_result_line_stops_the_tool(code, tmp_path):
+    command = [sys.executable, "-c", code]
+    with pytest.raises(SystemExit) as stop:
+        ab.run_once(str(tmp_path), command, "rank-modes", 7, 1)
+    assert str(stop.value).splitlines()[0] == f"ab: {tmp_path} seed 7 printed no result line"
 
 
 def test_imports_are_stdlib_and_never_termdep():

@@ -348,6 +348,36 @@ class TestScoreCommand:
         assert err == ["error: theta must be non-negative, got -1"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_out_at_selected_txt_rejected_before_reading(
+        self, retrieval_paths, tmp_path, capsys, monkeypatch, existing
+    ):
+        # The selection would be written over the scores at the same path.
+        forbid_loading_and_scoring(monkeypatch)
+        out = tmp_path / "selected.txt"
+        if existing:
+            out.write_bytes(b"q02\nq04\n")
+        code = main(
+            [
+                "score",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--variant",
+                "vector:tfidf",
+                "--theta",
+                "2",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --out {out} is the selected.txt that --theta writes"]
+        assert list(tmp_path.iterdir()) == ([out] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"q02\nq04\n"
+
     def test_empty_lexicon_rejected_before_reading(
         self, planted_paths, tmp_path, capsys, monkeypatch
     ):

@@ -1,6 +1,7 @@
 """Every input file goes through corpus.read_lines: one decoding and
 line-numbering rule for the seven readers, and no other way in.  Likewise,
-term positions come only through PositionalIndex.positions."""
+term positions come only through PositionalIndex.positions, and a
+document's tokens only through PositionalIndex.tokens."""
 
 import ast
 import json
@@ -163,12 +164,13 @@ def attribute_reads(path, attr):
 
 
 # The index's own backing: the program reads a term's positions through
-# index.positions(), and counts through the index's methods.
-INDEX_INTERNALS = ("postings", "_doc_counts")
+# index.positions(), a document's tokens through index.tokens(), and counts
+# through the index's methods.
+INDEX_INTERNALS = ("postings", "_doc_counts", "doc_tokens")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_positions_only_through_the_index(path):
     attrs = () if path.name == "corpus.py" else INDEX_INTERNALS
     outside = [f".{attr} at line {line}" for attr in attrs for line in attribute_reads(path, attr)]
-    assert outside == [], f"{path.name} reads {outside}; use index.positions()"
+    assert outside == [], f"{path.name} reads {outside}; use index.positions() or index.tokens()"

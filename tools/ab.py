@@ -9,7 +9,8 @@ For each seed, the benchmark command named in PARENT_DIR's BENCHMARK.json
 (`python3 perfbench/run.py`) runs with --trace 0 for that file's
 run_seconds in each checkout, the two runs of a pair back to back; the
 side that goes first alternates from pair to pair.  A run that exits
-nonzero or reports `correct: false` stops the tool with exit status 1.
+nonzero, reports `correct: false` or prints no JSON result as its last
+line stops the tool with exit status 1.
 
 For each end-to-end metric of BENCHMARK.json it prints, as a Markdown
 table row, each side's median [Q1, Q3] (quartiles from
@@ -88,7 +89,12 @@ def run_once(checkout: str, command: List[str], workload: str, seed: int, second
     where = f"{checkout} seed {seed}"
     if done.returncode != 0:
         raise SystemExit(f"ab: {where} exited {done.returncode}\n{done.stderr[-2000:]}")
-    result = json.loads(done.stdout.splitlines()[-1])
+    try:
+        result = json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict):
+        raise SystemExit(f"ab: {where} printed no result line\n{done.stderr[-2000:]}")
     if result.get("correct") is not True:
         raise SystemExit(f"ab: {where} reported correct: {result.get('correct')}\n{done.stderr[-2000:]}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
