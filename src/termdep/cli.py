@@ -134,8 +134,13 @@ def _cmd_score(args) -> int:
     _check_theta(args.theta)
     _check_lexicon(args, "score")
     sel_path = os.path.join(os.path.dirname(args.out) or ".", "selected.txt")
-    # The selection would replace the scores just written at the same path.
-    if args.theta is not None and os.path.realpath(args.out) == os.path.realpath(sel_path):
+    # The selection would replace the scores just written at the same path,
+    # or in place through a hard link to it, which realpath does not see.
+    both = (args.out, sel_path)
+    if args.theta is not None and (
+        os.path.realpath(args.out) == os.path.realpath(sel_path)
+        or all(map(os.path.exists, both)) and os.path.samefile(*both)
+    ):
         raise ValueError(f"--out {args.out} is the selected.txt that --theta writes")
     index, queries, lexicon = _load_inputs(args)
     scores = score_batch(

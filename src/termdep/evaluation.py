@@ -51,9 +51,6 @@ class Qrels:
                 by_doc[doc_id] = grade
         self._ideal_dcg = {qid: _ideal_dcg(rel) for qid, rel in self._relevant.items()}
 
-    def judged_qids(self) -> List[str]:
-        return sorted(self._relevant)
-
     def relevant_docs(self, qid: str) -> Dict[str, int]:
         return dict(self._relevant.get(qid, {}))
 

@@ -16,14 +16,13 @@ count pattern) get the same value at every later step too:
 renormalization, the quartile band and mask, the combination and the KLD
 term.  phrase_kld therefore counts each pattern's words once, in C,
 builds each term's column once per distinct count, and combines and
-compares once per pattern.  Every normalizing total and the KLD sum is a
-math.fsum over the per-word multiset (each value repeated by its
-multiplicity, in C), and fsum is exactly rounded, so the floats are those
-of the word-by-word path (aligned_probs, combine_columns, kld_lists).
-That path is the same arithmetic with every word its own pattern, so no
-value depends on the order in which a vocabulary iterates.  The builtin
-sum is never used on floats here, since its rounding changed in Python
-3.12.
+compares once per pattern; kld does the same over two models' (p, q)
+value pairs.  Every normalizing total and the KLD sum is a math.fsum over
+the per-word multiset (each value repeated by its multiplicity, in C),
+and fsum is exactly rounded, so the floats are those of the word-by-word
+reference in tests/oracles.py and no value depends on the order in which
+a vocabulary iterates.  The builtin sum is never used on floats here,
+since its rounding changed in Python 3.12.
 """
 
 from __future__ import annotations
@@ -50,11 +49,9 @@ from typing import (
 SMOOTHINGS = ("laplace", "sgt")
 COMBINATIONS = ("qsum", "qavg", "mult", "median")
 
-# A comparison's word -> column slot map (see slot_map).
-Slots = Dict[str, int]
 # How many vocabulary words each value of a list stands for (the words
-# sharing its count or its count pattern); None when each is one word's.
-Weights = Optional[Sequence[int]]
+# sharing its count or its count pattern).
+Weights = Sequence[int]
 
 
 @dataclass
@@ -65,7 +62,7 @@ class SmoothedLM:
     unseen_mass, to 1.  unseen_prob is the probability handed to a single
     out-of-vocabulary word; for the Good-Turing model the reserve is split
     evenly over however many unseen words a comparison introduces (see
-    aligned_probs).  by_count maps each count of a seen word to its
+    _unseen_fill).  by_count maps each count of a seen word to its
     probability: laplace_lm and sgt_lm compute a word's probability from
     its count alone, and phrase_kld reads it per count.
     """
@@ -108,18 +105,6 @@ def _laplace_denominator(counts: Dict[str, int], vocabulary: Collection[str]) ->
         missing = counts.keys() - set(vocabulary)
         raise ValueError(f"vocabulary must cover counts; missing {sorted(missing)[:3]}")
     return sum(counts.values()) + len(vocabulary)
-
-
-def slot_map(vocabulary: Iterable[str]) -> Slots:
-    """Each word's slot in a comparison's columns, numbered in iteration order.
-
-    Raises ValueError on a repeated word: a column has one slot per word.
-    """
-    words = list(vocabulary)
-    slots = dict(zip(words, range(len(words))))
-    if len(slots) != len(words):
-        raise ValueError("vocabulary words must be distinct")
-    return slots
 
 
 def _gale_sampson_smoother(ff: Dict[int, int]):
@@ -205,29 +190,12 @@ def sgt_lm(counts: Dict[str, int]) -> SmoothedLM:
     )
 
 
-def aligned_probs(model: SmoothedLM, slots: Slots) -> List[float]:
-    """Model probabilities over a comparison vocabulary, laid out by its slot_map.
-
-    Seen words outside the vocabulary are ignored.  The words
-    the model has not seen share its unseen reserve: split evenly for the
-    Good-Turing reserve, unseen_prob each for a Laplace model (such as
-    sgt_lm's fallback).  The aligned vector is renormalized so it is a
-    proper distribution over exactly this vocabulary.
-    """
-    return _renormalized(_aligned_values(model, slots))
-
-
-def _aligned_values(model: SmoothedLM, slots: Slots) -> List[float]:
-    prob = model.prob
-    words = [w for w in prob if w in slots]
-    column = [_unseen_fill(model, len(slots) - len(words))] * len(slots)
-    for i, w in zip(map(slots.__getitem__, words), words):
-        column[i] = prob[w]
-    return column
-
-
 def _unseen_fill(model: SmoothedLM, n_unseen: int) -> float:
-    """The value of each of a comparison's n_unseen words the model has not seen."""
+    """The value of each of a comparison's n_unseen words the model has not seen.
+
+    The Good-Turing reserve is split evenly over them; a Laplace model
+    (such as sgt_lm's fallback) gives each its unseen_prob.
+    """
     if model.method == "sgt" and n_unseen:
         return model.unseen_mass / n_unseen
     return model.unseen_prob
@@ -235,12 +203,10 @@ def _unseen_fill(model: SmoothedLM, n_unseen: int) -> float:
 
 def _expanded(values: Sequence[float], weights: Weights) -> Iterable[float]:
     """Each value repeated by its weight, in C: the per-word multiset fsum reads."""
-    if weights is None:
-        return values
     return chain.from_iterable(map(repeat, values, weights))
 
 
-def _renormalized(values: Sequence[float], weights: Weights = None) -> List[float]:
+def _renormalized(values: Sequence[float], weights: Weights) -> List[float]:
     total = math.fsum(_expanded(values, weights))
     if total <= 0.0:
         raise ValueError("aligned model has no probability mass")
@@ -253,7 +219,7 @@ def _quantile_band(values: Sequence[float], weights: Weights) -> Tuple[float, fl
     The order statistics are read from the sorted (value, weight) pairs:
     ends[i] is one past the last multiset position of the i-th pair.
     """
-    pairs = sorted(zip(values, repeat(1) if weights is None else weights))
+    pairs = sorted(zip(values, weights))
     ends = list(accumulate(map(itemgetter(1), pairs)))
 
     def at(q: float) -> float:
@@ -337,18 +303,12 @@ def _combined(inputs: Sequence[List[float]], weights: Weights, method: str) -> L
     return list(map(truediv, combined, repeat(total)))
 
 
-def combine_columns(columns: Sequence[List[float]], method: str) -> List[float]:
-    """Merge aligned per-term distributions (one list per term) into one.
-
-    phrase_kld's combination with every word its own pattern: each column
-    is masked by its own quartile band for qsum and qavg (see _masked),
-    then the columns are merged word by word (see _combined).
-    """
-    _check_method(method)
-    return _combined([_masked(c, None, method) for c in columns], None, method)
-
-
 def _kld(p: Sequence[float], q: Sequence[float], weights: Weights) -> float:
+    """KLD of two value lists aligned on one vocabulary, each renormalized first.
+
+    Rounding can take the sum of a near-equal pair just below 0; KL
+    divergence is non-negative, so it is clamped.
+    """
     pp = _renormalized(p, weights)
     qq = _renormalized(q, weights)
     for name, vals in (("p", pp), ("q", qq)):
@@ -367,10 +327,10 @@ def _count_column(
     """What _combined reads of a term's column, keyed by the count behind each value.
 
     The column is laplace_lm(table, vocabulary) when model is None, else
-    model (sgt_lm(table), read through its by_count), aligned on the
-    vocabulary as aligned_probs does, then _masked.  Each step is done
-    once per distinct count, over the multiset of the vocabulary's counts
-    (0 for a word the term has not seen).
+    model (sgt_lm(table), read through its by_count), over the vocabulary
+    (its unseen words take _unseen_fill), renormalized, then _masked.  Each
+    step is done once per distinct count, over the multiset of the
+    vocabulary's counts (0 for a word the term has not seen).
     """
     if model is None:
         denom = _laplace_denominator(table, vocabulary)
@@ -406,12 +366,12 @@ def phrase_kld(
     tables maps each distinct term of both phrases to its count table.  A
     term's column is laplace_lm(tables[t], vocabulary) when models is None,
     else models[t], which must be sgt_lm(tables[t]); either way aligned on
-    the vocabulary as aligned_probs does.  Each phrase's columns, in phrase
-    order and with any repeats, are merged as combine_columns does, and
-    the two results are compared as kld_lists does.  The floats are those
-    of that word-by-word path, and every error it raises is raised with
-    its message, but each step is done once per distinct count of a term
-    (its column) or once per count pattern (combination and KLD).
+    the vocabulary (see _count_column).  Each phrase's columns, in phrase
+    order and with any repeats, are masked and merged (see _masked and
+    _combined), and the two results are compared by _kld.  The floats and
+    the error messages are those of the word-by-word reference in
+    tests/oracles.py, but each step is done once per distinct count of a
+    term (its column) or once per count pattern (combination and KLD).
     """
     _check_method(combination)
     terms = list(tables)
@@ -436,23 +396,15 @@ def kld(p: SmoothedLM, q: SmoothedLM, vocabulary: Optional[Iterable[str]] = None
 
     Both models are aligned on the given vocabulary (default: union of
     their vocabularies) so every event has positive probability on both
-    sides.
+    sides: seen words outside it are ignored, the words a model has not
+    seen take _unseen_fill, and each side is renormalized.  Each distinct
+    (p value, q value) pair is computed once, weighted by its words.
     """
-    if vocabulary is None:
-        vocab = sorted(p.vocabulary | q.vocabulary)
-    else:
-        vocab = sorted(set(vocabulary))
-    slots = slot_map(vocab)
-    return kld_lists(_aligned_values(p, slots), _aligned_values(q, slots))
-
-
-def kld_lists(p: Sequence[float], q: Sequence[float]) -> float:
-    """kld of two value lists aligned on one vocabulary.
-
-    Each list is renormalized to sum to 1 first, as aligning a model on a
-    comparison vocabulary does.  Rounding can take the sum of a near-equal
-    pair just below 0; KL divergence is non-negative, so it is clamped.
-    """
-    if len(p) != len(q):
-        raise ValueError(f"p and q differ in length: {len(p)} and {len(q)}")
-    return _kld(p, q, None)
+    vocab = p.vocabulary | q.vocabulary if vocabulary is None else set(vocabulary)
+    columns = [
+        map(m.prob.get, vocab, repeat(_unseen_fill(m, len(vocab - m.prob.keys()))))
+        for m in (p, q)
+    ]
+    pairs = Counter(zip(*columns))
+    p_values, q_values = list(zip(*pairs)) or [(), ()]
+    return _kld(p_values, q_values, list(pairs.values()))

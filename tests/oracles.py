@@ -5,7 +5,8 @@ brute force over cleverness, and shares no code with the package: the
 window extractor rescans token streams quadratically, the metric
 reference walks rankings document by document, the Good-Turing
 reference redoes the Gale-Sampson procedure with numpy's polyfit, and the
-combination reference bands, masks and sums one word's row at a time.
+LM references align a model, band, mask and combine columns, and sum the
+KL divergence one word at a time.  Nothing here imports termdep.
 """
 
 from __future__ import annotations
@@ -171,8 +172,47 @@ def ref_simple_good_turing(counts: Dict[str, int]) -> Tuple[Dict[str, float], fl
     return {w: v / total for w, v in raw_seen.items()}, raw_unseen / total
 
 
+def _ref_normalized(values: Sequence[float]) -> List[float]:
+    total = math.fsum(values)
+    if total <= 0.0:
+        raise ValueError("aligned model has no probability mass")
+    return [v / total for v in values]
+
+
+def ref_aligned_values(model, vocab: Sequence[str]) -> List[float]:
+    """Each word of `vocab` under a smoothed model, before renormalization.
+
+    A word the model has seen keeps model.prob[w]; its seen words outside
+    vocab are ignored.  The n words it has not seen split a Good-Turing
+    model's unseen_mass evenly, and take unseen_prob each under a Laplace
+    model (as sgt_lm's no-hapax fallback is).
+    """
+    n_unseen = len([w for w in vocab if w not in model.prob])
+    if model.method == "sgt" and n_unseen:
+        fill = model.unseen_mass / n_unseen
+    else:
+        fill = model.unseen_prob
+    return [model.prob[w] if w in model.prob else fill for w in vocab]
+
+
+def ref_aligned_probs(model, vocab: Sequence[str]) -> List[float]:
+    """ref_aligned_values renormalized with fsum: a distribution over exactly vocab."""
+    return _ref_normalized(ref_aligned_values(model, vocab))
+
+
 def ref_kld(p: Sequence[float], q: Sequence[float]) -> float:
-    return float(np.sum(np.array(p) * np.log(np.array(p) / np.array(q))))
+    """sum_w P(w) log(P(w)/Q(w)) of two aligned lists, exactly rounded.
+
+    Each list is fsum-renormalized first and must then be positive
+    everywhere; the fsum of the terms is clamped at 0, since rounding can
+    take a near-equal pair's sum just below it.  Raises ValueError with
+    the package's messages.
+    """
+    pp, qq = _ref_normalized(p), _ref_normalized(q)
+    for name, vals in (("p", pp), ("q", qq)):
+        if min(vals) <= 0.0:
+            raise ValueError(f"{name} assigns non-positive probability")
+    return max(0.0, math.fsum(a * math.log(a / b) for a, b in zip(pp, qq, strict=True)))
 
 
 def ref_quartile_band(column: Sequence[float]) -> Tuple[float, float]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -377,6 +378,35 @@ class TestScoreCommand:
         assert list(tmp_path.iterdir()) == ([out] if existing else [])
         if existing:
             assert out.read_bytes() == b"q02\nq04\n"
+
+    def test_out_hard_linked_to_selected_txt_rejected_before_reading(
+        self, retrieval_paths, tmp_path, capsys, monkeypatch
+    ):
+        # write_lines writes a hard-linked file in place, so the selection
+        # would land in the scores' inode; realpath does not see the link.
+        forbid_loading_and_scoring(monkeypatch)
+        out, selected = tmp_path / "scores.csv", tmp_path / "selected.txt"
+        selected.write_bytes(b"q02\nq04\n")
+        os.link(selected, out)
+        code = main(
+            [
+                "score",
+                *base_flags(retrieval_paths),
+                "--lexicon",
+                retrieval_paths["lexicon"],
+                "--variant",
+                "vector:tfidf",
+                "--theta",
+                "2",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --out {out} is the selected.txt that --theta writes"]
+        assert sorted(tmp_path.iterdir()) == [out, selected]
+        assert out.read_bytes() == selected.read_bytes() == b"q02\nq04\n"
 
     def test_empty_lexicon_rejected_before_reading(
         self, planted_paths, tmp_path, capsys, monkeypatch

@@ -37,7 +37,6 @@ class TestQrelsLoading:
         path.write_text("q1 0 docA 2\nq1 0 docB 0\nq2 0 docC 1\n")
         qrels = load_qrels(str(path))
         assert qrels.judgments == {("q1", "docA"): 2, ("q1", "docB"): 0, ("q2", "docC"): 1}
-        assert qrels.judged_qids() == ["q1", "q2"]
         assert qrels.relevant_docs("q1") == {"docA": 2}
 
     def test_negative_grades_clamped(self, tmp_path):

@@ -5,17 +5,34 @@ import pytest
 
 from termdep.langmodel import (
     SmoothedLM,
-    aligned_probs,
-    combine_columns,
+    _check_method,
+    _combined,
+    _masked,
     kld,
-    kld_lists,
     laplace_lm,
     phrase_kld,
     sgt_lm,
-    slot_map,
 )
 
-from oracles import ref_combine_columns, ref_kld, ref_simple_good_turing
+from oracles import (
+    ref_aligned_probs,
+    ref_aligned_values,
+    ref_combine_columns,
+    ref_kld,
+    ref_simple_good_turing,
+)
+
+
+def combine(columns, method):
+    """Hand-made columns masked and merged as phrase_kld does, each value one word's."""
+    _check_method(method)
+    masked = [_masked(c, [1] * len(c), method) for c in columns]
+    return _combined(masked, [1] * len(masked[0]) if masked else [], method)
+
+
+def uniform(vocab):
+    """A model giving every word of vocab the same probability."""
+    return SmoothedLM("laplace", dict.fromkeys(vocab, 1.0 / len(vocab)), 0.0, 1.0 / len(vocab))
 
 
 def random_counts(rng, max_vocab=30, max_count=12):
@@ -67,14 +84,17 @@ class TestLaplace:
         # it, the divergence would come out different.
         counts = {"b": 2, "c": 5, "d": 5, "e": 5}
         vocab = ["a", "b", "c", "d", "e"]
-        slots = slot_map(vocab)
-        column = aligned_probs(laplace_lm(counts, vocab), slots)
+        column = ref_aligned_probs(laplace_lm(counts, vocab), vocab)
         raw = [(counts.get(w, 0) + 1) / (17 + 5) for w in vocab]
         assert column != raw
-        other = aligned_probs(laplace_lm({"a": 1}, vocab), slots)
+        other = ref_aligned_probs(laplace_lm({"a": 1}, vocab), vocab)
         got = phrase_kld(set(vocab), {"t": counts, "u": {"a": 1}}, ["t"], ["u"], "mult")
-        assert got == kld_lists(combine_columns([column], "mult"), combine_columns([other], "mult"))
-        assert got != kld_lists(combine_columns([raw], "mult"), combine_columns([other], "mult"))
+        assert got == ref_kld(
+            ref_combine_columns([column], "mult"), ref_combine_columns([other], "mult")
+        )
+        assert got != ref_kld(
+            ref_combine_columns([raw], "mult"), ref_combine_columns([other], "mult")
+        )
 
 
 class TestSimpleGoodTuring:
@@ -143,8 +163,7 @@ class TestAlignedProbs:
         vocab = ["y", "c", "a", "x", "b"]
         tables = {"t": {"a": 2}, "u": {"a": 1, "b": 1, "c": 2}}
         for other in (sorted(vocab), vocab[::-1]):
-            got = dict(zip(vocab, aligned_probs(lm, slot_map(vocab))))
-            assert got == dict(zip(other, aligned_probs(lm, slot_map(other))))
+            assert kld(lm, uniform(vocab), vocab) == kld(lm, uniform(vocab), other)
             for models in (None, {t: sgt_lm(c) for t, c in tables.items()}):
                 got = phrase_kld(dict.fromkeys(vocab).keys(), tables, ["t"], ["u"], "qsum", models)
                 assert got == phrase_kld(
@@ -155,39 +174,34 @@ class TestAlignedProbs:
         # Two of the three seen words are left out; the one unseen word takes
         # the whole reserve before the column is renormalized.
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
-        probs = aligned_probs(lm, slot_map(["a", "x"]))
-        total = lm.prob["a"] + lm.unseen_mass
-        assert probs == [lm.prob["a"] / total, lm.unseen_mass / total]
+        expected = ref_kld([lm.prob["a"], lm.unseen_mass], [0.5, 0.5])
+        assert kld(lm, uniform("ax"), ["a", "x"]) == expected
 
     def test_laplace_fallback_fills_with_unseen_prob(self):
         lm = sgt_lm({"a": 2, "b": 2})
         assert lm.method == "laplace"
-        probs = aligned_probs(lm, slot_map(["a", "b", "x", "y"]))
         raw = [lm.prob["a"], lm.prob["b"], lm.unseen_prob, lm.unseen_prob]
-        assert probs == [v / math.fsum(raw) for v in raw]
-
-    def test_repeated_word_rejected(self):
-        # A column has one slot per word.
-        with pytest.raises(ValueError, match="distinct"):
-            slot_map(["a", "b", "a"])
+        assert kld(lm, uniform("abxy"), "abxy") == ref_kld(raw, [0.25] * 4)
 
     def test_covers_union_vocabulary_and_sums_to_one(self):
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
         vocab = ["a", "b", "c", "x", "y"]
-        probs = aligned_probs(lm, slot_map(vocab))
-        assert len(probs) == 5
-        np.testing.assert_allclose(sum(probs), 1.0, atol=1e-9)
         # The two unseen words split the reserve evenly.
-        np.testing.assert_allclose(probs[3], probs[4])
+        raw = [lm.prob["a"], lm.prob["b"], lm.prob["c"]] + [lm.unseen_mass / 2] * 2
+        assert kld(lm, uniform(vocab), vocab) == ref_kld(raw, [0.2] * 5)
+        # The union of the two models' vocabularies is the default.
+        assert kld(lm, uniform(vocab)) == kld(lm, uniform(vocab), vocab)
 
     def test_no_unseen_words_renormalizes_seen(self):
+        # Without the reserve the seen values sum to less than 1.
         lm = sgt_lm({"a": 1, "b": 1, "c": 2})
-        probs = aligned_probs(lm, slot_map(["a", "b", "c"]))
-        np.testing.assert_allclose(sum(probs), 1.0, atol=1e-9)
+        raw = [lm.prob[w] for w in "abc"]
+        assert math.fsum(raw) < 1.0
+        assert kld(lm, uniform("abc"), "abc") == ref_kld(raw, [1 / 3] * 3)
 
 
 class TestCombination:
-    """combine_columns over per-term models aligned on the sorted vocabulary."""
+    """combine over per-term models aligned on the sorted vocabulary."""
 
     def make_columns(self, *count_maps, smoothing="laplace"):
         vocab = set()
@@ -198,11 +212,11 @@ class TestCombination:
         else:
             models = [sgt_lm(c) for c in count_maps]
         vocab = sorted(vocab)
-        return [aligned_probs(m, slot_map(vocab)) for m in models], vocab
+        return [ref_aligned_probs(m, vocab) for m in models], vocab
 
     def test_multiply_is_product_renormalized(self):
         cols, vocab = self.make_columns({"a": 2, "b": 1}, {"a": 1, "b": 2})
-        combined = combine_columns(cols, "mult")
+        combined = combine(cols, "mult")
         raw = [cols[0][i] * cols[1][i] for i in range(len(vocab))]
         total = sum(raw)
         for got, r in zip(combined, raw):
@@ -210,8 +224,8 @@ class TestCombination:
 
     def test_multiply_permutation_invariant(self):
         cols, _ = self.make_columns({"a": 3, "b": 1}, {"b": 4}, {"a": 1, "c": 2})
-        fwd = combine_columns(cols, "mult")
-        rev = combine_columns(cols[::-1], "mult")
+        fwd = combine(cols, "mult")
+        rev = combine(cols[::-1], "mult")
         np.testing.assert_allclose(fwd, rev, rtol=1e-12)
 
     def test_median_hand_value(self):
@@ -221,14 +235,14 @@ class TestCombination:
             SmoothedLM("laplace", {"a": 0.2, "b": 0.8}, 0.0, 1e-6),
             SmoothedLM("laplace", {"a": 0.6, "b": 0.4}, 0.0, 1e-6),
         ]
-        combined = combine_columns([aligned_probs(m, slot_map("ab")) for m in models], "median")
+        combined = combine([ref_aligned_probs(m, "ab") for m in models], "median")
         np.testing.assert_allclose(combined[0], 0.2 / (0.2 + 0.8))
 
     def test_single_model_identity_for_mult_and_median(self):
         lm = laplace_lm({"a": 2, "b": 1}, {"a", "b", "c"})
         vocab = sorted(lm.vocabulary)
         for method in ("mult", "median"):
-            combined = combine_columns([aligned_probs(lm, slot_map(vocab))], method)
+            combined = combine([ref_aligned_probs(lm, vocab)], method)
             for w, got in zip(vocab, combined):
                 np.testing.assert_allclose(got, lm.prob[w], atol=1e-12)
 
@@ -250,8 +264,8 @@ class TestCombination:
             ),
         ]
         vocab = sorted({"spike", "a", "b", "c", "d"})
-        cols = [aligned_probs(m, slot_map(vocab)) for m in models]
-        combined = dict(zip(vocab, combine_columns(cols, "qsum")))
+        cols = [ref_aligned_probs(m, vocab) for m in models]
+        combined = dict(zip(vocab, combine(cols, "qsum")))
         assert combined["spike"] < combined["a"]
         np.testing.assert_allclose(combined["spike"], combined["c"], atol=1e-12)
         np.testing.assert_allclose(sum(combined.values()), 1.0, atol=1e-9)
@@ -261,9 +275,9 @@ class TestCombination:
             SmoothedLM("laplace", {"a": 0.5, "b": 0.3, "c": 0.2}, 0.0, 1e-6),
             SmoothedLM("laplace", {"a": 0.5, "b": 0.3, "c": 0.2}, 0.0, 1e-6),
         ]
-        cols = [aligned_probs(m, slot_map("abc")) for m in models]
+        cols = [ref_aligned_probs(m, "abc") for m in models]
         np.testing.assert_allclose(
-            combine_columns(cols, "qsum"), combine_columns(cols, "qavg"), atol=1e-12
+            combine(cols, "qsum"), combine(cols, "qavg"), atol=1e-12
         )
 
     def test_combined_model_sums_to_one(self):
@@ -272,41 +286,42 @@ class TestCombination:
             for smoothing in ("laplace", "sgt"):
                 count_maps = [random_counts(rng) for _ in range(3)]
                 cols, _ = self.make_columns(*count_maps, smoothing=smoothing)
-                combined = combine_columns(cols, method)
+                combined = combine(cols, method)
                 np.testing.assert_allclose(sum(combined), 1.0, atol=1e-9)
                 assert all(p > 0 for p in combined)
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError):
-            combine_columns([], "mult")
+            combine([], "mult")
         # An empty vocabulary gives empty columns; the quartiles would index
         # into them.
         for method in ("qsum", "qavg", "mult", "median"):
             for columns in ([[]], [[0.5, 0.5], []]):
                 with pytest.raises(ValueError, match="vocabulary"):
-                    combine_columns(columns, method)
+                    combine(columns, method)
 
     def test_unknown_method_rejected(self):
-        lm = laplace_lm({"a": 1}, {"a"})
         with pytest.raises(ValueError, match="method"):
-            combine_columns([aligned_probs(lm, slot_map("a"))], "geometric")
+            combine([[1.0]], "geometric")
+        with pytest.raises(ValueError, match="method"):
+            phrase_kld({"a"}, {"t": {"a": 1}}, ["t"], ["t"], "geometric")
 
     def test_unequal_column_lengths_rejected(self):
         # zip would otherwise pair the words of misaligned columns silently.
         for method in ("qsum", "qavg", "mult", "median"):
             with pytest.raises(ValueError, match="differ in length"):
-                combine_columns([[0.5, 0.5], [0.2, 0.3, 0.5]], method)
+                combine([[0.5, 0.5], [0.2, 0.3, 0.5]], method)
             with pytest.raises(ValueError, match="differ in length"):
-                combine_columns([[0.5, 0.5], [0.5, 0.0, 0.5]], method)
+                combine([[0.5, 0.5], [0.5, 0.0, 0.5]], method)
 
     def test_quantile_methods_reject_a_band_reaching_zero(self):
         # A left-out value is marked 0.0, so a 0.0 inside the band could not be
         # told apart from it.  A 0.0 below the band is left out either way.
         for method in ("qsum", "qavg"):
             with pytest.raises(ValueError, match="positive band"):
-                combine_columns([[0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]], method)
+                combine([[0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]], method)
             # The 0.0 below the band and the 0.5 above it both take the floor.
-            combined = combine_columns([[0.0, 0.2, 0.3, 0.5]], method)
+            combined = combine([[0.0, 0.2, 0.3, 0.5]], method)
             assert combined == ref_combine_columns([[0.0, 0.2, 0.3, 0.5]], method)
             assert combined[0] == combined[1] == combined[3] < combined[2]
 
@@ -329,10 +344,10 @@ class TestCombination:
             for method in ("qsum", "qavg", "mult", "median"):
                 for q_pick, p_pick in zip(picks, picks[1:] + picks[:1]):
                     expected = ref_combine_columns([cols[i] for i in q_pick], method)
-                    assert combine_columns([cols[i] for i in q_pick], method) == expected
+                    assert combine([cols[i] for i in q_pick], method) == expected
                     lm_p = ref_combine_columns([cols[i] for i in p_pick], method)
                     got = phrase_kld(set(vocab), tables, q_pick, p_pick, method, models)
-                    assert got == kld_lists(expected, lm_p)
+                    assert got == ref_kld(expected, lm_p)
 
 
 class TestKld:
@@ -356,22 +371,26 @@ class TestKld:
             p = laplace_lm(counts_p, vocab)
             q = laplace_lm(counts_q, vocab)
             d = kld(p, q, vocabulary=vocab)
-            slots = slot_map(sorted(vocab))
-            assert d >= -1e-12
-            np.testing.assert_allclose(
-                d,
-                ref_kld(aligned_probs(p, slots), aligned_probs(q, slots)),
-                atol=1e-9,
-            )
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            kld_lists([0.5, 0.5], [0.2, 0.3, 0.5])
+            words = sorted(vocab)
+            assert d >= 0.0
+            assert d == ref_kld(ref_aligned_values(p, words), ref_aligned_values(q, words))
 
     def test_near_equal_lists_clamp_to_zero(self):
         # Unclamped, rounding makes this sum -2.47e-17.
-        d = kld_lists([0.2, 0.1, 0.15], [0.19999999999999998, 0.1, 0.14999999999999997])
-        assert d == 0.0
+        p = SmoothedLM("laplace", {"a": 0.2, "b": 0.1, "c": 0.15}, 0.0, 1e-9)
+        q = SmoothedLM(
+            "laplace", {"a": 0.19999999999999998, "b": 0.1, "c": 0.14999999999999997}, 0.0, 1e-9
+        )
+        assert kld(p, q) == 0.0
+
+    def test_non_positive_probability_rejected(self):
+        p = SmoothedLM("laplace", {"a": 0.0, "b": 1.0}, 0.0, 1e-9)
+        q = SmoothedLM("laplace", {"a": 0.5, "b": 0.5}, 0.0, 1e-9)
+        for first, second, name in ((p, q, "p"), (q, p, "q")):
+            with pytest.raises(ValueError, match=f"^{name} assigns non-positive probability$"):
+                kld(first, second)
+        with pytest.raises(ValueError, match="no probability mass"):
+            kld(q, q, [])
 
     def test_asymmetric_in_general(self):
         vocab = {"a", "b"}

@@ -4,11 +4,13 @@ mu-grid runs against rank, selective ranking against its bow and fd lists,
 ingestion-order independence of ranking, the count-first index (frequencies, lazily
 inverted postings, the phrase matcher, phrase windows), run-file I/O, the
 range of metrics on runs read back, a window set's views (whichever is read
-first) against the brute-force oracle, the list-level LM kernels, the
-count-pattern comparison against the word-by-word path, LM scores against
-the model-level path, the sign of KLD, and the range of vector
-divergences."""
+first) against the brute-force oracle, the LM combination kernels and the
+count-pattern comparison against the word-by-word references, kld against
+the word-by-word reference, LM scores against the model-level path, the
+sign of KLD, the independence of every score and ranking from how words
+are spelled, and the range of vector divergences."""
 
+import dataclasses
 import math
 import random
 import re
@@ -26,16 +28,7 @@ from termdep.evaluation import (
     cross_validate_selective,
     evaluate,
 )
-from termdep.langmodel import (
-    COMBINATIONS,
-    aligned_probs,
-    combine_columns,
-    kld_lists,
-    laplace_lm,
-    phrase_kld,
-    sgt_lm,
-    slot_map,
-)
+from termdep.langmodel import COMBINATIONS, SmoothedLM, kld, laplace_lm, phrase_kld, sgt_lm
 from termdep.perturb import SynonymLexicon, perturb
 from termdep.corpus import phrase_occurrences
 from termdep.retrieval import (
@@ -46,11 +39,19 @@ from termdep.retrieval import (
     read_run,
     write_run,
 )
-from termdep.scoring import score_batch
+from termdep.scoring import VARIANTS, score_batch
 from termdep.vectors import SCHEMES, build_term_vector, weight
 from termdep.windows import extract_windows
 
-from oracles import brute_force_window_stats, brute_force_windows, ref_combine_columns
+from oracles import (
+    brute_force_window_stats,
+    brute_force_windows,
+    ref_aligned_probs,
+    ref_aligned_values,
+    ref_combine_columns,
+    ref_kld,
+)
+from test_langmodel import combine
 
 # Derandomized so the suite gives the same verdict on every run.
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -587,12 +588,11 @@ def reference_phrase_kld(q_models, p_models, method, vocab):
     st.sampled_from(("laplace", "sgt")),
 )
 def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, smoothing):
-    # Scoring's path (phrase_kld over count patterns) and the word-by-word
-    # path (aligned columns -> combine_columns) give the very floats of the
-    # one-word-at-a-time reference.
+    # Scoring's path (phrase_kld over count patterns) and its combination
+    # kernels with every word its own pattern (aligned columns -> combine)
+    # give the very floats of the one-word-at-a-time reference.
     vocab_set = set(extra).union(*q_tables, *p_tables)
     vocab = sorted(vocab_set)
-    slots = slot_map(vocab)
     tables = {f"q{i}": c for i, c in enumerate(q_tables)}
     tables.update((f"p{i}", c) for i, c in enumerate(p_tables))
     if smoothing == "laplace":
@@ -607,7 +607,7 @@ def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, sm
     p_terms = [f"p{i}" for i in range(len(p_tables))]
 
     def kernels():
-        combined_q = combine_columns([aligned_probs(m, slots) for m in q_models], method)
+        combined_q = combine([ref_aligned_probs(m, vocab) for m in q_models], method)
         return combined_q, phrase_kld(vocab_set, tables, q_terms, p_terms, method, models)
 
     expected = outcome(lambda: reference_phrase_kld(q_models, p_models, method, vocab))
@@ -615,16 +615,15 @@ def test_list_kernels_equal_model_wrappers(q_tables, p_tables, extra, method, sm
 
 
 def dense_phrase_kld(vocabulary, tables, query_terms, perturbed_terms, method, models):
-    """phrase_kld word by word: aligned_probs of laplace_lm (or models[t]) per
-    term, ref_combine_columns per phrase, then kld_lists."""
-    slots = slot_map(sorted(vocabulary))
+    """phrase_kld word by word: ref_aligned_probs of laplace_lm (or models[t])
+    per term, ref_combine_columns per phrase, then ref_kld."""
     columns = {}
     for t, counts in tables.items():
         model = laplace_lm(counts, vocabulary) if models is None else models[t]
-        columns[t] = aligned_probs(model, slots)
+        columns[t] = ref_aligned_probs(model, sorted(vocabulary))
     lm_q = ref_combine_columns([columns[t] for t in query_terms], method)
     lm_p = ref_combine_columns([columns[t] for t in perturbed_terms], method)
-    return kld_lists(lm_q, lm_p)
+    return ref_kld(lm_q, lm_p)
 
 
 TERMS = ("s", "t", "u", "v")
@@ -724,9 +723,40 @@ positive_lists = st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, 
 def test_kld_is_never_negative(p, data):
     nudged = [math.nextafter(v, data.draw(st.sampled_from((0.0, 2.0)))) for v in p]
     other = data.draw(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=len(p), max_size=len(p)))
+
+    def model(values):
+        return SmoothedLM("laplace", {f"w{i}": v for i, v in enumerate(values)}, 0.0, 1e-9)
+
     for q in (p, nudged, other):
-        assert kld_lists(p, q) >= 0.0
-        assert kld_lists(q, p) >= 0.0
+        assert kld(model(p), model(q)) >= 0.0
+        assert kld(model(q), model(p)) >= 0.0
+
+
+@PROPERTY
+@given(
+    count_tables,
+    count_tables,
+    st.sampled_from(("laplace", "sgt")),
+    st.one_of(st.none(), st.sets(st.sampled_from(WORDS + ("x", "y")))),
+)
+# No hapax in p: sgt_lm falls back to Laplace, whose unseen word takes unseen_prob.
+@example(p_table={"a": 2, "b": 2}, q_table={"a": 1, "c": 3}, smoothing="sgt", vocabulary=None)
+# Wider than the union: both Good-Turing reserves are split over x and y.
+@example(p_table={"a": 1, "b": 2}, q_table={"b": 1}, smoothing="sgt", vocabulary=set("abxy"))
+@example(p_table={"a": 1}, q_table={"b": 1}, smoothing="laplace", vocabulary=set())
+def test_kld_equals_word_by_word_reference(p_table, q_table, smoothing, vocabulary):
+    # kld over distinct (p, q) value pairs gives the float, or the error, of
+    # aligning both models word by word and summing one word at a time.
+    # ref_kld renormalizes each side once, as kld does, so it reads the
+    # values before renormalization.
+    if smoothing == "laplace":
+        # Each model over its own words: the other's words take unseen_prob.
+        p, q = laplace_lm(p_table, p_table), laplace_lm(q_table, q_table)
+    else:
+        p, q = sgt_lm(p_table), sgt_lm(q_table)
+    words = sorted(p.vocabulary | q.vocabulary if vocabulary is None else vocabulary)
+    expected = outcome(lambda: ref_kld(ref_aligned_values(p, words), ref_aligned_values(q, words)))
+    assert outcome(lambda: kld(p, q, vocabulary)) == expected
 
 
 # Repeated tokens give a context term counts above 1 that differ between
@@ -738,12 +768,12 @@ LM_VARIANTS = tuple(f"lm:{sm}:{cm}" for sm in ("laplace", "sgt") for cm in COMBI
 
 
 def reference_lm_score(query, variant, index, lexicon, n, order):
-    """(n_q, divergences) of one query from the model-level kernels.
+    """(n_q, divergences) of one query from the smoothers and the word-by-word references.
 
     Each comparison smooths a model per term (laplace_lm over the union
     vocabulary, or sgt_lm), aligns every model on that vocabulary in
     `order`, combines each phrase's columns with the one-row-at-a-time
-    ref_combine_columns and compares the two with kld_lists.  None where
+    ref_combine_columns and compares the two with ref_kld.  None where
     the query is unscoreable.
     """
     _, smoothing, combination = variant.split(":")
@@ -766,10 +796,10 @@ def reference_lm_score(query, variant, index, lexicon, n, order):
             models = {t: laplace_lm(c, vocab) for t, c in counts.items()}
         else:
             models = {t: sgt_lm(c) for t, c in counts.items()}
-        columns = {t: aligned_probs(m, slot_map(vocab)) for t, m in models.items()}
+        columns = {t: ref_aligned_probs(m, vocab) for t, m in models.items()}
         lm_q = ref_combine_columns([columns[t] for t in query.terms], combination)
         lm_p = ref_combine_columns([columns[t] for t in p.terms], combination)
-        divergences.append(kld_lists(lm_q, lm_p))
+        divergences.append(ref_kld(lm_q, lm_p))
     if not divergences:
         return None
     return math.fsum(divergences) / len(divergences), divergences
@@ -830,6 +860,62 @@ def test_lm_scores_equal_model_level_reference(corpus, queries, synonyms, n, shu
                 assert got == outcome(
                     lambda: reference_lm_score(query, variant, index, lexicon, n, order)
                 )
+
+
+# One-to-one renamings of every word, to tokens the tokenizer could give:
+# some swap the words among themselves, some spell them anew.
+respellings = st.permutations(VOCAB + (ABSENT, "e9", "0", "ab", "ba", "zzz", "q1", "x")).map(
+    lambda names: dict(zip(VOCAB + (ABSENT,), names))
+)
+
+
+@PROPERTY
+@given(
+    corpora(),
+    query_batches(),
+    st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB), min_size=3),
+    respellings,
+)
+@example(
+    corpus=(REPEATS, build_index(REPEATS)),
+    queries=[lm_query("q0", "a", "b", "c"), lm_query("q1", "c", "c"), lm_query("q2", "b", "a")],
+    synonyms={"a": "c", "b": "a", "c": "b"},
+    spelling={"a": "b", "b": "ab", "c": "a", "d": "d", "e": "e", ABSENT: ABSENT},
+)
+def test_outputs_ignore_how_words_are_spelled(corpus, queries, synonyms, spelling):
+    # Renaming every corpus, query and lexicon word one to one changes the
+    # order in which each vocabulary iterates, and nothing else: every
+    # variant's scores and every mode's ranked lists stay equal under ==
+    # once the words quoted in reasons and diagnostics are spelled back.
+    docs, index = corpus
+    back = {new: old for old, new in spelling.items()}
+
+    def renamed(terms):
+        return tuple(spelling[t] for t in terms)
+
+    def spelled_back(score):
+        def fix(text):
+            return re.sub(r"'([a-z0-9]+)'", lambda m: repr(back.get(m[1], m[1])), text)
+
+        return dataclasses.replace(
+            score, reason=fix(score.reason), diagnostics=list(map(fix, score.diagnostics))
+        )
+
+    lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
+    renamed_queries = [Query(q.qid, " ".join(renamed(q.terms)), renamed(q.terms)) for q in queries]
+    renamed_index = build_index([(doc_id, renamed(tokens)) for doc_id, tokens in docs])
+    renamed_lexicon = SynonymLexicon(
+        entries={spelling[h]: list(renamed(s)) for h, s in lexicon.entries.items()}
+    )
+    for variant in VARIANTS:
+        scores = score_batch(queries, variant, index, lexicon)
+        again = score_batch(renamed_queries, variant, renamed_index, renamed_lexicon)
+        assert list(map(spelled_back, again)) == scores
+    selected = {q.qid for q in queries[::2]}
+    for mode in ("bow", "sd", "fd", "selective"):
+        config = RankingConfig(mode=mode)
+        run = rank(queries, index, config, selected=selected)
+        assert rank(renamed_queries, renamed_index, config, selected=selected).results == run.results
 
 
 @PROPERTY
