@@ -88,6 +88,8 @@ def _write_json(payload: object, path: str) -> None:
 def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
     if args.window < 0:
         raise ValueError(f"window half-width must be >= 0, got {args.window}")
+    if args.stop_documents and not args.stopwords:
+        raise ValueError("--stop-documents requires --stopwords")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     index = ingest_corpus(args.corpus, stopwords=stopwords, stop_documents=args.stop_documents)
     queries = load_queries(args.queries, stopwords=stopwords)
@@ -117,6 +119,7 @@ def _cmd_windows(args) -> int:
                 syn = lexicon.first_synonym(t)
                 if syn is not None and syn not in targets:
                     targets.append(syn)
+    index.invert(targets)
     payload: Dict[str, object] = {"format": 1, "half_width": args.window, "targets": {}}
     for t in targets:
         ws = extract_windows(index, (t,), n=args.window)

@@ -1,16 +1,18 @@
-"""Corpus ingestion, tokenization, and the count-first positional index.
+"""Corpus ingestion, tokenization, and the positional index inverted on demand.
 
 Documents arrive as JSON-lines ({"doc_id": ..., "text": ...}), queries as
-TSV (qid<TAB>text), stopwords as one word per line.  The index is
-count-first: ingestion keeps only each document's tokens, which
-PositionalIndex.tokens alone hands out, the first term lookup counts them,
-and PositionalIndex.positions, the one way to a term's positions, inverts
-a term when a query, phrase or context window first asks for it.  Every
-collection statistic is derived on read: a term's collection frequency
-from its positions, the vocabulary size from the token tuples.  So
-ranking (tf and cf alike) and exact ordered phrase matching read
-positions of the few terms they need, and a call that looks no term up
-(`termdep index`) counts nothing.
+TSV (qid<TAB>text), stopwords as one word per line.  Ingestion keeps only
+each document's tokens, which PositionalIndex.tokens alone hands out.
+PositionalIndex.invert finds the positions of a set of terms in one pass
+over the token tuples, and PositionalIndex.positions, the one way to a
+term's positions, reads them, inverting a term it has not seen.  A caller
+that knows its terms (a query batch, a scoring batch's perturbation
+targets, `termdep windows`' targets) declares them to invert first, so a
+call walks the tokens once.  Every collection statistic is derived on
+read: a term's collection frequency from its positions, the vocabulary
+size from the token tuples.  So ranking (tf and cf alike) and exact
+ordered phrase matching read positions of the few terms they need, and a
+call that looks no term up (`termdep index`) walks no document.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -131,29 +132,25 @@ def _has_whitespace(identifier: str) -> bool:
     return any(ch.isspace() for ch in identifier)
 
 
-_NO_COUNTS: Dict[str, int] = {}
-
-
 class PositionalIndex:
-    """Count-first index: tokens at ingestion, counts and positions on first lookup.
+    """Tokens at ingestion, positions inverted on demand.
 
     doc_tokens maps doc_id -> its token tuple, in ingestion order, filled
     by add_document; tokens(doc_id) is the program's one way to it.
-    _doc_counts maps doc_id -> Counter of its tokens; it is built in one
-    pass, in ingestion order, by the first positions() or term_frequency()
-    call after the last add_document.  All three tables (doc_tokens,
-    _doc_counts, postings) are the index's own, read only in this module.
-    positions(term) gives a term's positions, and collection_frequency
-    counts them; postings is their memo, holding only the corpus terms
-    looked up since the last add_document.  vocab_size unions the token
-    tuples on each read.
+    postings memoizes the positions of every corpus term inverted since
+    the last add_document, and _absent every term inverted since then that
+    the corpus lacks, so no term is looked for twice.  All three tables
+    (doc_tokens, postings, _absent) are the index's own, read only in this
+    module.  positions(term) gives a term's positions, and
+    collection_frequency counts them.  vocab_size unions the token tuples
+    on each read.
     """
 
     def __init__(self) -> None:
         self.doc_tokens: Dict[str, Tuple[str, ...]] = {}
-        self._doc_counts: Optional[Dict[str, Counter]] = None
         self.total_terms = 0
         self.postings: Dict[str, Dict[str, List[int]]] = {}
+        self._absent: Set[str] = set()
 
     @property
     def doc_count(self) -> int:
@@ -163,12 +160,6 @@ class PositionalIndex:
     def vocab_size(self) -> int:
         return len(set().union(*self.doc_tokens.values()))
 
-    def _counts(self) -> Dict[str, Counter]:
-        if self._doc_counts is None:
-            doc_tokens = self.doc_tokens
-            self._doc_counts = dict(zip(doc_tokens, map(Counter, doc_tokens.values())))
-        return self._doc_counts
-
     def tokens(self, doc_id: str) -> Tuple[str, ...]:
         """The token tuple of document `doc_id`; KeyError if the index lacks it."""
         return self.doc_tokens[doc_id]
@@ -177,32 +168,45 @@ class PositionalIndex:
         return sum(map(len, self.positions(term).values()))
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        return self._counts().get(doc_id, _NO_COUNTS).get(term, 0)
+        return len(self.positions(term).get(doc_id, ()))
+
+    def invert(self, terms: Iterable[str]) -> None:
+        """Find the positions of every term of `terms` not inverted yet, in one pass.
+
+        The pass goes over the token tuples in ingestion order, skips a
+        document holding none of the terms and walks each other document
+        once.  Every term it inverts is memoized, present or absent, until
+        the next add_document; a term inverted before is not looked for.
+        """
+        postings, absent = self.postings, self._absent
+        wanted = {t for t in terms if t not in postings and t not in absent}
+        if not wanted:
+            return
+        found: Dict[str, Dict[str, List[int]]] = {t: {} for t in wanted}
+        isdisjoint = wanted.isdisjoint
+        for doc_id, tokens in self.doc_tokens.items():
+            if isdisjoint(tokens):
+                continue
+            for p, t in enumerate(tokens):
+                if t in wanted:
+                    found[t].setdefault(doc_id, []).append(p)
+        for t, by_doc in found.items():
+            if by_doc:
+                postings[t] = by_doc
+            else:
+                absent.add(t)
 
     def positions(self, term: str) -> Dict[str, List[int]]:
         """{doc_id: ascending positions of term}, documents in ingestion order.
 
-        Empty for a term the corpus lacks.  A term is inverted on its first
-        lookup, by scanning the per-document counters and locating its
-        positions with tuple.index.  Only a term the corpus holds is
-        memoized, so an absent one is scanned for again on every lookup.
-        Callers must not mutate the result.
+        Empty for a term the corpus lacks.  A term no invert call has
+        declared is inverted here, alone, on its first lookup.  Callers
+        must not mutate the result.
         """
         by_doc = self.postings.get(term)
         if by_doc is None:
-            by_doc = {}
-            doc_tokens = self.doc_tokens
-            for doc_id, counts in self._counts().items():
-                if term in counts:
-                    tokens = doc_tokens[doc_id]
-                    found = []
-                    p = -1
-                    for _ in range(counts[term]):
-                        p = tokens.index(term, p + 1)
-                        found.append(p)
-                    by_doc[doc_id] = found
-            if by_doc:
-                self.postings[term] = by_doc
+            self.invert((term,))
+            by_doc = self.postings.get(term, {})
         return by_doc
 
     def add_document(self, doc: Document) -> None:
@@ -210,8 +214,8 @@ class PositionalIndex:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
         self.doc_tokens[doc.doc_id] = doc.tokens
         self.total_terms += len(doc.tokens)
-        self._doc_counts = None
         self.postings.clear()
+        self._absent.clear()
 
 
 def ingest_corpus(

@@ -12,6 +12,8 @@ count column over the candidates.  None of it depends on mu, so one
 arithmetic pass turns a table and a mu into unigram and mixed scores.
 rank builds the tables and makes one pass; rank_mu_grid builds them once
 and makes one pass per mu of a tuning grid, scoring bow and fd together.
+Both invert every query term of the batch in one pass over the tokens
+before the first table.
 They are the only way to a score: no per-document score view exists.
 """
 
@@ -167,6 +169,7 @@ def rank(
     unknown = selected_set - known
     if unknown:
         raise ValueError(f"selected qids not in batch: {sorted(unknown)[:5]}")
+    index.invert(t for q in queries for t in q.terms)
     run = RankedRun()
     for query in queries:
         mode = config.mode
@@ -195,6 +198,7 @@ def rank_mu_grid(
     are dropped as the next mu starts, so a caller that drops its own
     before asking for the next mu holds one mu's runs at a time.
     """
+    index.invert(t for q in queries for t in q.terms)
     tables = [(query.qid, _FeatureTable(query, index, "fd")) for query in queries]
     for mu in mu_grid:
         at_mu = replace(config, mu=mu)

@@ -207,9 +207,13 @@ def score_batch(
     is a fault and propagates.  A negative window half-width n is rejected
     before any query is scored.  Scoring runs serially: it is pure Python, so
     threads only contend for the interpreter lock.  threads is accepted
-    for compatibility and does not change results.
+    for compatibility and does not change results.  Every query term and
+    its first synonym, all the terms whose windows perturbation compares,
+    are inverted together in one pass before the first query.
     """
     batch = _make_batch(variant, index, n)
+    terms = {t for q in queries for t in q.terms}
+    index.invert([*terms, *filter(None, map(lexicon.first_synonym, terms))])
     scores: List[NcdScore] = []
     for query in queries:
         try:

@@ -1,11 +1,13 @@
 """tools/ab.py on canned numbers: the claim verdict (at least 10 pairs, at
 least 9 of 10 won, ties won by neither side, a median gain beyond the
 parent's IQR), the bound check and the seed range; a run that prints no
-result line; and its imports, standard library only and never termdep."""
+result line; a workload BENCHMARK.json does not name, rejected before any
+run; and its imports, standard library only and never termdep."""
 
 import argparse
 import ast
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -94,6 +96,22 @@ def test_a_run_without_a_result_line_stops_the_tool(code, tmp_path):
     with pytest.raises(SystemExit) as stop:
         ab.run_once(str(tmp_path), command, "rank-modes", 7, 1)
     assert str(stop.value).splitlines()[0] == f"ab: {tmp_path} seed 7 printed no result line"
+
+
+def test_unknown_workload_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    bench = {"command": ["true"], "run_seconds": 1, "workloads": [{"name": "rank-modes"}]}
+    bench["end_to_end"] = [{"name": "total_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(ab, "run_once", no_run)
+    with pytest.raises(SystemExit) as stop:
+        ab.main([str(tmp_path), str(tmp_path), "--workload", "rank-mode", "--seeds", "1-2"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith("error: --workload 'rank-mode' is not a workload of BENCHMARK.json")
 
 
 def test_imports_are_stdlib_and_never_termdep():

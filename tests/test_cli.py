@@ -10,10 +10,11 @@ from termdep.cli import COMMANDS, DEFAULT_MU_GRID, DEFAULT_THETA_GRID, build_par
 from termdep.corpus import ingest_corpus, load_queries, tokenize
 from termdep.evaluation import MEASURES, CvPlan, cross_validate, load_qrels
 from termdep.perturb import load_lexicon
-from termdep.retrieval import RankingConfig, rank
+from termdep.retrieval import RankingConfig, rank, rank_mu_grid
 from termdep.scoring import score_batch, select_dependent
 
 from oracles import brute_force_window_stats, brute_force_windows
+from test_corpus import record_passes
 
 
 def read_report_map(path):
@@ -882,6 +883,91 @@ class TestWindowCheckedBeforeReading:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == ["error: window half-width must be >= 0, got -2"]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStopDocumentsNeedsStopwords:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["windows"],
+            ["score", "--lexicon", "lexicon.tsv", "--variant", "vector:tfidf"],
+            ["run", "--mode", "bow"],
+            ["tune", "--lexicon", "lexicon.tsv", "--qrels", "qrels.txt"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_rejected_before_any_input_is_read(self, tmp_path, capsys, command):
+        # Without a stopword list the flag would stop nothing.  The corpus
+        # does not exist: an error about it would mean it was read first.
+        code = main(
+            [
+                *command,
+                "--corpus",
+                str(tmp_path / "missing.jsonl"),
+                "--queries",
+                str(tmp_path / "missing.tsv"),
+                "--stop-documents",
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --stop-documents requires --stopwords"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_accepted_with_stopwords(self, retrieval_paths, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("about\nreport\n")
+        masses = []
+        for flags in ([], ["--stop-documents"]):
+            out = tmp_path / f"windows{len(flags)}.json"
+            argv = ["windows", *base_flags(retrieval_paths), "--stopwords", str(stop), *flags]
+            assert main([*argv, "--out", str(out)]) == 0
+            masses.append(json.loads(out.read_text())["targets"]["term01a"]["total_mass"])
+        # Stopping the documents takes the stopwords out of every window.
+        assert masses[1] < masses[0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--mode", "bow"],
+        ["run", "--mode", "sd"],
+        ["run", "--mode", "fd"],
+        ["run", "--mode", "selective", "--theta", "5", "--lexicon", "lexicon"],
+        ["score", "--variant", "vector:tfidf", "--lexicon", "lexicon"],
+        ["score", "--variant", "lm:sgt:qsum", "--lexicon", "lexicon"],
+        ["tune", "--lexicon", "lexicon", "--qrels", "qrels", "--mu-grid", "500", "--theta-grid", "5"],
+        ["windows", "--lexicon", "lexicon"],
+    ],
+    ids=" ".join,
+)
+def test_each_call_makes_one_pass_over_the_documents(retrieval_paths, tmp_path, monkeypatch, command):
+    # Every call declares the terms it will look up before the first lookup,
+    # so it finds them all in one pass; an undeclared term would cost another.
+    passes = record_passes(monkeypatch)
+    argv = [retrieval_paths.get(arg, arg) for arg in command]
+    assert main([*argv, *base_flags(retrieval_paths), "--out", str(tmp_path / "out")]) == 0
+    assert len(passes) == 1
+    assert 0 < len(passes[0]) <= 200  # the fixture's documents
+
+
+@pytest.mark.parametrize("call", ["rank", "rank_mu_grid", "score_batch"])
+def test_each_batch_call_makes_one_pass_over_the_documents(retrieval_paths, monkeypatch, call):
+    # The CLI calls score_batch before rank_mu_grid, which then finds every
+    # term inverted: each must declare its own terms for a library caller.
+    passes = record_passes(monkeypatch)
+    index = ingest_corpus(retrieval_paths["corpus"])
+    queries = load_queries(retrieval_paths["queries"])
+    if call == "rank":
+        rank(queries, index, RankingConfig(mode="sd"))
+    elif call == "rank_mu_grid":
+        list(rank_mu_grid(queries, index, [500.0, 2000.0], RankingConfig()))
+    else:
+        score_batch(queries, "lm:laplace:qavg", index, load_lexicon(retrieval_paths["lexicon"]))
+    assert len(passes) == 1
 
 
 class TestTuneCommand:

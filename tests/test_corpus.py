@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -68,38 +67,84 @@ class TestPositionalIndex:
             index.add_document(Document("d1", ("b",)))
 
 
-class TestCountsOnFirstLookup:
-    def test_counters_built_once_and_only_by_a_lookup(self, tmp_path, monkeypatch):
-        built = []
+def record_passes(monkeypatch):
+    """Record each pass termdep.corpus makes over an index's documents.
 
-        class CountingCounter(Counter):
-            def __init__(self, *args, **kwargs):
-                built.append(args[0])
-                super().__init__(*args, **kwargs)
+    A pass starts when the index iterates its documents (doc_tokens.items())
+    and holds the token tuples it then walks with enumerate, in order.  A
+    walk outside a pass raises IndexError.
+    """
+    passes = []
 
-        monkeypatch.setattr(termdep.corpus, "Counter", CountingCounter)
+    class Documents(dict):
+        def items(self):
+            passes.append([])
+            return super().items()
+
+    def counting_enumerate(iterable, start=0):
+        if isinstance(iterable, tuple):
+            passes[-1].append(iterable)
+        return enumerate(iterable, start)
+
+    init = PositionalIndex.__init__
+
+    def tracked_init(self):
+        init(self)
+        self.doc_tokens = Documents()
+
+    monkeypatch.setattr(PositionalIndex, "__init__", tracked_init)
+    monkeypatch.setattr(termdep.corpus, "enumerate", counting_enumerate, raising=False)
+    return passes
+
+
+class TestInvertInOnePass:
+    def test_each_term_looked_for_in_one_pass_until_a_document_is_added(
+        self, tmp_path, monkeypatch
+    ):
+        passes = record_passes(monkeypatch)
         path = tmp_path / "corpus.jsonl"
-        rows = [("d1", "red tape office"), ("d2", "tape measure"), ("d3", "red red tape")]
+        rows = [
+            ("d1", "red tape office"),
+            ("d2", "tape measure"),
+            ("d3", "red red tape"),
+            ("d4", "office hours"),
+        ]
         path.write_text("".join(json.dumps({"doc_id": d, "text": t}) + "\n" for d, t in rows))
-        # The index summary needs no per-document counts.
+        # Neither the index summary nor ingestion makes a pass.
         assert main(["index", "--corpus", str(path), "--out", str(tmp_path / "index.json")]) == 0
-        assert built == []
         index = ingest_corpus(str(path))
-        assert built == []
-        # The first lookup counts every document, in ingestion order.
+        assert passes == []
+        # One pass for three terms walks each document at most once; d4
+        # holds none of them and is not walked.
+        index.invert(["red", "tape", "zzz", "red"])
+        assert passes == [[("red", "tape", "office"), ("tape", "measure"), ("red", "red", "tape")]]
         assert index.positions("red") == {"d1": [0], "d3": [0, 1]}
-        assert built == [("red", "tape", "office"), ("tape", "measure"), ("red", "red", "tape")]
-        index.positions("tape")
-        index.term_frequency("red", "d3")
-        index.collection_frequency("absent")
-        assert len(built) == 3
-        # A document added after a lookup counts nothing itself; the next
-        # lookup reads counts that include it.
-        index.add_document(Document("d4", ("tape", "red")))
-        assert len(built) == 3
-        assert index.positions("red") == {"d1": [0], "d3": [0, 1], "d4": [1]}
-        assert index.term_frequency("tape", "d4") == 1
+        assert index.positions("tape") == {"d1": [1], "d2": [0], "d3": [2]}
+        assert list(index.positions("tape")) == ["d1", "d2", "d3"]
+        assert index.positions("zzz") == {}
+        # Later lookups of inverted terms, present or absent, make no pass.
+        index.invert(["red", "zzz"])
         assert index.term_frequency("red", "d3") == 2
+        assert index.collection_frequency("zzz") == 0
+        assert index.positions("zzz") == {}
+        assert phrase_occurrences(index, ["red", "tape"]) == {"d1": 1, "d3": 1}
+        assert phrase_occurrences(index, ["zzz", "red"]) == {}
+        assert len(passes) == 1
+        # An undeclared term costs a pass of its own; an absent one too, once.
+        assert index.positions("office") == {"d1": [2], "d4": [0]}
+        assert index.positions("yyy") == {}
+        assert passes[1:] == [[("red", "tape", "office"), ("office", "hours")], []]
+        index.positions("yyy")
+        index.invert(["office", "tape", "yyy"])
+        assert len(passes) == 3
+        # add_document drops the memo, absent terms included: the next
+        # lookups make a pass again and read the new documents.
+        index.add_document(Document("d5", ("tape", "red")))
+        assert index.positions("red") == {"d1": [0], "d3": [0, 1], "d5": [1]}
+        index.add_document(Document("d6", ("zzz",)))
+        assert index.positions("zzz") == {"d6": [0]}
+        assert index.term_frequency("tape", "d5") == 1
+        assert len(passes) == 6
 
 
 class TestIngestCorpus:

@@ -1,14 +1,15 @@
 """Property tests: the tokenizer against the regex it replaced, the
 feature-table ranking against the per-document loop it replaced, the
 mu-grid runs against rank, selective ranking against its bow and fd lists,
-ingestion-order independence of ranking, the count-first index (frequencies, lazily
-inverted postings, the phrase matcher, phrase windows), run-file I/O, the
-range of metrics on runs read back, a window set's views (whichever is read
-first) against the brute-force oracle, the LM combination kernels and the
-count-pattern comparison against the word-by-word references, kld against
-the word-by-word reference, LM scores against the model-level path, the
-sign of KLD, the independence of every score and ranking from how words
-are spelled, and the range of vector divergences."""
+ingestion-order independence of ranking, the index (frequencies, postings
+inverted in batches or one term at a time, the phrase matcher, phrase
+windows), run-file I/O, the range of metrics on runs read back, a window
+set's views (whichever is read first) against the brute-force oracle, the
+LM combination kernels and the count-pattern comparison against the
+word-by-word references, kld against the word-by-word reference, LM scores
+against the model-level path, the sign of KLD, the independence of every
+score and ranking from how words are spelled, and the range of vector
+divergences."""
 
 import dataclasses
 import math
@@ -286,7 +287,7 @@ def test_frequencies_match_brute_force_counts(corpus):
     assert index.term_frequency("a", "no-such-doc") == 0
     assert index.vocab_size == len({t for _, tokens in docs for t in tokens})
     assert index.total_terms == sum(len(tokens) for _, tokens in docs)
-    # Counting an absent term memoizes nothing.
+    # Counting an absent term adds nothing to postings.
     assert index.collection_frequency(ABSENT) == 0
     assert ABSENT not in index.postings
 
@@ -305,10 +306,37 @@ def brute_force_starts(docs, phrase):
 phrases = st.lists(st.sampled_from(VOCAB + (ABSENT,)), min_size=1, max_size=3).map(tuple)
 
 
+# A lookup is a term, read through positions(), or a list of terms, which
+# one invert call declares together (repeats and inverted terms included).
+lookups = st.lists(
+    st.one_of(
+        st.sampled_from(VOCAB + (ABSENT,)),
+        st.lists(st.sampled_from(VOCAB + (ABSENT,)), max_size=4),
+    ),
+    max_size=6,
+)
+
+
+def look_up(index, lookup):
+    """Make one lookup; return the terms it names."""
+    if isinstance(lookup, str):
+        index.positions(lookup)
+        return [lookup]
+    index.invert(lookup)
+    return lookup
+
+
 @PROPERTY
-@given(corpora(), st.permutations(VOCAB + (ABSENT,)))
-def test_postings_equal_brute_force_in_any_lookup_order(corpus, order):
+@given(corpora(), lookups, st.permutations(VOCAB + (ABSENT,)))
+def test_postings_equal_brute_force_in_any_lookup_order(corpus, lookups, order):
     docs, index = corpus
+    # Batched and single lookups, mixed, leave every term's positions those
+    # of a brute-force scan, documents in ingestion order.
+    for lookup in lookups:
+        for term in look_up(index, lookup):
+            expected = brute_force_starts(docs, (term,))
+            assert index.positions(term) == expected
+            assert list(index.positions(term)) == list(expected)
     for term in order:
         expected = brute_force_starts(docs, (term,))
         assert index.positions(term) == expected
@@ -316,7 +344,7 @@ def test_postings_equal_brute_force_in_any_lookup_order(corpus, order):
     # A second pass reads the memo and must agree with the first.
     for term in VOCAB + (ABSENT,):
         assert index.positions(term) == brute_force_starts(docs, (term,))
-    # The memo holds the corpus terms looked up, and no absent term.
+    # Postings hold the corpus terms looked up, and no absent term.
     assert set(index.postings) == {t for _, tokens in docs for t in tokens}
 
 
@@ -324,18 +352,21 @@ EDGE_DOCS = [("d1", ("a", "b", "a")), ("d0", ("c", "a", "b"))]
 
 
 @PROPERTY
-@given(corpora(), st.integers(min_value=0, max_value=7), st.lists(st.sampled_from(VOCAB + (ABSENT,))))
-# Lookups on an empty index build empty counts, which a later add_document must drop.
+@given(corpora(), st.integers(min_value=0, max_value=7), lookups)
+# Lookups on an empty index memoize every term as absent, which a later
+# add_document must drop.
 @example(corpus=(EDGE_DOCS, None), cut=0, lookups=["a", ABSENT, "c"])
+@example(corpus=(EDGE_DOCS, None), cut=0, lookups=[["a", ABSENT], "c"])
 # Lookups after the last document: nothing is added after them.
 @example(corpus=(EDGE_DOCS, None), cut=len(EDGE_DOCS), lookups=["a", ABSENT, "c"])
+@example(corpus=(EDGE_DOCS, None), cut=1, lookups=[["a", "b", "c", ABSENT]])
 def test_add_document_after_lookup_leaves_nothing_stale(corpus, cut, lookups):
     docs, _ = corpus
     cut = min(cut, len(docs))  # a cut past the last document adds none after the lookups
     index = build_index(docs[:cut])
-    for term in lookups:
-        index.positions(term)
-        phrase_positions(index, (term, term))
+    for lookup in lookups:
+        for term in look_up(index, lookup):
+            phrase_positions(index, (term, term))
     for doc_id, tokens in docs[cut:]:
         index.add_document(Document(doc_id, tokens))
     fresh = build_index(docs)

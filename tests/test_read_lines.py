@@ -1,7 +1,8 @@
 """Every input file goes through corpus.read_lines: one decoding and
 line-numbering rule for the seven readers, and no other way in.  Likewise,
 term positions come only through PositionalIndex.positions, and a
-document's tokens only through PositionalIndex.tokens."""
+document's tokens only through PositionalIndex.tokens; only the functions
+that declare a call's terms call PositionalIndex.invert."""
 
 import ast
 import json
@@ -166,7 +167,7 @@ def attribute_reads(path, attr):
 # The index's own backing: the program reads a term's positions through
 # index.positions(), a document's tokens through index.tokens(), and counts
 # through the index's methods.
-INDEX_INTERNALS = ("postings", "_doc_counts", "doc_tokens")
+INDEX_INTERNALS = ("postings", "_absent", "doc_tokens")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -174,3 +175,37 @@ def test_positions_only_through_the_index(path):
     attrs = () if path.name == "corpus.py" else INDEX_INTERNALS
     outside = [f".{attr} at line {line}" for attr in attrs for line in attribute_reads(path, attr)]
     assert outside == [], f"{path.name} reads {outside}; use index.positions() or index.tokens()"
+
+
+def attribute_uses(path, attr):
+    """(enclosing function, line) of each `.<attr>` attribute in a module."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+# The functions that know every term their call will look up declare them to
+# index.invert, which finds them all in one pass; positions() inverts an
+# undeclared term alone.
+INVERT_CALLERS = {
+    "cli.py": ["_cmd_windows"],
+    "corpus.py": ["positions"],
+    "retrieval.py": ["rank", "rank_mu_grid"],
+    "scoring.py": ["score_batch"],
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_invert_called_only_where_a_call_declares_its_terms(path):
+    callers = [function for function, _ in attribute_uses(path, "invert")]
+    assert callers == INVERT_CALLERS.get(path.name, [])

@@ -10,7 +10,8 @@ For each seed, the benchmark command named in PARENT_DIR's BENCHMARK.json
 run_seconds in each checkout, the two runs of a pair back to back; the
 side that goes first alternates from pair to pair.  A run that exits
 nonzero, reports `correct: false` or prints no JSON result as its last
-line stops the tool with exit status 1.
+line stops the tool with exit status 1.  A --workload or --claim that
+BENCHMARK.json does not name stops it with exit status 2 before any run.
 
 For each end-to-end metric of BENCHMARK.json it prints, as a Markdown
 table row, each side's median [Q1, Q3] (quartiles from
@@ -127,6 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     metrics = bench["end_to_end"]
+    if args.workload not in {w["name"] for w in bench["workloads"]}:
+        parser.error(f"--workload {args.workload!r} is not a workload of BENCHMARK.json")
     if args.claim is not None and args.claim not in {m["name"] for m in metrics}:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
 
