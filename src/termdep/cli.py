@@ -32,14 +32,13 @@ from .evaluation import (
     MEASURES,
     CvPlan,
     _check_fold_count,
-    _per_query,
     cross_validate_selective,
     evaluate,
     load_qrels,
     write_metric_report,
 )
 from .fixtures import planted_pair, retrieval_fixture
-from .perturb import load_lexicon
+from .perturb import load_lexicon, targets
 from .retrieval import (
     MODES,
     RankingConfig,
@@ -97,6 +96,18 @@ def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
     return index, queries, lexicon
 
 
+def _score(args, index: PositionalIndex, queries: list, lexicon) -> List[NcdScore]:
+    return score_batch(queries, args.variant, index, lexicon, n=args.window, threads=args.threads)
+
+
+def _select(scores: Sequence[NcdScore], theta: int) -> List[str]:
+    """select_dependent's selection at theta; its diagnostics go to stderr."""
+    selected, diagnostics = select_dependent(scores, theta)
+    for d in diagnostics:
+        print(d, file=sys.stderr)
+    return selected
+
+
 def _cmd_index(args) -> int:
     index = ingest_corpus(args.corpus)
     summary = {
@@ -110,18 +121,10 @@ def _cmd_index(args) -> int:
 
 def _cmd_windows(args) -> int:
     index, queries, lexicon = _load_inputs(args)
-    targets: List[str] = []
-    for q in queries:
-        for t in q.terms:
-            if t not in targets:
-                targets.append(t)
-            if lexicon is not None:
-                syn = lexicon.first_synonym(t)
-                if syn is not None and syn not in targets:
-                    targets.append(syn)
-    index.invert(targets)
+    terms = sorted(targets(queries, lexicon))
+    index.invert(terms)
     payload: Dict[str, object] = {"format": 1, "half_width": args.window, "targets": {}}
-    for t in targets:
+    for t in terms:
         ws = extract_windows(index, (t,), n=args.window)
         payload["targets"][t] = {
             "n_windows": ws.stats.n_windows,
@@ -146,15 +149,10 @@ def _cmd_score(args) -> int:
     ):
         raise ValueError(f"--out {args.out} is the selected.txt that --theta writes")
     index, queries, lexicon = _load_inputs(args)
-    scores = score_batch(
-        queries, args.variant, index, lexicon, n=args.window, threads=args.threads
-    )
+    scores = _score(args, index, queries, lexicon)
     write_lines(args.out, _scores_csv(scores))
     if args.theta is not None:
-        selected, diagnostics = select_dependent(scores, args.theta)
-        write_lines(sel_path, (qid + "\n" for qid in selected))
-        for d in diagnostics:
-            print(d, file=sys.stderr)
+        write_lines(sel_path, (qid + "\n" for qid in _select(scores, args.theta)))
     return 0
 
 
@@ -171,13 +169,7 @@ def _selection_for(args, index, queries, lexicon) -> Set[str]:
                 raise ValueError(f"{path}:{lineno}: qid {qid!r} is not in the query batch")
             chosen.add(qid)
         return chosen
-    scores = score_batch(
-        queries, args.variant, index, lexicon, n=args.window, threads=args.threads
-    )
-    selected, diagnostics = select_dependent(scores, args.theta)
-    for d in diagnostics:
-        print(d, file=sys.stderr)
-    return set(selected)
+    return set(_select(_score(args, index, queries, lexicon), args.theta))
 
 
 def _cmd_run(args) -> int:
@@ -216,36 +208,16 @@ def _cmd_tune(args) -> int:
     index, queries, lexicon = _load_inputs(args)
     _check_fold_count(len(queries))
     qrels = load_qrels(args.qrels)
-    scores = score_batch(
-        queries, args.variant, index, lexicon, n=args.window, threads=args.threads
-    )
+    scores = _score(args, index, queries, lexicon)
     # Selection at theta is the first theta entries of one ordering; an
     # unscoreable query is not in it, so it is never selected.
     ordered, _ = select_dependent(scores, len(scores))
     # Report each grid theta that selects every scoreable query, as score and run do.
     for theta in sorted(set(plan.theta_grid)):
         if theta > len(ordered):
-            for d in select_dependent(scores, theta)[1]:
-                print(d, file=sys.stderr)
-    # A selective run at (mu, theta) is, query by query, the fd run at mu
-    # if the query is selected, else the bow run, and a query's metric value
-    # depends on its own list alone: each distinct mu is ranked once in both
-    # modes, each run is scored once on the tuned measure alone, and the
-    # runs are dropped at once.  Every run holds the whole batch, so each
-    # mu's bow run gives the same diagnostics.
-    measures = (plan.measure,)
-    values: Dict[float, Tuple[Dict[str, float], Dict[str, float]]] = {}
-    diagnostics: List[str] = []
-    for mu, bow, fd in rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config):
-        diagnostics = []
-        bow_rows = _per_query(bow, qrels, measures, diagnostics)
-        fd_rows = _per_query(fd, qrels, measures, [])
-        values[mu] = (
-            {qid: row[plan.measure] for qid, row in bow_rows.items()},
-            {qid: row[plan.measure] for qid, row in fd_rows.items()},
-        )
-    qids = [q.qid for q in queries]
-    result = cross_validate_selective(qids, ordered, values, plan, diagnostics)
+            _select(scores, theta)
+    runs = rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config)
+    result = cross_validate_selective([q.qid for q in queries], ordered, runs, qrels, plan)
     payload = {
         "measure": result.measure,
         "folds": [

@@ -6,13 +6,13 @@ each document's tokens, which PositionalIndex.tokens alone hands out.
 PositionalIndex.invert finds the positions of a set of terms in one pass
 over the token tuples, and PositionalIndex.positions, the one way to a
 term's positions, reads them, inverting a term it has not seen.  A caller
-that knows its terms (a query batch, a scoring batch's perturbation
-targets, `termdep windows`' targets) declares them to invert first, so a
-call walks the tokens once.  Every collection statistic is derived on
-read: a term's collection frequency from its positions, the vocabulary
-size from the token tuples.  So ranking (tf and cf alike) and exact
-ordered phrase matching read positions of the few terms they need, and a
-call that looks no term up (`termdep index`) walks no document.
+that knows its terms (a query batch, or perturb.targets for scoring and
+`termdep windows`) declares them to invert first, so a call walks the
+tokens once.  Every collection statistic is derived on read: a term's
+collection frequency from its positions, the vocabulary size from the
+token tuples.  So ranking (tf and cf alike) and exact ordered phrase
+matching read positions of the few terms they need, and a call that
+looks no term up (`termdep index`) walks no document.
 """
 
 from __future__ import annotations
@@ -130,6 +130,14 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
 def _has_whitespace(identifier: str) -> bool:
     # Run and qrels files are split on whitespace, so IDs must not hold any.
     return any(ch.isspace() for ch in identifier)
+
+
+def _check_qid(qid: str, where: str) -> None:
+    # Score, eval and delta CSV rows lead with the qid; eval's summary row is `all`.
+    if "," in qid:
+        raise CorpusFormatError(f"{where}: qid {qid!r} contains a comma")
+    if qid == "all":
+        raise CorpusFormatError(f"{where}: qid 'all' names eval's summary row")
 
 
 class PositionalIndex:
@@ -262,7 +270,7 @@ def ingest_corpus(
 def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]:
     """Read qid<TAB>text rows; stopwords are removed from queries, never stemmed.
 
-    A qid that is empty, holds whitespace or a comma, or repeats is
+    A qid that is empty, holds whitespace, repeats or fails _check_qid is
     rejected with its path:line.
     """
     queries: List[Query] = []
@@ -276,8 +284,7 @@ def load_queries(path: str, stopwords: Optional[Set[str]] = None) -> List[Query]
             raise CorpusFormatError(f"{path}:{lineno}: empty qid")
         if _has_whitespace(qid):
             raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
-        if "," in qid:  # score, eval and delta CSV rows lead with the qid
-            raise CorpusFormatError(f"{path}:{lineno}: qid {qid!r} contains a comma")
+        _check_qid(qid, f"{path}:{lineno}")
         if qid in seen:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate qid {qid!r}")
         seen.add(qid)

@@ -6,11 +6,11 @@ qid-sorted query set round-robin into three folds, tunes (mu, theta) on
 two folds, and reports the mean score of the held-out thirds.  One fold
 walk does it for both callers.  At each grid point it reads, per fold, the
 tuned measure's values of the fold's evaluated queries.  cross_validate
-gets them by evaluating one run per grid point.  cross_validate_selective
-gets them from each mu's bow and fd values: a selective run takes fd's
-value for a selected query and bow's for the rest.  Every mean is a
-math.fsum, which is exactly rounded, so the order of a fold's values
-never changes a result.
+gets them by evaluating one run per grid point.  cross_validate_selective,
+which `termdep tune` hands its bow and fd runs of each mu, scores each of
+those runs once: a selective run takes fd's value for a selected query
+and bow's for the rest.  Every mean is a math.fsum, which is exactly
+rounded, so the order of a fold's values never changes a result.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .corpus import read_lines, write_lines
+from .corpus import _check_qid, read_lines, write_lines
 from .retrieval import RankedRun
 
 MEASURES = ("map", "ndcg10", "p10")
@@ -62,7 +62,7 @@ class Qrels:
 def load_qrels(path: str) -> Qrels:
     """Read `qid 0 doc_id grade` rows; later duplicates overwrite earlier.
 
-    A qid holding a comma is rejected with its path:line.
+    A qid _check_qid rejects is rejected with its path:line.
     """
     judgments: Dict[Tuple[str, str], int] = {}
     grades: Dict[str, int] = {}  # each distinct grade string is checked once
@@ -71,8 +71,7 @@ def load_qrels(path: str) -> Qrels:
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected `qid 0 doc_id grade`")
         qid, _, doc_id, grade_s = parts
-        if "," in qid:  # eval and delta CSV rows lead with the qid
-            raise ValueError(f"{path}:{lineno}: qid {qid!r} contains a comma")
+        _check_qid(qid, f"{path}:{lineno}")
         grade = grades.get(grade_s)
         if grade is None:
             grade = grades[grade_s] = _grade(grade_s, f"{path}:{lineno}")
@@ -272,34 +271,42 @@ def cross_validate(
 def cross_validate_selective(
     qids: Sequence[str],
     order: Sequence[str],
-    values: Mapping[float, Tuple[Mapping[str, float], Mapping[str, float]]],
+    runs: Iterable[Tuple[float, RankedRun, RankedRun]],
+    qrels: Qrels,
     plan: CvPlan,
-    diagnostics: Sequence[str],
 ) -> CvResult:
-    """The fold walk over selective runs, from each mu's bow and fd values.
+    """The fold walk over selective runs, from each mu's bow and fd runs.
 
-    values[mu] is (bow, fd) for every mu of plan.mu_grid: each maps every
-    evaluated qid to its value of plan.measure in that mode's run at mu, and
-    both hold the same qids.  The selective run at (mu, theta) gives a query
-    fd's value if it is among the first theta of order, else bow's; a qid
-    not in order is never selected.  Per mu and fold, the evaluated members
-    are laid out once in order's order, unselectable ones last, so the
-    fold's values at theta are fd's for a prefix and bow's for the rest.
-    diagnostics is copied into the result.
+    runs yields (mu, bow run, fd run) for every mu of plan.mu_grid, as
+    rank_mu_grid does; each run ranks the whole batch and is scored on
+    plan.measure alone as it arrives.  The selective run at (mu, theta)
+    ranks a query as fd does if it is among the first theta of order, else
+    as bow does; a qid not in order is never selected.  Per mu and fold,
+    the evaluated members are laid out once in order's order, unselectable
+    ones last, so the fold's values at theta are fd's for a prefix and
+    bow's for the rest.  The diagnostics are the last bow run's: each run
+    holds the whole batch, so each gives the same.
     """
     _check_fold_count(len(qids))
     folds = assign_folds(qids)
     position = {qid: i for i, qid in enumerate(order)}
     unselectable = len(order)
+    measures = (plan.measure,)
+    diagnostics: List[str] = []
     columns: Dict[float, List[Tuple[List[int], List[float], List[float]]]] = {}
-    for mu, (bow, fd) in values.items():
+    for mu, bow_run, fd_run in runs:
+        diagnostics = []
+        bow = _per_query(bow_run, qrels, measures, diagnostics)
+        fd = _per_query(fd_run, qrels, measures, [])
         columns[mu] = []
         for fold in folds:
             members = sorted(
                 (q for q in fold if q in bow), key=lambda q: position.get(q, unselectable)
             )
             selectable = [position[q] for q in members if q in position]
-            columns[mu].append((selectable, [fd[q] for q in members], [bow[q] for q in members]))
+            fd_col = [fd[q][plan.measure] for q in members]
+            bow_col = [bow[q][plan.measure] for q in members]
+            columns[mu].append((selectable, fd_col, bow_col))
 
     def fold_values(mu: float, theta: int) -> List[List[float]]:
         spliced = []

@@ -4,13 +4,13 @@ The lexicon is a flat TSV file standing in for a thesaurus: headword,
 tab, comma-separated synonyms ordered best-first.  Perturbation replaces
 one query position at a time with that term's first synonym; positions
 without coverage are skipped, so a query yields between 0 and m
-perturbations.
+perturbations.  targets names every term those perturbations compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .corpus import Query, read_lines, tokenize
 
@@ -93,3 +93,14 @@ def perturb(query: Query, lexicon: SynonymLexicon) -> List[Perturbation]:
             Perturbation(j=idx + 1, original=term, replacement=synonym, terms=terms)
         )
     return out
+
+
+def targets(queries: Sequence[Query], lexicon: Optional[SynonymLexicon]) -> Set[str]:
+    """Every query term plus, given a lexicon, each term's first synonym.
+
+    These are the terms whose windows perturbation compares: score_batch
+    inverts them, and `termdep windows` exports them, iterated sorted.
+    """
+    terms = {t for q in queries for t in q.terms}
+    synonyms = map(lexicon.first_synonym, terms) if lexicon is not None else ()
+    return terms.union(filter(None, synonyms))

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .corpus import PositionalIndex, Query, phrase_occurrences, read_lines, write_lines
+from .corpus import PositionalIndex, Query, _check_qid, phrase_occurrences, read_lines, write_lines
 
 MODES = ("bow", "sd", "fd", "selective")
 
@@ -227,8 +227,8 @@ def write_run(run: RankedRun, path: str, tag: str) -> None:
 def read_run(path: str) -> RankedRun:
     """Read a TREC run file back into a RankedRun (tag discarded).
 
-    A row with the wrong field count, a qid holding a comma, a score that
-    is not a finite number in ASCII without `_` separators, or a (qid,
+    A row with the wrong field count, a qid _check_qid rejects, a score
+    that is not a finite number in ASCII without `_` separators, or a (qid,
     doc_id) pair seen before is rejected with its path:line.
     """
     run = RankedRun()
@@ -250,8 +250,7 @@ def read_run(path: str) -> RankedRun:
             raise ValueError(f"{path}:{lineno}: score {raw!r} is not finite")
         if row_qid != qid:  # a qid's rows usually come together: look its lists up once
             qid = row_qid
-            if "," in qid:  # eval and delta CSV rows lead with the qid
-                raise ValueError(f"{path}:{lineno}: qid {qid!r} contains a comma")
+            _check_qid(qid, f"{path}:{lineno}")
             listed = listed_by_qid.setdefault(qid, set())
             entries = run.results.setdefault(qid, [])
         if doc_id in listed:

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .corpus import PositionalIndex, Query
 from .langmodel import COMBINATIONS, SMOOTHINGS, phrase_kld, sgt_lm
-from .perturb import Perturbation, SynonymLexicon, perturb
+from .perturb import Perturbation, SynonymLexicon, perturb, targets
 from .vectors import SCHEMES, build_term_vector, compose_query_vector, cosine_distance
 from .windows import WindowSet, extract_windows
 
@@ -207,13 +207,12 @@ def score_batch(
     is a fault and propagates.  A negative window half-width n is rejected
     before any query is scored.  Scoring runs serially: it is pure Python, so
     threads only contend for the interpreter lock.  threads is accepted
-    for compatibility and does not change results.  Every query term and
-    its first synonym, all the terms whose windows perturbation compares,
-    are inverted together in one pass before the first query.
+    for compatibility and does not change results.  perturb.targets, all
+    the terms whose windows perturbation compares, are inverted together in
+    one pass before the first query.
     """
     batch = _make_batch(variant, index, n)
-    terms = {t for q in queries for t in q.terms}
-    index.invert([*terms, *filter(None, map(lexicon.first_synonym, terms))])
+    index.invert(targets(queries, lexicon))
     scores: List[NcdScore] = []
     for query in queries:
         try:

@@ -9,7 +9,7 @@ import pytest
 from termdep.cli import COMMANDS, DEFAULT_MU_GRID, DEFAULT_THETA_GRID, build_parser, main
 from termdep.corpus import ingest_corpus, load_queries, tokenize
 from termdep.evaluation import MEASURES, CvPlan, cross_validate, load_qrels
-from termdep.perturb import load_lexicon
+from termdep.perturb import load_lexicon, perturb, targets
 from termdep.retrieval import RankingConfig, rank, rank_mu_grid
 from termdep.scoring import score_batch, select_dependent
 
@@ -233,6 +233,18 @@ class TestWindowsCommand:
                 "total_mass": sum(size for *_, size in ref_windows),
                 "vocab_size": len(ref["windows_containing"]),
             }, term
+
+    def test_exports_exactly_the_perturbation_targets(self, retrieval_paths, tmp_path):
+        out = tmp_path / "windows.json"
+        argv = ["windows", *base_flags(retrieval_paths), "--lexicon", retrieval_paths["lexicon"]]
+        assert main([*argv, "--out", str(out)]) == 0
+        queries = load_queries(retrieval_paths["queries"])
+        lexicon = load_lexicon(retrieval_paths["lexicon"])
+        exported = set(json.loads(out.read_text())["targets"])
+        assert exported == targets(queries, lexicon)
+        replacements = {p.replacement for q in queries if q.m > 1 for p in perturb(q, lexicon)}
+        assert replacements
+        assert exported >= {t for q in queries for t in q.terms} | replacements
 
 
 class TestScoreCommand:
@@ -834,6 +846,46 @@ class TestCommaQidFailsAtLoad:
         line = plain.count("\n") + 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {paths[bad]}:{line}: qid 'q,x' contains a comma"
+        ]
+        assert not report.exists()
+
+
+class TestAllQidFailsAtLoad:
+    """eval closes its report with a summary row named `all`, so a query
+    named `all` would give two `all` rows: each loader rejects the qid."""
+
+    def test_run_rejects_it_in_queries(self, retrieval_paths, tmp_path, capsys):
+        plain = (retrieval_paths["dir"] / "queries.tsv").read_text()
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(plain + "all\tterm01a term01b\n")
+        out = tmp_path / "bow.run"
+        flags = ["--corpus", retrieval_paths["corpus"], "--queries", str(queries)]
+        assert main(["run", *flags, "--mode", "bow", "--out", str(out)]) == 2
+        line = plain.count("\n") + 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {queries}:{line}: qid 'all' names eval's summary row"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad, row",
+        [("run", "all Q0 d01-a1 1 -1.000000 bow"), ("qrels", "all 0 d01-a1 1")],
+        ids=("run", "qrels"),
+    )
+    def test_eval_rejects_it(self, retrieval_paths, mode_runs, tmp_path, capsys, bad, row):
+        paths = {"run": tmp_path / "x.run", "qrels": tmp_path / "qrels.txt"}
+        paths["run"].write_text(mode_runs["bow"].read_text())
+        paths["qrels"].write_text((retrieval_paths["dir"] / "qrels.txt").read_text())
+        plain = paths[bad].read_text()
+        paths[bad].write_text(plain + row + "\n")
+        report = tmp_path / "report.csv"
+        code = main(
+            ["eval", "--run", str(paths["run"]), "--qrels", str(paths["qrels"]), "--out", str(report)]
+        )
+        assert code == 2
+        line = plain.count("\n") + 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {paths[bad]}:{line}: qid 'all' names eval's summary row"
         ]
         assert not report.exists()
 

@@ -289,16 +289,19 @@ class TestCvPlan:
 
 
 def single_relevant_run(placements):
-    """Rank each qid's relevant doc per placements: 1, 2, or absent (0)."""
+    """Rank each qid's relevant doc at its placement (1-based), or absent (0).
+
+    Every list holds at least two documents: 1 gives [rel, x1], 2 gives
+    [x1, rel] and 0 gives [x1, x2].
+    """
     rankings = {}
     for qid, placement in placements.items():
-        rel = f"{qid}-rel"
-        if placement == 1:
-            rankings[qid] = [rel, f"{qid}-x1"]
-        elif placement == 2:
-            rankings[qid] = [f"{qid}-x1", rel]
+        ranking = [f"{qid}-x{i}" for i in range(1, max(placement, 2))]
+        if placement:
+            ranking.insert(placement - 1, f"{qid}-rel")
         else:
-            rankings[qid] = [f"{qid}-x1", f"{qid}-x2"]
+            ranking.append(f"{qid}-x2")
+        rankings[qid] = ranking
     return run_of(rankings)
 
 
@@ -389,7 +392,7 @@ class TestCrossValidate:
         # Here fd places every relevant doc first and bow places it per
         # bow_at[mu]; the run at (mu, theta) is fd for the first theta of
         # order.  cross_validate_selective, given each mu's bow and fd
-        # values and the same diagnostics, gives an equal result.
+        # runs, gives an equal result, diagnostics included.
         order = ["q3", "q1", "q5"]
         bow_at = {
             100.0: {"q1": 2, "q2": 1, "q3": 0, "q4": 2, "q5": 2, "q6": 1},
@@ -407,32 +410,35 @@ class TestCrossValidate:
         plan = CvPlan(mu_grid=(500.0, 100.0), theta_grid=(2, 0))
         result = cross_validate(self.QIDS, run_for, qrels, plan)
         assert calls == [(100.0, 0), (100.0, 2), (500.0, 0), (500.0, 2)]
-        ap = {0: 0.0, 1: 1.0, 2: 0.5}
-        values = {
-            mu: ({q: ap[p] for q, p in bow.items() if q != "q6"}, {q: 1.0 for q in self.QIDS[:5]})
-            for mu, bow in bow_at.items()
-        }
-        diagnostics = ["qid q6 has no judgments; dropped"]
-        assert result.diagnostics == diagnostics
-        assert cross_validate_selective(self.QIDS, order, values, plan, diagnostics) == result
+        fd = single_relevant_run({q: 1 for q in self.QIDS})
+        runs = [(mu, single_relevant_run(bow_at[mu]), fd) for mu in sorted(bow_at)]
+        assert result.diagnostics == ["qid q6 has no judgments; dropped"]
+        assert cross_validate_selective(self.QIDS, order, runs, qrels, plan) == result
 
     def test_fold_means_are_exactly_rounded(self):
-        # As for evaluate's means: 0.1, 0.2 and 0.3 average to math.fsum's
-        # mean, within a fold and across the folds.
+        # As for evaluate's means: average precisions 1/2, 1/3 and 1/7
+        # (the relevant doc at ranks 2, 3 and 7) average to math.fsum's
+        # mean, within a fold and across the folds; the builtin sum's
+        # mean differs.
         plan = CvPlan(mu_grid=(100.0,), theta_grid=(0,))
-        mean = math.fsum([0.1, 0.2, 0.3]) / 3
+        ranks = (2, 3, 7)
+        values = [1 / r for r in ranks]
+        mean = math.fsum(values) / 3
+        assert sum(values) / 3 != mean
         # Folds [q1, q4, q7], [q2, q5, q8] and [q3, q6, q9] each hold all three values.
         qids = [f"q{k}" for k in range(1, 10)]
-        bow = {q: (0.1, 0.2, 0.3)[(k - 1) // 3] for k, q in enumerate(qids, start=1)}
-        result = cross_validate_selective(qids, [], {100.0: (bow, bow)}, plan, [])
+        run = single_relevant_run({q: ranks[(k - 1) // 3] for k, q in enumerate(qids, start=1)})
+        qrels = qrels_of({(q, f"{q}-rel"): 1 for q in qids})
+        result = cross_validate_selective(qids, [], [(100.0, run, run)], qrels, plan)
         assert result.fold_scores == [mean] * 3
         # One query per fold: the fold scores are the three values.
-        bow = {"q1": 0.1, "q2": 0.2, "q3": 0.3}
-        result = cross_validate_selective(["q1", "q2", "q3"], [], {100.0: (bow, bow)}, plan, [])
-        assert result.fold_scores == [0.1, 0.2, 0.3]
+        run = single_relevant_run(dict(zip(["q1", "q2", "q3"], ranks)))
+        result = cross_validate_selective(["q1", "q2", "q3"], [], [(100.0, run, run)], qrels, plan)
+        assert result.fold_scores == values
         assert result.mean_score == mean
 
     def test_selective_too_few_queries_rejected(self):
         plan = CvPlan(mu_grid=(100.0,), theta_grid=(1,))
+        runs = [(100.0, RankedRun(), RankedRun())]
         with pytest.raises(ValueError, match="at least 3"):
-            cross_validate_selective(["q1", "q2"], [], {100.0: ({}, {})}, plan, [])
+            cross_validate_selective(["q1", "q2"], [], runs, qrels_of({}), plan)

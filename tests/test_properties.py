@@ -52,6 +52,7 @@ from oracles import (
     ref_combine_columns,
     ref_kld,
 )
+from test_evaluation import single_relevant_run
 from test_langmodel import combine
 
 # Derandomized so the suite gives the same verdict on every run.
@@ -478,62 +479,78 @@ def test_metrics_of_a_run_read_back_lie_in_unit_interval(tmp_path_factory, resul
         assert all(0.0 <= value <= 1.0 for value in row.values())
 
 
-# Few distinct values, so that fold means often tie.
-metric_values = st.one_of(
-    st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.5, 1.0)), st.floats(min_value=0.0, max_value=1.0)
+# Mostly small ranks, so that fold means often tie; 0 leaves the relevant
+# document out of the list.
+relevant_ranks = st.one_of(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=12)
 )
 
 
 @st.composite
 def selective_tuning_cases(draw):
-    """qids, a selection order, per-mu (bow, fd) values and a plan.
+    """qids, a selection order, qrels, per-mu (bow, fd) ranks and a plan.
 
-    The order holds the scoreable qids; the values leave out the qids that
-    are unjudged or have no relevant document.  The grids repeat entries
-    and reach theta 0 and thetas past the scoreable count.
+    Each qid has one judged document, `{qid}-rel`; ranks[mu] gives, per
+    mode, the rank of that document in the qid's list at mu.  The order
+    holds the scoreable qids.  Some qids are unjudged and some judged with
+    no relevant document, so the evaluated queries are a subset.  The grids
+    repeat entries and reach theta 0 and thetas past the scoreable count.
     """
     n = draw(st.integers(min_value=3, max_value=10))
     qids = draw(st.permutations([f"q{i}" for i in range(n)]))
     order = draw(st.permutations(qids))[: draw(st.integers(min_value=0, max_value=n))]
-    evaluated = [q for q in sorted(qids) if draw(st.integers(0, 4))]
+    grades = {q: draw(st.sampled_from((None, 0, 1, 1, 1, 1))) for q in qids}
+    qrels = Qrels({(q, f"{q}-rel"): grade for q, grade in grades.items() if grade is not None})
     mu_grid = draw(st.lists(st.sampled_from((100.0, 500.0, 2000.0)), min_size=1, max_size=4))
     theta_grid = draw(st.lists(st.integers(min_value=0, max_value=n + 2), min_size=1, max_size=5))
-    values = {
-        mu: tuple({q: draw(metric_values) for q in evaluated} for _ in ("bow", "fd"))
+    ranks = {
+        mu: tuple({q: draw(relevant_ranks) for q in qids} for _ in ("bow", "fd"))
         for mu in sorted(set(mu_grid))
     }
     plan = CvPlan(tuple(mu_grid), tuple(theta_grid), draw(st.sampled_from(MEASURES)))
-    return qids, order, values, plan
+    return qids, order, qrels, ranks, plan
 
 
-def brute_force_selective_cv(qids, order, values, plan, diagnostics):
-    """Per held-out fold, the first grid point of best training mean, by brute force."""
+def brute_force_selective_cv(qids, order, qrels, ranks, plan):
+    """Per held-out fold, the first grid point of best training mean, by brute force.
+
+    The selective run at each grid point ranks the first theta of order as
+    fd does and the rest as bow does; it is evaluated whole.
+    """
     ranked = sorted(qids)
     folds = [ranked[i::3] for i in range(3)]
     grid = [(mu, theta) for mu in sorted(plan.mu_grid) for theta in sorted(plan.theta_grid)]
+    reports = {}
+    for mu, theta in grid:
+        bow, fd = ranks[mu]
+        spliced = {q: fd[q] if q in order[:theta] else bow[q] for q in qids}
+        reports[mu, theta] = evaluate(single_relevant_run(spliced), qrels)
 
-    def mean(members, mu, theta):
-        bow, fd = values[mu]
-        picked = [fd[q] if q in order[:theta] else bow[q] for q in members if q in bow]
+    def mean(members, config):
+        rows = reports[config].per_query
+        picked = [rows[q][plan.measure] for q in members if q in rows]
         return math.fsum(picked) / len(picked) if picked else 0.0
 
     choices, scores = [], []
     for k in range(3):
         train = [q for i, fold in enumerate(folds) if i != k for q in fold]
         # max keeps the first of equal maxima: the smaller mu, then theta.
-        best = max(grid, key=lambda config: mean(train, *config))
+        best = max(grid, key=lambda config: mean(train, config))
         choices.append(best)
-        scores.append(mean(folds[k], *best))
-    return CvResult(plan.measure, choices, scores, math.fsum(scores) / 3, list(diagnostics))
+        scores.append(mean(folds[k], best))
+    diagnostics = reports[grid[-1]].diagnostics
+    return CvResult(plan.measure, choices, scores, math.fsum(scores) / 3, diagnostics)
 
 
 @PROPERTY
 @given(selective_tuning_cases())
 def test_selective_fold_walk_matches_brute_force(case):
-    qids, order, values, plan = case
-    diagnostics = ["qid q0 has no judgments; dropped"]
-    expected = brute_force_selective_cv(qids, order, values, plan, diagnostics)
-    assert cross_validate_selective(qids, order, values, plan, diagnostics) == expected
+    qids, order, qrels, ranks, plan = case
+    runs = (
+        (mu, single_relevant_run(bow), single_relevant_run(fd)) for mu, (bow, fd) in ranks.items()
+    )
+    expected = brute_force_selective_cv(qids, order, qrels, ranks, plan)
+    assert cross_validate_selective(qids, order, runs, qrels, plan) == expected
 
 WORDS = tuple("abcdefgh")
 count_tables = st.dictionaries(
