@@ -97,7 +97,7 @@ def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
 
 
 def _score(args, index: PositionalIndex, queries: list, lexicon) -> List[NcdScore]:
-    return score_batch(queries, args.variant, index, lexicon, n=args.window, threads=args.threads)
+    return score_batch(queries, args.variant, index, lexicon, n=args.window)
 
 
 def _select(scores: Sequence[NcdScore], theta: int) -> List[str]:
@@ -309,7 +309,7 @@ def _add_common_io(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="accepted for compatibility; scoring runs serially and results never depend on it",
+        help="accepted for compatibility and ignored: every command runs serially",
     )
 
 

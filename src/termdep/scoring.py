@@ -4,11 +4,12 @@ A variant names either a vector weighting scheme ("vector:tfidf") or a
 smoothing x combination pair ("lm:sgt:qsum"); 5 + 8 = 13 in total.  Each
 query's score N_q is the mean semantic divergence between the query
 phrase and its one-synonym perturbations; higher N_q = less
-compositional = stronger term dependence.  score_batch scores every
-query through one pair of closures whose functools.cache memos hold each
-term's windows and its vector or Good-Turing model; nothing else refers
-to them, so they are freed when the batch returns.  An LM comparison is
-one langmodel.phrase_kld call over its terms' count tables (and their
+compositional = stronger term dependence.  score_batch is the one way
+to a score: it scores every query of a batch through one pair of
+closures whose functools.cache memos hold each term's windows and its
+vector or Good-Turing model; nothing else refers to them, so they are
+freed when the batch returns.  An LM comparison is one
+langmodel.phrase_kld call over its terms' count tables (and their
 Good-Turing models), which works per count pattern, not per word.
 select_dependent picks the theta least-compositional scoreable queries
 of a batch, theta being a count of queries.
@@ -36,8 +37,6 @@ VARIANTS: Tuple[str, ...] = tuple(
 # A query's divergence function: one perturbation in, its divergence out,
 # appending any fallback it took to the diagnostics list.
 Divergence = Callable[[Perturbation, List[str]], float]
-# A batch: windows(term) and prepare(query), sharing one variant's caches.
-Batch = Tuple[Callable[[str], WindowSet], Callable[[Query], Divergence]]
 
 
 def parse_variant(variant: str) -> Tuple[str, ...]:
@@ -71,30 +70,6 @@ class NcdScore:
         if self.n_q is None or self.n_q <= 0.0:
             raise ValueError(f"compositionality undefined for query {self.qid!r}")
         return 1.0 / self.n_q
-
-
-def _make_batch(variant: str, index: PositionalIndex, n: int) -> Batch:
-    """What one variant's batch computes once per term and reuses.
-
-    Returns (windows, prepare).  windows(term) extracts a term's context
-    windows once.  The LM family reads only their window_cf view and the
-    vector family only their stats, so neither builds per-window objects.
-    The variant's family caches one more thing per term: its TermVector
-    (a batch uses one scheme) or, for lm:sgt, its Good-Turing model.
-    Laplace models depend on each comparison's vocabulary, so they are
-    not cached.  prepare(query) returns the divergence function for that
-    query's perturbations.  Every cache is a functools.cache closure that
-    refers to none of the closures referring to it, so the caches are
-    freed as soon as the batch is dropped, not at the next cyclic garbage
-    collection.
-    """
-    family, *rest = parse_variant(variant)
-    if n < 0:
-        raise ValueError(f"window half-width must be >= 0, got {n}")
-    windows = cache(lambda term: extract_windows(index, (term,), n=n))
-    if family == "vector":
-        return windows, _vector_prepare(windows, *rest)
-    return windows, _lm_prepare(windows, *rest)
 
 
 def _vector_prepare(
@@ -147,21 +122,19 @@ def _lm_prepare(
     return prepare
 
 
-def score_query(
+def _score_one(
     query: Query,
     variant: str,
-    index: PositionalIndex,
     lexicon: SynonymLexicon,
-    n: int = 5,
-    _batch: Optional[Batch] = None,
+    windows: Callable[[str], WindowSet],
+    prepare: Callable[[Query], Divergence],
 ) -> NcdScore:
     """N_q of one query: the mean divergence over its usable perturbations.
 
     A query is unscoreable when it has one term, no synonym coverage, a
     term with no context windows, or no perturbation whose replacement has
-    windows.  _batch carries the caches score_batch shares across a batch.
+    windows.
     """
-    windows, prepare = _batch if _batch is not None else _make_batch(variant, index, n)
     if query.m < 2:
         return NcdScore(query.qid, variant, None, reason="single-term query")
     perturbations = perturb(query, lexicon)
@@ -202,21 +175,36 @@ def score_batch(
 ) -> List[NcdScore]:
     """Score every query under one variant; one NcdScore per query, in order.
 
-    A ValueError raised while scoring one query surfaces as that query's
-    unscoreable record rather than aborting the batch; any other exception
-    is a fault and propagates.  A negative window half-width n is rejected
-    before any query is scored.  Scoring runs serially: it is pure Python, so
-    threads only contend for the interpreter lock.  threads is accepted
-    for compatibility and does not change results.  perturb.targets, all
-    the terms whose windows perturbation compares, are inverted together in
-    one pass before the first query.
+    An unknown variant or a negative window half-width n is rejected before
+    any query is scored.  A ValueError raised while scoring one query
+    surfaces as that query's unscoreable record rather than aborting the
+    batch; any other exception is a fault and propagates.  Scoring runs
+    serially: it is pure Python, so threads only contend for the
+    interpreter lock.  threads is accepted for compatibility and does not
+    change results.
+
+    perturb.targets, all the terms whose windows perturbation compares, are
+    inverted together in one pass before the first query.  windows(term)
+    then extracts a term's context windows once per batch.  The LM family
+    reads only their window_cf view and the vector family only their
+    stats, so neither builds per-window objects.  The variant's family
+    caches one more thing per term: its TermVector (a batch uses one
+    scheme) or, for lm:sgt, its Good-Turing model.  Laplace models depend
+    on each comparison's vocabulary, so they are not cached.  Every cache
+    is a functools.cache closure that refers to none of the closures
+    referring to it, so the caches are freed as soon as the batch returns,
+    not at the next cyclic garbage collection.
     """
-    batch = _make_batch(variant, index, n)
+    family, *rest = parse_variant(variant)
+    if n < 0:
+        raise ValueError(f"window half-width must be >= 0, got {n}")
+    windows = cache(lambda term: extract_windows(index, (term,), n=n))
+    prepare = (_vector_prepare if family == "vector" else _lm_prepare)(windows, *rest)
     index.invert(targets(queries, lexicon))
     scores: List[NcdScore] = []
     for query in queries:
         try:
-            scores.append(score_query(query, variant, index, lexicon, n, _batch=batch))
+            scores.append(_score_one(query, variant, lexicon, windows, prepare))
         except ValueError as exc:
             scores.append(NcdScore(query.qid, variant, None, reason=f"error: {exc}"))
     return scores

@@ -8,7 +8,8 @@ set's views (whichever is read first) against the brute-force oracle, the
 LM combination kernels and the count-pattern comparison against the
 word-by-word references, kld against the word-by-word reference, LM scores
 against the model-level path, the sign of KLD, the independence of every
-score and ranking from how words are spelled, and the range of vector
+score and ranking from how words are spelled, the independence of every
+score from document order and batch membership, and the range of vector
 divergences."""
 
 import dataclasses
@@ -964,6 +965,50 @@ def test_outputs_ignore_how_words_are_spelled(corpus, queries, synonyms, spellin
         config = RankingConfig(mode=mode)
         run = rank(queries, index, config, selected=selected)
         assert rank(renamed_queries, renamed_index, config, selected=selected).results == run.results
+
+
+# "a" and "b" have disjoint windows at n=0.
+SPLIT = [("d0", ("a",)), ("d1", ("b", "c"))]
+
+
+@PROPERTY
+@given(
+    corpora(),
+    query_batches(),
+    st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)),
+    st.integers(min_value=0, max_value=6),
+    # Orders of at most 7 documents and 5 queries, as corpora() and
+    # query_batches() draw them.
+    st.permutations(range(7)),
+    st.permutations(range(5)),
+    st.integers(min_value=1, max_value=5),
+)
+@example(
+    # A query-side vocabulary memoized by a query's first term would carry
+    # the words of q0's windows into q1's batch of one.
+    corpus=(SPLIT, build_index(SPLIT)),
+    queries=[lm_query("q0", "a", "b"), lm_query("q1", "a", "a")],
+    synonyms={"a": "c"},
+    n=0,
+    doc_order=[1, 0, 2, 3, 4, 5, 6],
+    query_order=[1, 0, 2, 3, 4],
+    size=1,
+)
+def test_scores_ignore_document_order_and_batch_membership(
+    corpus, queries, synonyms, n, doc_order, query_order, size
+):
+    # The measures read corpus-level counts, and a batch's memos are keyed
+    # by term: reordering the documents, or scoring any sub-batch of the
+    # queries in any order (one query alone among them), gives each query
+    # the record it gets in the full batch in file order.
+    docs, index = corpus
+    lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
+    reordered = build_index([docs[i] for i in doc_order if i < len(docs)])
+    sub_batch = [queries[i] for i in query_order if i < len(queries)][:size]
+    for variant in VARIANTS:
+        full = {s.qid: s for s in score_batch(queries, variant, index, lexicon, n=n)}
+        got = score_batch(sub_batch, variant, reordered, lexicon, n=n)
+        assert got == [full[q.qid] for q in sub_batch]
 
 
 @PROPERTY

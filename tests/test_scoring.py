@@ -16,7 +16,6 @@ from termdep.scoring import (
     NcdScore,
     parse_variant,
     score_batch,
-    score_query,
     select_dependent,
 )
 from termdep.vectors import cosine_distance
@@ -34,6 +33,11 @@ def build_state(fixture):
 
 def make_query(qid, text):
     return Query(qid, text, tuple(tokenize(text)))
+
+
+def score_one(query, variant, index, lexicon):
+    """The score of a query scored as a batch of its own."""
+    return score_batch([query], variant, index, lexicon)[0]
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +94,8 @@ class TestScoreQueryPlanted:
     def test_idiom_scores_above_literal(self, planted_state, variant):
         index, queries, lexicon = planted_state
         by_qid = {q.qid: q for q in queries}
-        nc = score_query(by_qid["nc1"], variant, index, lexicon)
-        c = score_query(by_qid["c1"], variant, index, lexicon)
+        nc = score_one(by_qid["nc1"], variant, index, lexicon)
+        c = score_one(by_qid["c1"], variant, index, lexicon)
         assert nc.scoreable and c.scoreable
         assert nc.n_q > c.n_q
 
@@ -100,14 +104,14 @@ class TestScoreQueryPlanted:
         # scarlet's windows share no words with tape's, so the product
         # vector is empty and the distance pegs at 1.0.
         index, _, lexicon = planted_state
-        score = score_query(make_query("nc1", "red tape"), f"vector:{scheme}", index, lexicon)
+        score = score_one(make_query("nc1", "red tape"), f"vector:{scheme}", index, lexicon)
         np.testing.assert_allclose(score.n_q, 1.0, atol=1e-12)
         assert any("zero-norm" in d for d in score.diagnostics)
 
     def test_mean_over_two_perturbations(self, planted_state):
         index, _, _ = planted_state
         lexicon = SynonymLexicon(entries={"red": ["scarlet"], "office": ["bureau"]})
-        score = score_query(make_query("x1", "red office"), "vector:tfidf", index, lexicon)
+        score = score_one(make_query("x1", "red office"), "vector:tfidf", index, lexicon)
         assert len(score.divergences) == 2
         np.testing.assert_allclose(
             score.n_q, sum(score.divergences) / 2.0, atol=1e-12
@@ -115,26 +119,26 @@ class TestScoreQueryPlanted:
 
     def test_single_term_query_unscoreable(self, planted_state):
         index, _, lexicon = planted_state
-        score = score_query(make_query("s1", "tax"), "vector:tfidf", index, lexicon)
+        score = score_one(make_query("s1", "tax"), "vector:tfidf", index, lexicon)
         assert not score.scoreable
         assert "single-term" in score.reason
 
     def test_no_synonym_coverage_unscoreable(self, planted_state):
         index, _, lexicon = planted_state
-        score = score_query(make_query("s2", "tax clerk"), "lm:sgt:mult", index, lexicon)
+        score = score_one(make_query("s2", "tax clerk"), "lm:sgt:mult", index, lexicon)
         assert not score.scoreable
         assert "coverage" in score.reason
 
     def test_query_term_absent_from_corpus_unscoreable(self, planted_state):
         index, _, lexicon = planted_state
-        score = score_query(make_query("s3", "red zeppelin"), "vector:tfidf", index, lexicon)
+        score = score_one(make_query("s3", "red zeppelin"), "vector:tfidf", index, lexicon)
         assert not score.scoreable
         assert "zeppelin" in score.reason
 
     def test_absent_synonym_skipped_then_exhausted(self, planted_state):
         index, _, _ = planted_state
         lexicon = SynonymLexicon(entries={"red": ["vermillion"]})
-        score = score_query(make_query("s4", "red tape"), "lm:laplace:mult", index, lexicon)
+        score = score_one(make_query("s4", "red tape"), "lm:laplace:mult", index, lexicon)
         assert not score.scoreable
         assert "no usable perturbations" in score.reason
         assert any("vermillion" in d for d in score.diagnostics)
@@ -142,7 +146,7 @@ class TestScoreQueryPlanted:
     def test_partial_synonym_absence_keeps_going(self, planted_state):
         index, _, _ = planted_state
         lexicon = SynonymLexicon(entries={"red": ["vermillion"], "office": ["bureau"]})
-        score = score_query(make_query("s5", "red office"), "vector:tfidf", index, lexicon)
+        score = score_one(make_query("s5", "red office"), "vector:tfidf", index, lexicon)
         assert score.scoreable
         assert len(score.divergences) == 1
         assert any("vermillion" in d for d in score.diagnostics)
@@ -156,7 +160,7 @@ class TestScoreQueryPlanted:
         for k, text in enumerate(texts):
             index.add_document(Document(f"d{k}", tuple(tokenize(text))))
         lexicon = SynonymLexicon(entries={"red": ["crimson"], "tape": ["ink"]})
-        score = score_query(make_query("q", "red tape"), variant, index, lexicon)
+        score = score_one(make_query("q", "red tape"), variant, index, lexicon)
         assert len(score.divergences) == 2
         assert score.diagnostics == ["sgt: no hapax legomena; fell back to laplace"]
 
@@ -165,8 +169,8 @@ class TestScoreQueryRetrievalFixture:
     def test_dependent_and_compositional_extremes(self):
         index, queries, lexicon = build_state(retrieval_fixture())
         by_qid = {q.qid: q for q in queries}
-        dep = score_query(by_qid["q01"], "vector:tfidf", index, lexicon)
-        comp = score_query(by_qid["q02"], "vector:tfidf", index, lexicon)
+        dep = score_one(by_qid["q01"], "vector:tfidf", index, lexicon)
+        comp = score_one(by_qid["q02"], "vector:tfidf", index, lexicon)
         # Dependent synonyms live in disjoint contexts (distance 1.0);
         # compositional synonyms mirror their headwords (parallel vectors).
         np.testing.assert_allclose(dep.n_q, 1.0, atol=1e-12)
@@ -219,7 +223,7 @@ class TestScoreBatch:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_memos_match_fresh_per_query_scoring(self, planted_state, variant):
         # score_batch shares windows, term vectors and SGT models across the
-        # batch; each score_query call here starts from empty memos.
+        # batch; each one-query batch here starts from empty memos.
         index, queries, lexicon = planted_state
         batch = queries + [
             make_query("x1", "red office"),
@@ -231,7 +235,7 @@ class TestScoreBatch:
         for query, got in zip(batch, scores):
             # Dataclass equality: qid, variant, n_q, divergences, reason and
             # diagnostics, floats compared exactly.
-            assert got == score_query(query, variant, index, lexicon)
+            assert got == score_one(query, variant, index, lexicon)
         assert [s.scoreable for s in scores] == [True, True, True, False, True, False]
 
     @pytest.mark.parametrize("variant", ["vector:tfidf", "lm:sgt:qsum", "lm:laplace:qavg"])
