@@ -87,6 +87,8 @@ def _write_json(payload: object, path: str) -> None:
 def _load_inputs(args) -> Tuple[PositionalIndex, list, object]:
     if args.window < 0:
         raise ValueError(f"window half-width must be >= 0, got {args.window}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if args.stop_documents and not args.stopwords:
         raise ValueError("--stop-documents requires --stopwords")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
@@ -130,7 +132,7 @@ def _cmd_windows(args) -> int:
             "n_windows": ws.stats.n_windows,
             "av_m": ws.stats.av_m,
             "total_mass": ws.stats.total_mass,
-            "vocab_size": len(ws.stats.windows_containing),
+            "vocab_size": len(ws.stats.ids),
         }
     _write_json(payload, args.out)
     return 0
@@ -309,7 +311,7 @@ def _add_common_io(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="accepted for compatibility and ignored: every command runs serially",
+        help="at least 1; accepted for compatibility and ignored: every command runs serially",
     )
 
 

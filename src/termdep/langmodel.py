@@ -8,21 +8,23 @@ perturbation models share the union vocabulary of both phrases' context
 windows, so every divergence is computed over a common, strictly positive
 event space.
 
-A comparison (one query phrase against one perturbation) is phrase_kld.
-A word's value in a term's column depends only on the word's count in
-that term's windows and on the size of the comparison's vocabulary, so
-words with the same tuple of counts over the comparison's terms (one
-count pattern) get the same value at every later step too:
-renormalization, the quartile band and mask, the combination and the KLD
-term.  phrase_kld therefore counts each pattern's words once, in C,
-builds each term's column once per distinct count, and combines and
-compares once per pattern; kld does the same over two models' (p, q)
-value pairs.  Every normalizing total and the KLD sum is a math.fsum over
-the per-word multiset (each value repeated by its multiplicity, in C),
-and fsum is exactly rounded, so the floats are those of the word-by-word
-reference in tests/oracles.py and no value depends on the order in which
-a vocabulary iterates.  The builtin sum is never used on floats here,
-since its rounding changed in Python 3.12.
+A comparison (one query phrase against one perturbation) is phrase_kld,
+which reads that vocabulary off its terms' count tables: it is the union
+of the words they have seen, so every table lies inside it.  A word's
+value in a term's column depends only on the word's count in that term's
+windows and on the size of the vocabulary, so words with the same tuple
+of counts over the comparison's terms (one count pattern) get the same
+value at every later step too: renormalization, the quartile band and
+mask, the combination and the KLD term.  phrase_kld therefore counts
+each pattern's words once, in C, builds each term's column once per
+distinct count, and combines and compares once per pattern; kld does the
+same over two models' (p, q) value pairs.  Every normalizing total and
+the KLD sum is a math.fsum over the per-word multiset (each value
+repeated by its multiplicity, in C), and fsum is exactly rounded, so the
+floats are those of the word-by-word reference in tests/oracles.py and
+no value depends on the order in which a vocabulary iterates.  The
+builtin sum is never used on floats here, since its rounding changed in
+Python 3.12.
 """
 
 from __future__ import annotations
@@ -33,18 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, mul, truediv
-from typing import (
-    AbstractSet,
-    Collection,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 SMOOTHINGS = ("laplace", "sgt")
 COMBINATIONS = ("qsum", "qavg", "mult", "median")
@@ -87,7 +78,12 @@ def laplace_lm(counts: Dict[str, int], vocabulary: Iterable[str]) -> SmoothedLM:
     it gets unseen_prob = 1/(C + V).
     """
     vocab = set(vocabulary)
-    denom = _laplace_denominator(counts, vocab)
+    if not vocab:
+        raise ValueError("laplace_lm requires a non-empty vocabulary")
+    if not counts.keys() <= vocab:
+        missing = counts.keys() - vocab
+        raise ValueError(f"vocabulary must cover counts; missing {sorted(missing)[:3]}")
+    denom = sum(counts.values()) + len(vocab)
     return SmoothedLM(
         method="laplace",
         prob={w: (counts.get(w, 0) + 1) / denom for w in sorted(vocab)},
@@ -95,16 +91,6 @@ def laplace_lm(counts: Dict[str, int], vocabulary: Iterable[str]) -> SmoothedLM:
         unseen_prob=1.0 / denom,
         by_count={c: (c + 1) / denom for c in set(counts.values())},
     )
-
-
-def _laplace_denominator(counts: Dict[str, int], vocabulary: Collection[str]) -> int:
-    """C + V, once the vocabulary is known to be non-empty and to cover the counts."""
-    if not vocabulary:
-        raise ValueError("laplace_lm requires a non-empty vocabulary")
-    if not counts.keys() <= vocabulary:
-        missing = counts.keys() - set(vocabulary)
-        raise ValueError(f"vocabulary must cover counts; missing {sorted(missing)[:3]}")
-    return sum(counts.values()) + len(vocabulary)
 
 
 def _gale_sampson_smoother(ff: Dict[int, int]):
@@ -319,30 +305,24 @@ def _kld(p: Sequence[float], q: Sequence[float], weights: Weights) -> float:
 
 
 def _count_column(
-    table: Dict[str, int],
-    vocabulary: AbstractSet[str],
-    model: Optional[SmoothedLM],
-    method: str,
+    table: Dict[str, int], n_words: int, model: Optional[SmoothedLM], method: str
 ) -> Dict[int, float]:
     """What _combined reads of a term's column, keyed by the count behind each value.
 
+    The comparison's vocabulary holds n_words words, table's among them.
     The column is laplace_lm(table, vocabulary) when model is None, else
     model (sgt_lm(table), read through its by_count), over the vocabulary
     (its unseen words take _unseen_fill), renormalized, then _masked.  Each
     step is done once per distinct count, over the multiset of the
     vocabulary's counts (0 for a word the term has not seen).
     """
-    if model is None:
-        denom = _laplace_denominator(table, vocabulary)
-    elif not table.keys() <= vocabulary:
-        # A model's seen words outside the vocabulary are ignored.
-        table = {w: table[w] for w in table.keys() & vocabulary}
     words = Counter(table.values())
-    n_unseen = len(vocabulary) - len(table)
+    n_unseen = n_words - len(table)
     if n_unseen:
         words[0] += n_unseen
     if model is None:
         # An unseen word's 1/denom is the (0 + 1)/denom of count 0.
+        denom = sum(table.values()) + n_words
         values = [(c + 1) / denom for c in words]
     else:
         by_count = model.by_count
@@ -354,29 +334,30 @@ def _count_column(
 
 
 def phrase_kld(
-    vocabulary: AbstractSet[str],
     tables: Mapping[str, Dict[str, int]],
     query_terms: Sequence[str],
     perturbed_terms: Sequence[str],
     combination: str,
     models: Optional[Mapping[str, SmoothedLM]] = None,
 ) -> float:
-    """KLD of a query phrase's combined model from a perturbation's, over `vocabulary`.
+    """KLD of a query phrase's combined model from a perturbation's.
 
-    tables maps each distinct term of both phrases to its count table.  A
-    term's column is laplace_lm(tables[t], vocabulary) when models is None,
-    else models[t], which must be sgt_lm(tables[t]); either way aligned on
-    the vocabulary (see _count_column).  Each phrase's columns, in phrase
-    order and with any repeats, are masked and merged (see _masked and
-    _combined), and the two results are compared by _kld.  The floats and
-    the error messages are those of the word-by-word reference in
-    tests/oracles.py, but each step is done once per distinct count of a
-    term (its column) or once per count pattern (combination and KLD).
+    tables maps each distinct term of both phrases to its count table, and
+    the comparison's vocabulary is the union of the tables' words.  A
+    term's column is laplace_lm(tables[t], vocabulary) when models is
+    None, else models[t], which must be sgt_lm(tables[t]); either way
+    aligned on the vocabulary (see _count_column).  Each phrase's columns,
+    in phrase order and with any repeats, are masked and merged (see
+    _masked and _combined), and the two results are compared by _kld.
+    The floats and the error messages are those of the word-by-word
+    reference in tests/oracles.py, but each step is done once per
+    distinct count of a term (its column) or once per count pattern
+    (combination and KLD).
     """
     _check_method(combination)
     terms = list(tables)
     # One pass over a set walks its whole hash table: walk it once.
-    words = list(vocabulary)
+    words = list(set().union(*tables.values()))
     patterns = Counter(zip(*[map(tables[t].get, words, repeat(0)) for t in terms]))
     weights = list(patterns.values())
     # Each term's count in every pattern; () for all of them over an empty vocabulary.
@@ -384,7 +365,7 @@ def phrase_kld(
     inputs: Dict[str, List[float]] = {}
     for t, counts in zip(terms, term_counts):
         model = None if models is None else models[t]
-        value = _count_column(tables[t], vocabulary, model, combination)
+        value = _count_column(tables[t], len(words), model, combination)
         inputs[t] = list(map(value.__getitem__, counts))
     lm_q = _combined([inputs[t] for t in query_terms], weights, combination)
     lm_p = _combined([inputs[t] for t in perturbed_terms], weights, combination)

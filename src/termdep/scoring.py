@@ -5,12 +5,15 @@ smoothing x combination pair ("lm:sgt:qsum"); 5 + 8 = 13 in total.  Each
 query's score N_q is the mean semantic divergence between the query
 phrase and its one-synonym perturbations; higher N_q = less
 compositional = stronger term dependence.  score_batch is the one way
-to a score: it scores every query of a batch through one pair of
-closures whose functools.cache memos hold each term's windows and its
-vector or Good-Turing model; nothing else refers to them, so they are
-freed when the batch returns.  An LM comparison is one
-langmodel.phrase_kld call over its terms' count tables (and their
-Good-Turing models), which works per count pattern, not per word.
+to a score: it builds its family's divergence function once per batch,
+one closure that takes a query and a perturbation, and calls it for
+every usable perturbation.  Its functools memos hold each term's windows
+and its vector or Good-Turing model, and the composed vector of the
+query being scored; nothing else refers to them, so they are freed when
+the batch returns.  An LM comparison is one langmodel.phrase_kld call over
+its terms' count tables (and their Good-Turing models); it reads the
+comparison's vocabulary off those tables and works per count pattern,
+not per word.
 select_dependent picks the theta least-compositional scoreable queries
 of a batch, theta being a count of queries.
 """
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from functools import cache, lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .corpus import PositionalIndex, Query
 from .langmodel import COMBINATIONS, SMOOTHINGS, phrase_kld, sgt_lm
@@ -34,9 +37,9 @@ VARIANTS: Tuple[str, ...] = tuple(
 )
 
 
-# A query's divergence function: one perturbation in, its divergence out,
-# appending any fallback it took to the diagnostics list.
-Divergence = Callable[[Perturbation, List[str]], float]
+# A family's divergence function: a query and one of its perturbations in,
+# their divergence out, appending any fallback it took to the diagnostics list.
+Divergence = Callable[[Query, Perturbation, List[str]], float]
 
 
 def parse_variant(variant: str) -> Tuple[str, ...]:
@@ -72,54 +75,45 @@ class NcdScore:
         return 1.0 / self.n_q
 
 
-def _vector_prepare(
-    windows: Callable[[str], WindowSet], scheme: str
-) -> Callable[[Query], Divergence]:
+def _vector_divergence(windows: Callable[[str], WindowSet], scheme: str) -> Divergence:
     vector = cache(lambda term: build_term_vector(windows(term), scheme))
+    # A query's perturbations are compared one after another, so keeping
+    # the last v_q composes it once per query and holds no other.
+    query_vector = lru_cache(maxsize=1)(
+        lambda terms: compose_query_vector([vector(t) for t in terms])
+    )
 
-    def prepare(query: Query) -> Divergence:
-        v_q = compose_query_vector([vector(t) for t in query.terms])
+    def divergence(query: Query, p: Perturbation, diagnostics: List[str]) -> float:
+        v_p = compose_query_vector([vector(t) for t in p.terms])
+        d, degenerate = cosine_distance(query_vector(query.terms), v_p)
+        if degenerate:
+            diagnostics.append(
+                f"zero-norm vector comparing against {p.replacement!r}; distance 1.0"
+            )
+        return d
 
-        def divergence(p: Perturbation, diagnostics: List[str]) -> float:
-            v_p = compose_query_vector([vector(t) for t in p.terms])
-            d, degenerate = cosine_distance(v_q, v_p)
-            if degenerate:
-                diagnostics.append(
-                    f"zero-norm vector comparing against {p.replacement!r}; distance 1.0"
-                )
-            return d
-
-        return divergence
-
-    return prepare
+    return divergence
 
 
-def _lm_prepare(
+def _lm_divergence(
     windows: Callable[[str], WindowSet], smoothing: str, combination: str
-) -> Callable[[Query], Divergence]:
+) -> Divergence:
     sgt = cache(lambda term: sgt_lm(windows(term).window_cf))
 
-    def prepare(query: Query) -> Divergence:
-        query_vocab: Set[str] = set()
-        for term in set(query.terms):
-            query_vocab.update(windows(term).window_cf)
+    def divergence(query: Query, p: Perturbation, diagnostics: List[str]) -> float:
+        # phrase_kld compares over the union of both phrases' window
+        # vocabularies; Laplace V and the Good-Turing unseen split are both
+        # relative to it.
+        terms = {*query.terms, p.replacement}
+        tables = {t: windows(t).window_cf for t in terms}
+        models = None
+        if smoothing == "sgt":
+            models = {t: sgt(t) for t in terms}
+            for t in query.terms + p.terms:
+                diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
+        return phrase_kld(tables, query.terms, p.terms, combination, models)
 
-        def divergence(p: Perturbation, diagnostics: List[str]) -> float:
-            # Union vocabulary of both phrases' windows; Laplace V and the
-            # Good-Turing unseen split are both relative to this comparison.
-            terms = {*query.terms, p.replacement}
-            tables = {t: windows(t).window_cf for t in terms}
-            models = None
-            if smoothing == "sgt":
-                models = {t: sgt(t) for t in terms}
-                for t in query.terms + p.terms:
-                    diagnostics.extend(d for d in sgt(t).diagnostics if d not in diagnostics)
-            vocab = query_vocab.union(tables[p.replacement])
-            return phrase_kld(vocab, tables, query.terms, p.terms, combination, models)
-
-        return divergence
-
-    return prepare
+    return divergence
 
 
 def _score_one(
@@ -127,7 +121,7 @@ def _score_one(
     variant: str,
     lexicon: SynonymLexicon,
     windows: Callable[[str], WindowSet],
-    prepare: Callable[[Query], Divergence],
+    divergence: Divergence,
 ) -> NcdScore:
     """N_q of one query: the mean divergence over its usable perturbations.
 
@@ -145,14 +139,13 @@ def _score_one(
             return NcdScore(
                 query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
             )
-    divergence = prepare(query)
     divergences: List[float] = []
     diagnostics: List[str] = []
     for p in perturbations:
         if not windows(p.replacement).n_windows:
             diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
             continue
-        divergences.append(divergence(p, diagnostics))
+        divergences.append(divergence(query, p, diagnostics))
     if not divergences:
         return NcdScore(
             query.qid,
@@ -189,22 +182,25 @@ def score_batch(
     reads only their window_cf view and the vector family only their
     stats, so neither builds per-window objects.  The variant's family
     caches one more thing per term: its TermVector (a batch uses one
-    scheme) or, for lm:sgt, its Good-Turing model.  Laplace models depend
-    on each comparison's vocabulary, so they are not cached.  Every cache
-    is a functools.cache closure that refers to none of the closures
-    referring to it, so the caches are freed as soon as the batch returns,
-    not at the next cyclic garbage collection.
+    scheme) or, for lm:sgt, its Good-Turing model.  The vector family also
+    keeps the composed vector of the query being scored, keyed by its
+    terms, so it is composed once per query.  Laplace models depend on
+    each comparison's vocabulary, so they are not cached.  The family's
+    divergence function is built once per batch.  Every cache is a
+    functools closure that refers to none of the closures referring to
+    it, so the caches are freed as soon as the batch returns, not at the
+    next cyclic garbage collection.
     """
     family, *rest = parse_variant(variant)
     if n < 0:
         raise ValueError(f"window half-width must be >= 0, got {n}")
     windows = cache(lambda term: extract_windows(index, (term,), n=n))
-    prepare = (_vector_prepare if family == "vector" else _lm_prepare)(windows, *rest)
+    divergence = (_vector_divergence if family == "vector" else _lm_divergence)(windows, *rest)
     index.invert(targets(queries, lexicon))
     scores: List[NcdScore] = []
     for query in queries:
         try:
-            scores.append(_score_one(query, variant, lexicon, windows, prepare))
+            scores.append(_score_one(query, variant, lexicon, windows, divergence))
         except ValueError as exc:
             scores.append(NcdScore(query.qid, variant, None, reason=f"error: {exc}"))
     return scores

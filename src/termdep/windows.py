@@ -64,11 +64,6 @@ class WindowStats:
     total_mass: int
     av_m: float
 
-    @cached_property
-    def windows_containing(self) -> Dict[str, int]:
-        """n(t) for every term t, keyed in order of first appearance."""
-        return {t: len(ids) for t, ids in self.ids.items()}
-
     def freqs(self, term: str) -> List[int]:
         """The count of `term` in each window of ids[term], in order."""
         fs = [1] * len(self.ids[term])

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import json
 import os
 
@@ -11,7 +12,7 @@ from termdep.corpus import ingest_corpus, load_queries, tokenize
 from termdep.evaluation import MEASURES, CvPlan, cross_validate, load_qrels
 from termdep.perturb import load_lexicon, perturb, targets
 from termdep.retrieval import RankingConfig, rank, rank_mu_grid
-from termdep.scoring import score_batch, select_dependent
+from termdep.scoring import VARIANTS, score_batch, select_dependent
 
 from oracles import brute_force_window_stats, brute_force_windows
 from test_corpus import record_passes
@@ -937,6 +938,42 @@ class TestWindowCheckedBeforeReading:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestThreadsCheckedBeforeReading:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["windows"],
+            ["score", "--lexicon", "lexicon.tsv", "--variant", "vector:tfidf"],
+            ["run", "--mode", "bow"],
+            ["tune", "--lexicon", "lexicon.tsv", "--qrels", "qrels.txt"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_count_below_one_fails_before_any_input_is_read(self, tmp_path, capsys, command):
+        # The flag changes no output, but a count below 1 names no run at
+        # all.  The corpus does not exist: an error about it would mean it
+        # was read first.
+        for threads in ("0", "-4"):
+            code = main(
+                [
+                    *command,
+                    "--corpus",
+                    str(tmp_path / "missing.jsonl"),
+                    "--queries",
+                    str(tmp_path / "missing.tsv"),
+                    "--threads",
+                    threads,
+                    "--out",
+                    str(tmp_path / "out"),
+                ]
+            )
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --threads must be >= 1, got {threads}"
+            ]
+            assert list(tmp_path.iterdir()) == []
+
+
 class TestStopDocumentsNeedsStopwords:
     @pytest.mark.parametrize(
         "command",
@@ -1474,3 +1511,39 @@ class TestRerunIntoSameDirectory:
         for argv in calls:
             assert main(argv) == 0
         assert tree() == first
+
+
+# sha256 of (scores.csv, selected.txt) for `score --theta 10` on the
+# retrieval fixture, per variant.  A change to any of them is a change to
+# the scores or to the file format, and must say so.
+SCORE_DIGESTS = {
+    "vector:atc": ("a56e986723273fc66492f6b90b2da7dc206e9bd45fe8663607564b9fc02d0a9a", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "vector:ltu": ("3cd4be743dd509e972a950eee1f218dc77bac59b0d9ff8ec51ef1c08314805ef", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "vector:mi": ("24d7b7cc8f4e3323946916d5e851a907089121abea25279c4cf77b59139d8300", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "vector:okapi": ("d5cf09d9e1d92678566548bf468d3d209b6fbe7d508e9f0f5f9904d9c4b17a68", "6a0eb75d6c3b1403a16a9c34dc7151631937fbfcd75131e55d0f29ba72705b46"),
+    "vector:tfidf": ("1e7de09cf597a5f94cbc3bd7e9b731a430f3020a7c6a56b91239e4d038569823", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "lm:laplace:qsum": ("a0e541475a549b9941cbdf326d41719f7c6beaff7f7f551a92cc8e24963418a3", "6a0eb75d6c3b1403a16a9c34dc7151631937fbfcd75131e55d0f29ba72705b46"),
+    "lm:laplace:qavg": ("db3c27e7573439aeef85ddabf75a14cc54259be66f68c55da027d75b15d181c5", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "lm:laplace:mult": ("45cfd823854130e34fd049ae8d0c23e0b98e5d02cb4673a03b5ea4caac55cf54", "6a0eb75d6c3b1403a16a9c34dc7151631937fbfcd75131e55d0f29ba72705b46"),
+    "lm:laplace:median": ("5155c442ef000a01e177e40083a1b8b22b479d10d64b72b31636df66bd5b092a", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "lm:sgt:qsum": ("32cea4050b33c31f22defe0e177ad897f8dd719b0b8be29292582681c7c841f6", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+    "lm:sgt:qavg": ("728bfed07ca99ec97ad4a2bb3ec83854d8dd48c022c6cbeb23c02b6200fe947f", "6a0eb75d6c3b1403a16a9c34dc7151631937fbfcd75131e55d0f29ba72705b46"),
+    "lm:sgt:mult": ("fa4442aa1641ac6976795742652af45626ed96fd547acc887e1a677043d43675", "6a0eb75d6c3b1403a16a9c34dc7151631937fbfcd75131e55d0f29ba72705b46"),
+    "lm:sgt:median": ("c2657ec2b8416a050d29ce9fcdf4b62deedbc2b257023b4494101a5be6eb3dda", "f1f717dd5374b82ecbe0593132a826ce00f062e78b38d57c08ff7b2128e49c40"),
+}
+
+
+def test_score_outputs_match_recorded_digests(retrieval_paths, tmp_path):
+    assert sorted(SCORE_DIGESTS) == sorted(VARIANTS)
+    got = {}
+    for variant in VARIANTS:
+        out = tmp_path / variant.replace(":", "_")
+        out.mkdir()
+        argv = ["score", *base_flags(retrieval_paths), "--lexicon", retrieval_paths["lexicon"],
+                "--variant", variant, "--theta", "10", "--out", str(out / "scores.csv")]
+        assert main(argv) == 0
+        got[variant] = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("scores.csv", "selected.txt")
+        )
+    assert got == SCORE_DIGESTS
