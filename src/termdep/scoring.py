@@ -7,13 +7,15 @@ phrase and its one-synonym perturbations; higher N_q = less
 compositional = stronger term dependence.  score_batch is the one way
 to a score: it builds its family's divergence function once per batch,
 one closure that takes a query and a perturbation, and calls it for
-every usable perturbation.  Its functools memos hold each term's windows
-and its vector or Good-Turing model, and the composed vector of the
-query being scored; nothing else refers to them, so they are freed when
-the batch returns.  An LM comparison is one langmodel.phrase_kld call over
-its terms' count tables (and their Good-Turing models); it reads the
-comparison's vocabulary off those tables and works per count pattern,
-not per word.
+every usable perturbation.  Its functools memos hold each term's window
+count and the one view of its windows that the family reads (its
+TermVector or its window_cf), each term's Good-Turing model under
+lm:sgt, and the composed vector of the query being scored; a term's
+WindowSet is dropped as soon as its view is built.  Nothing else refers
+to the memos, so they are freed when the batch returns.  An LM
+comparison is one langmodel.phrase_kld call over its terms' count
+tables (and their Good-Turing models); it reads the comparison's
+vocabulary off those tables and works per count pattern, not per word.
 select_dependent picks the theta least-compositional scoreable queries
 of a batch, theta being a count of queries.
 """
@@ -23,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .corpus import PositionalIndex, Query
 from .langmodel import COMBINATIONS, SMOOTHINGS, phrase_kld, sgt_lm
@@ -40,6 +43,10 @@ VARIANTS: Tuple[str, ...] = tuple(
 # A family's divergence function: a query and one of its perturbations in,
 # their divergence out, appending any fallback it took to the diagnostics list.
 Divergence = Callable[[Query, Perturbation, List[str]], float]
+
+# A batch's per-term memo: a term in, (its window count, the family's view
+# of its windows) out; the view is None when the term has no windows.
+Memo = Callable[[str], Tuple[int, Any]]
 
 
 def parse_variant(variant: str) -> Tuple[str, ...]:
@@ -75,16 +82,25 @@ class NcdScore:
         return 1.0 / self.n_q
 
 
-def _vector_divergence(windows: Callable[[str], WindowSet], scheme: str) -> Divergence:
-    vector = cache(lambda term: build_term_vector(windows(term), scheme))
+def _memo(index: PositionalIndex, n: int, view: Callable[[WindowSet], Any]) -> Memo:
+    """Extract a term's windows once per batch and keep only view(windows)."""
+
+    def entry(term: str) -> Tuple[int, Any]:
+        ws = extract_windows(index, (term,), n=n)
+        return ws.n_windows, (view(ws) if ws.n_windows else None)
+
+    return cache(entry)
+
+
+def _vector_divergence(memo: Memo) -> Divergence:
     # A query's perturbations are compared one after another, so keeping
     # the last v_q composes it once per query and holds no other.
     query_vector = lru_cache(maxsize=1)(
-        lambda terms: compose_query_vector([vector(t) for t in terms])
+        lambda terms: compose_query_vector([memo(t)[1] for t in terms])
     )
 
     def divergence(query: Query, p: Perturbation, diagnostics: List[str]) -> float:
-        v_p = compose_query_vector([vector(t) for t in p.terms])
+        v_p = compose_query_vector([memo(t)[1] for t in p.terms])
         d, degenerate = cosine_distance(query_vector(query.terms), v_p)
         if degenerate:
             diagnostics.append(
@@ -95,17 +111,15 @@ def _vector_divergence(windows: Callable[[str], WindowSet], scheme: str) -> Dive
     return divergence
 
 
-def _lm_divergence(
-    windows: Callable[[str], WindowSet], smoothing: str, combination: str
-) -> Divergence:
-    sgt = cache(lambda term: sgt_lm(windows(term).window_cf))
+def _lm_divergence(memo: Memo, smoothing: str, combination: str) -> Divergence:
+    sgt = cache(lambda term: sgt_lm(memo(term)[1]))
 
     def divergence(query: Query, p: Perturbation, diagnostics: List[str]) -> float:
         # phrase_kld compares over the union of both phrases' window
         # vocabularies; Laplace V and the Good-Turing unseen split are both
         # relative to it.
         terms = {*query.terms, p.replacement}
-        tables = {t: windows(t).window_cf for t in terms}
+        tables = {t: memo(t)[1] for t in terms}
         models = None
         if smoothing == "sgt":
             models = {t: sgt(t) for t in terms}
@@ -120,7 +134,7 @@ def _score_one(
     query: Query,
     variant: str,
     lexicon: SynonymLexicon,
-    windows: Callable[[str], WindowSet],
+    memo: Memo,
     divergence: Divergence,
 ) -> NcdScore:
     """N_q of one query: the mean divergence over its usable perturbations.
@@ -135,14 +149,14 @@ def _score_one(
     if not perturbations:
         return NcdScore(query.qid, variant, None, reason="no synonym coverage")
     for term in query.terms:
-        if not windows(term).n_windows:
+        if not memo(term)[0]:
             return NcdScore(
                 query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
             )
     divergences: List[float] = []
     diagnostics: List[str] = []
     for p in perturbations:
-        if not windows(p.replacement).n_windows:
+        if not memo(p.replacement)[0]:
             diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
             continue
         divergences.append(divergence(query, p, diagnostics))
@@ -177,30 +191,37 @@ def score_batch(
     change results.
 
     perturb.targets, all the terms whose windows perturbation compares, are
-    inverted together in one pass before the first query.  windows(term)
-    then extracts a term's context windows once per batch.  The LM family
-    reads only their window_cf view and the vector family only their
-    stats, so neither builds per-window objects.  The variant's family
-    caches one more thing per term: its TermVector (a batch uses one
-    scheme) or, for lm:sgt, its Good-Turing model.  The vector family also
-    keeps the composed vector of the query being scored, keyed by its
-    terms, so it is composed once per query.  Laplace models depend on
-    each comparison's vocabulary, so they are not cached.  The family's
-    divergence function is built once per batch.  Every cache is a
-    functools closure that refers to none of the closures referring to
-    it, so the caches are freed as soon as the batch returns, not at the
-    next cyclic garbage collection.
+    inverted together in one pass before the first query.  The batch's
+    memo then extracts a term's context windows once, reads the one view
+    its family compares (the TermVector under the batch's scheme, built
+    from the windows' stats, or the window_cf counts) and keeps only the
+    window count and that view.  The WindowSet, with its token slices and
+    per-window stats, is dropped as soon as the view is built, so the
+    batch holds one window set at a time, not the sum of every target's.
+    lm:sgt also caches each term's Good-Turing model, built over its
+    window_cf.  The vector family keeps the composed vector of the query
+    being scored, keyed by its terms, so it is composed once per query.
+    Laplace models depend on each comparison's vocabulary, so they are not
+    cached.  The family's divergence function is built once per batch.
+    Every cache is a functools closure that refers to none of the closures
+    referring to it, so the caches are freed as soon as the batch returns,
+    not at the next cyclic garbage collection.
     """
     family, *rest = parse_variant(variant)
     if n < 0:
         raise ValueError(f"window half-width must be >= 0, got {n}")
-    windows = cache(lambda term: extract_windows(index, (term,), n=n))
-    divergence = (_vector_divergence if family == "vector" else _lm_divergence)(windows, *rest)
+    if family == "vector":
+        scheme = rest[0]
+        memo = _memo(index, n, lambda ws: build_term_vector(ws, scheme))
+        divergence = _vector_divergence(memo)
+    else:
+        memo = _memo(index, n, attrgetter("window_cf"))
+        divergence = _lm_divergence(memo, *rest)
     index.invert(targets(queries, lexicon))
     scores: List[NcdScore] = []
     for query in queries:
         try:
-            scores.append(_score_one(query, variant, lexicon, windows, divergence))
+            scores.append(_score_one(query, variant, lexicon, memo, divergence))
         except ValueError as exc:
             scores.append(NcdScore(query.qid, variant, None, reason=f"error: {exc}"))
     return scores

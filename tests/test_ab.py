@@ -1,7 +1,7 @@
 """tools/ab.py on canned numbers: the claim verdict (at least 10 pairs, at
 least 9 of 10 won, ties won by neither side, a median gain beyond the
 parent's IQR), the bound check and the seed range; a run that prints no
-result line; a workload BENCHMARK.json does not name, rejected before any
+result line; each run's attempted count, printed per side after the table; a workload BENCHMARK.json does not name, rejected before any
 run; and its imports, standard library only and never termdep."""
 
 import argparse
@@ -96,6 +96,35 @@ def test_a_run_without_a_result_line_stops_the_tool(code, tmp_path):
     with pytest.raises(SystemExit) as stop:
         ab.run_once(str(tmp_path), command, "rank-modes", 7, 1)
     assert str(stop.value).splitlines()[0] == f"ab: {tmp_path} seed 7 printed no result line"
+
+
+FAKE_RUN = """
+import json, os, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+attempted = seed * (10 if os.path.basename(os.getcwd()) == "change" else 1)
+metrics = {"total_s": {"value": 1.0 / seed, "unit": "s"}}
+print("progress line")
+print(json.dumps({"correct": True, "attempted": attempted, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_attempted_kept_per_run_and_reported_per_side(tmp_path, capsys):
+    script = tmp_path / "fake_run.py"
+    script.write_text(FAKE_RUN)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    bench = {"command": [sys.executable, str(script)], "run_seconds": 1, "workloads": [{"name": "rank-modes"}]}
+    bench["end_to_end"] = [{"name": "total_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    (parent / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    run = ab.run_once(str(change), bench["command"], "rank-modes", 3, 1)
+    assert run == ab.Run({"total_s": pytest.approx(1.0 / 3)}, 30)
+    assert ab.main([str(parent), str(change), "--workload", "rank-modes", "--seeds", "1-5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # quantiles(n=4) of 1..5 are 1.5 and 4.5; of 10..50, 15 and 45.
+    assert out[-2] == "attempted: parent 3.0 [1.5, 4.5], change 30.0 [15.0, 45.0]"
+    assert out[-1] == "worse than bound: none"
 
 
 def test_unknown_workload_rejected_before_any_run(tmp_path, monkeypatch, capsys):

@@ -1547,3 +1547,15 @@ def test_score_outputs_match_recorded_digests(retrieval_paths, tmp_path):
             for name in ("scores.csv", "selected.txt")
         )
     assert got == SCORE_DIGESTS
+
+
+# sha256 of `windows` on the retrieval fixture: the export's per-target
+# numbers and its JSON layout.
+WINDOWS_DIGEST = "c6f9c454451226298bc3c778411601e7a0ab140421800a903980ae7848608c23"
+
+
+def test_windows_output_matches_recorded_digest(retrieval_paths, tmp_path):
+    out = tmp_path / "windows.json"
+    argv = ["windows", *base_flags(retrieval_paths), "--lexicon", retrieval_paths["lexicon"]]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOWS_DIGEST

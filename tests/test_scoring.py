@@ -238,11 +238,9 @@ class TestScoreBatch:
             assert got == score_one(query, variant, index, lexicon)
         assert [s.scoreable for s in scores] == [True, True, True, False, True, False]
 
-    @pytest.mark.parametrize("variant", ["vector:tfidf", "lm:sgt:qsum", "lm:laplace:qavg"])
-    def test_window_memo_freed_when_batch_returns(self, planted_state, variant, monkeypatch):
-        # The batch's memos must not sit in a reference cycle: they are freed
-        # when score_batch returns, with the cyclic collector switched off.
-        index, queries, lexicon = planted_state
+    @staticmethod
+    def record_window_sets(monkeypatch):
+        """Weak references to every WindowSet score_batch extracts."""
         made = []
 
         def recording(*args, **kwargs):
@@ -251,6 +249,14 @@ class TestScoreBatch:
             return ws
 
         monkeypatch.setattr("termdep.scoring.extract_windows", recording)
+        return made
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_window_memo_freed_when_batch_returns(self, planted_state, variant, monkeypatch):
+        # The batch's memos must not sit in a reference cycle: they are freed
+        # when score_batch returns, with the cyclic collector switched off.
+        index, queries, lexicon = planted_state
+        made = self.record_window_sets(monkeypatch)
         gc.collect()
         gc.disable()
         try:
@@ -258,6 +264,34 @@ class TestScoreBatch:
             assert made and all(ref() is None for ref in made)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_window_sets_dropped_before_comparing(self, planted_state, variant, monkeypatch):
+        # The memo keeps each term's view (its TermVector or window_cf), not
+        # its WindowSet, so no window set outlives the building of its view:
+        # by the first comparison every one extracted so far is gone, with
+        # the cyclic collector switched off.
+        index, queries, lexicon = planted_state
+        made = self.record_window_sets(monkeypatch)
+        compared = []
+
+        def check(compare):
+            def checked(*args, **kwargs):
+                compared.append([ref for ref in made if ref() is not None])
+                return compare(*args, **kwargs)
+
+            return checked
+
+        monkeypatch.setattr(scoring, "cosine_distance", check(scoring.cosine_distance))
+        monkeypatch.setattr(scoring, "phrase_kld", check(scoring.phrase_kld))
+        gc.collect()
+        gc.disable()
+        try:
+            score_batch(queries, variant, index, lexicon)
+        finally:
+            gc.enable()
+        assert made and compared
+        assert all(alive == [] for alive in compared)
 
     @pytest.mark.parametrize("variant", ["vector:atc", "lm:sgt:median"])
     def test_thread_count_does_not_change_results(self, planted_state, variant):

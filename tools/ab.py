@@ -19,9 +19,11 @@ statistics.quantiles(n=4)), the change in the median, how many pairs the
 change won and the parent's interquartile range.  A claim is met when at
 least 10 pairs ran, the change is better in at least 9 of every 10 (a
 tie is a win for neither side) and its median is better than the
-parent's by more than the parent's Q3 - Q1.  Every metric whose change
-median is worse than the parent's by more than its bound is listed after
-the table.
+parent's by more than the parent's Q3 - Q1.  After the table come each
+side's median [Q1, Q3] of `attempted`, the operations a run checked
+(it grows with the passes a run completes, and so can peak_rss_mb),
+and every metric whose change median is worse than the parent's by more
+than its bound.
 
 Standard library only; termdep is never imported, so each checkout runs
 its own sources.
@@ -84,7 +86,15 @@ def parse_seeds(text: str) -> List[int]:
     return list(range(first, last + 1))
 
 
-def run_once(checkout: str, command: List[str], workload: str, seed: int, seconds: float) -> Dict[str, float]:
+@dataclass(frozen=True)
+class Run:
+    """One benchmark run: its end-to-end metric values and its `attempted` count."""
+
+    metrics: Dict[str, float]
+    attempted: int
+
+
+def run_once(checkout: str, command: List[str], workload: str, seed: int, seconds: float) -> Run:
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     where = f"{checkout} seed {seed}"
@@ -98,7 +108,7 @@ def run_once(checkout: str, command: List[str], workload: str, seed: int, second
         raise SystemExit(f"ab: {where} printed no result line\n{done.stderr[-2000:]}")
     if result.get("correct") is not True:
         raise SystemExit(f"ab: {where} reported correct: {result.get('correct')}\n{done.stderr[-2000:]}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    return Run({name: metric["value"] for name, metric in result["metrics"].items()}, result["attempted"])
 
 
 def _spread(values: Sequence[float], digits: int) -> str:
@@ -134,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
-    runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+    runs: Dict[str, List[Run]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -142,13 +152,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"pair {i + 1}/{len(args.seeds)} (seed {seed}, {order[0]} first) done", file=sys.stderr)
 
     comparisons = {
-        m["name"]: Comparison(m["better"], [r[m["name"]] for r in runs["parent"]], [r[m["name"]] for r in runs["change"]])
+        m["name"]: Comparison(
+            m["better"], [r.metrics[m["name"]] for r in runs["parent"]], [r.metrics[m["name"]] for r in runs["change"]]
+        )
         for m in metrics
     }
     print("| Workload | Metric | Parent median [Q1, Q3] | Change median [Q1, Q3] | Δ median | Change won | Parent IQR |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     for m in metrics:
         print(report_row(args.workload, m["name"], m["unit"], comparisons[m["name"]]))
+    print(
+        "attempted: "
+        + ", ".join(f"{side} {_spread([r.attempted for r in runs[side]], 1)}" for side in ("parent", "change"))
+    )
     worse = [m["name"] for m in metrics if comparisons[m["name"]].worse_than_bound(m["bound"])]
     print(f"worse than bound: {', '.join(worse) if worse else 'none'}")
     if args.claim is not None:
