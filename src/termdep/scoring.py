@@ -7,15 +7,16 @@ phrase and its one-synonym perturbations; higher N_q = less
 compositional = stronger term dependence.  score_batch is the one way
 to a score: it builds its family's divergence function once per batch,
 one closure that takes a query and a perturbation, and calls it for
-every usable perturbation.  Its functools memos hold each term's window
-count and the one view of its windows that the family reads (its
-TermVector or its window_cf), each term's Good-Turing model under
-lm:sgt, and the composed vector of the query being scored; a term's
-WindowSet is dropped as soon as its view is built.  Nothing else refers
-to the memos, so they are freed when the batch returns.  An LM
-comparison is one langmodel.phrase_kld call over its terms' count
-tables (and their Good-Turing models); it reads the comparison's
-vocabulary off those tables and works per count pattern, not per word.
+every usable perturbation.  Its functools memos hold the one view of
+each term's windows that the family reads (its TermVector or its
+window_cf, or None when the term has no windows), each term's
+Good-Turing model under lm:sgt, and the composed vector of the query
+being scored; a term's WindowSet is dropped as soon as its view is
+built.  Nothing else refers to the memos, so they are freed when the
+batch returns.  An LM comparison is one langmodel.phrase_kld call over
+its terms' count tables (and their Good-Turing models); it reads the
+comparison's vocabulary off those tables and works per count pattern,
+not per word.
 select_dependent picks the theta least-compositional scoreable queries
 of a batch, theta being a count of queries.
 """
@@ -44,9 +45,9 @@ VARIANTS: Tuple[str, ...] = tuple(
 # their divergence out, appending any fallback it took to the diagnostics list.
 Divergence = Callable[[Query, Perturbation, List[str]], float]
 
-# A batch's per-term memo: a term in, (its window count, the family's view
-# of its windows) out; the view is None when the term has no windows.
-Memo = Callable[[str], Tuple[int, Any]]
+# A batch's per-term memo: a term in, the family's view of its windows out,
+# or None when the term has no windows.
+Memo = Callable[[str], Optional[Any]]
 
 
 def parse_variant(variant: str) -> Tuple[str, ...]:
@@ -85,9 +86,9 @@ class NcdScore:
 def _memo(index: PositionalIndex, n: int, view: Callable[[WindowSet], Any]) -> Memo:
     """Extract a term's windows once per batch and keep only view(windows)."""
 
-    def entry(term: str) -> Tuple[int, Any]:
+    def entry(term: str) -> Optional[Any]:
         ws = extract_windows(index, (term,), n=n)
-        return ws.n_windows, (view(ws) if ws.n_windows else None)
+        return view(ws) if ws.n_windows else None
 
     return cache(entry)
 
@@ -96,11 +97,11 @@ def _vector_divergence(memo: Memo) -> Divergence:
     # A query's perturbations are compared one after another, so keeping
     # the last v_q composes it once per query and holds no other.
     query_vector = lru_cache(maxsize=1)(
-        lambda terms: compose_query_vector([memo(t)[1] for t in terms])
+        lambda terms: compose_query_vector([memo(t) for t in terms])
     )
 
     def divergence(query: Query, p: Perturbation, diagnostics: List[str]) -> float:
-        v_p = compose_query_vector([memo(t)[1] for t in p.terms])
+        v_p = compose_query_vector([memo(t) for t in p.terms])
         d, degenerate = cosine_distance(query_vector(query.terms), v_p)
         if degenerate:
             diagnostics.append(
@@ -112,14 +113,14 @@ def _vector_divergence(memo: Memo) -> Divergence:
 
 
 def _lm_divergence(memo: Memo, smoothing: str, combination: str) -> Divergence:
-    sgt = cache(lambda term: sgt_lm(memo(term)[1]))
+    sgt = cache(lambda term: sgt_lm(memo(term)))
 
     def divergence(query: Query, p: Perturbation, diagnostics: List[str]) -> float:
         # phrase_kld compares over the union of both phrases' window
         # vocabularies; Laplace V and the Good-Turing unseen split are both
         # relative to it.
         terms = {*query.terms, p.replacement}
-        tables = {t: memo(t)[1] for t in terms}
+        tables = {t: memo(t) for t in terms}
         models = None
         if smoothing == "sgt":
             models = {t: sgt(t) for t in terms}
@@ -149,14 +150,14 @@ def _score_one(
     if not perturbations:
         return NcdScore(query.qid, variant, None, reason="no synonym coverage")
     for term in query.terms:
-        if not memo(term)[0]:
+        if memo(term) is None:
             return NcdScore(
                 query.qid, variant, None, reason=f"query term {term!r} absent from corpus"
             )
     divergences: List[float] = []
     diagnostics: List[str] = []
     for p in perturbations:
-        if not memo(p.replacement)[0]:
+        if memo(p.replacement) is None:
             diagnostics.append(f"perturbation {p.replacement!r} absent from corpus; skipped")
             continue
         divergences.append(divergence(query, p, diagnostics))
@@ -194,10 +195,11 @@ def score_batch(
     inverted together in one pass before the first query.  The batch's
     memo then extracts a term's context windows once, reads the one view
     its family compares (the TermVector under the batch's scheme, built
-    from the windows' stats, or the window_cf counts) and keeps only the
-    window count and that view.  The WindowSet, with its token slices and
-    per-window stats, is dropped as soon as the view is built, so the
-    batch holds one window set at a time, not the sum of every target's.
+    from the windows' stats, or the window_cf counts) and keeps only that
+    view, or None for a term with no windows.  The WindowSet, with its
+    token slices and per-window stats, is dropped as soon as the view is
+    built, so the batch holds one window set at a time, not the sum of
+    every target's.
     lm:sgt also caches each term's Good-Turing model, built over its
     window_cf.  The vector family keeps the composed vector of the query
     being scored, keyed by its terms, so it is composed once per query.

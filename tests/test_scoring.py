@@ -1,5 +1,6 @@
 """Tests for batch divergence scoring and dependent-query selection."""
 
+import functools
 import gc
 import math
 import weakref
@@ -251,19 +252,53 @@ class TestScoreBatch:
         monkeypatch.setattr("termdep.scoring.extract_windows", recording)
         return made
 
+    @staticmethod
+    def record_memos(monkeypatch):
+        """Weak references to every memo score_batch makes and every value they keep.
+
+        The memos are the functools caches of scoring; their values are the
+        window_cf tables, term vectors, composed query vectors and
+        Good-Turing models the batch builds.
+        """
+        made = []
+
+        def recording(make):
+            def wrapper(*args, **kwargs):
+                value = make(*args, **kwargs)
+                made.append(weakref.ref(value))
+                return value
+
+            return wrapper
+
+        def recording_windows(*args, **kwargs):
+            ws = extract_windows(*args, **kwargs)
+            made.append(weakref.ref(ws.window_cf))
+            return ws
+
+        def recording_lru_cache(*args, **kwargs):
+            return recording(functools.lru_cache(*args, **kwargs))
+
+        monkeypatch.setattr(scoring, "extract_windows", recording_windows)
+        for name in ("cache", "build_term_vector", "compose_query_vector", "sgt_lm"):
+            monkeypatch.setattr(scoring, name, recording(getattr(scoring, name)))
+        monkeypatch.setattr(scoring, "lru_cache", recording_lru_cache)
+        return made
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_window_memo_freed_when_batch_returns(self, planted_state, variant, monkeypatch):
-        # The batch's memos must not sit in a reference cycle: they are freed
-        # when score_batch returns, with the cyclic collector switched off.
+        # The batch's memos must not sit in a reference cycle: they and all
+        # they keep are freed when score_batch returns, with the cyclic
+        # collector switched off.
         index, queries, lexicon = planted_state
-        made = self.record_window_sets(monkeypatch)
+        made = self.record_memos(monkeypatch)
         gc.collect()
         gc.disable()
         try:
             score_batch(queries, variant, index, lexicon)
-            assert made and all(ref() is None for ref in made)
+            alive = [ref() for ref in made if ref() is not None]
         finally:
             gc.enable()
+        assert made and alive == []
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_window_sets_dropped_before_comparing(self, planted_state, variant, monkeypatch):
