@@ -128,13 +128,11 @@ def _cmd_windows(args) -> int:
     payload: Dict[str, object] = {"format": 1, "half_width": args.window, "targets": {}}
     for t in terms:
         ws = extract_windows(index, (t,), n=args.window)
-        cf, n_windows = ws.window_cf, ws.n_windows
-        total_mass = sum(cf.values())
         payload["targets"][t] = {
-            "n_windows": n_windows,
-            "av_m": (total_mass / n_windows) if n_windows else 0.0,
-            "total_mass": total_mass,
-            "vocab_size": len(cf),
+            "n_windows": ws.n_windows,
+            "av_m": ws.av_m,
+            "total_mass": ws.total_mass,
+            "vocab_size": len(ws.window_cf),
         }
     _write_json(payload, args.out)
     return 0

@@ -13,7 +13,10 @@ window_cf, or None when the term has no windows), each term's
 Good-Turing model under lm:sgt, and the composed vector of the query
 being scored; a term's WindowSet is dropped as soon as its view is
 built.  Nothing else refers to the memos, so they are freed when the
-batch returns.  An LM comparison is one langmodel.phrase_kld call over
+batch returns.  A TermVector holds only its nonzero components, and an
+absent component means 0 to compose_query_vector and cosine_distance;
+under tfidf only a context term's in-window repeats add weight, so most
+context terms have no component.  An LM comparison is one langmodel.phrase_kld call over
 its terms' count tables (and their Good-Turing models); it reads the
 comparison's vocabulary off those tables and works per count pattern,
 not per word.
@@ -196,7 +199,9 @@ def score_batch(
     memo then extracts a term's context windows once, reads the one view
     its family compares (the TermVector under the batch's scheme, built
     from the windows' stats, or the window_cf counts) and keeps only that
-    view, or None for a term with no windows.  The WindowSet, with its
+    view, or None for a term with no windows.  A TermVector holds only its
+    nonzero components: an absent one means 0, and under tfidf only a
+    context term's in-window repeats add weight.  The WindowSet, with its
     token slices and per-window stats, is dropped as soon as the view is
     built, so the batch holds one window set at a time, not the sum of
     every target's.

@@ -9,9 +9,13 @@ frequencies off the window set's stats.  For atc the cosine
 normalization over those windows is applied when the term vector is
 built, so the per-window atc weights of any term with a nonzero norm
 satisfy sum(w^2) == 1.  A term vector's component for a context term is
-the mean of its weights over the windows containing it.  TermVector is
-the one vector type: a query or perturbation is the pointwise product of
-its terms' vectors, labelled with the terms joined by spaces.
+the mean of its weights over the windows containing it.  A TermVector
+holds only its nonzero components, in the order the context terms first
+appear; an absent component means 0.  Under tfidf a window holding a
+term once weighs log(1) * idf = 0, so only a term's in-window repeats
+add weight, and most context terms have no component at all.  TermVector
+is the one vector type: a query or perturbation is the pointwise product
+of its terms' vectors, labelled with the terms joined by spaces.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ SCHEMES = ("atc", "ltu", "mi", "okapi", "tfidf")
 
 @dataclass(frozen=True)
 class TermVector:
+    """A term's (or a phrase's) nonzero components, keyed by context term.
+
+    A context term with no key has the component 0.
+    """
+
     term: str
     weights: Dict[str, float]
 
@@ -127,12 +136,16 @@ def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
     """Vector representation of ws.target under `scheme`.
 
     The component for context term t' is the mean of its per-window
-    weights over the windows where t' actually occurs.  Only the window
-    set's stats are read, and each term's weights are one kernel call
-    over its window ids; its count across windows (cf_t, for mi) is the
-    sum of its in-window frequencies.  Under tfidf a term that never
-    repeats inside a window gets the component 0.0 without a kernel call,
-    the value the kernel would give.
+    weights over the windows where t' actually occurs, and is kept only
+    when it is nonzero: an absent component means 0, which is how
+    compose_query_vector and cosine_distance read it, so dropping a zero
+    changes no product and no distance.  Only the window set's stats are
+    read, and each term's weights are one kernel call over its window
+    ids; its count across windows (cf_t, for mi) is the sum of its
+    in-window frequencies.  Under tfidf the kernel runs on the term's
+    in-window repeats alone: a window holding the term once weighs
+    log(1) * idf = +0.0, which leaves the exactly rounded fsum unchanged,
+    and the sum is still divided by n_t, every window holding the term.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
@@ -141,21 +154,29 @@ def build_term_vector(ws: WindowSet, scheme: str) -> TermVector:
         raise ValueError(f"target {' '.join(ws.target)!r} has no context windows")
     stats = ws.stats
     av_m, total_mass, sizes, max_f = stats.av_m, stats.total_mass, stats.sizes, stats.max_f
+    repeats = stats.repeats
     vec: Dict[str, float] = {}
     for term, ids in stats.ids.items():
         n_t = len(ids)
-        if scheme == "tfidf" and term not in stats.repeats:
-            # log(1) = 0.0 and idf >= 0: weight 0.0 in every window, mean 0.0.
-            vec[term] = 0.0
-            continue
-        fs = stats.freqs(term)
-        raw = _term_weights(
-            scheme, n_windows, av_m, total_mass, n_t, sum(fs), ids, fs, sizes, max_f
-        )
-        if scheme == "atc":
-            norm = math.sqrt(math.fsum(v * v for v in raw))
-            raw = [v / norm for v in raw] if norm > 0.0 else [0.0 for _ in raw]
-        vec[term] = math.fsum(raw) / n_t
+        if scheme == "tfidf":
+            rep = repeats.get(term)
+            if rep is None:
+                continue
+            raw = _term_weights(
+                scheme, n_windows, av_m, total_mass, n_t, None,
+                [ids[k] for k in rep], list(rep.values()), sizes, max_f,
+            )
+        else:
+            fs = stats.freqs(term)
+            raw = _term_weights(
+                scheme, n_windows, av_m, total_mass, n_t, sum(fs), ids, fs, sizes, max_f
+            )
+            if scheme == "atc":
+                norm = math.sqrt(math.fsum(v * v for v in raw))
+                raw = [v / norm for v in raw] if norm > 0.0 else []
+        value = math.fsum(raw) / n_t
+        if value:
+            vec[term] = value
     return TermVector(term=" ".join(ws.target), weights=vec)
 
 

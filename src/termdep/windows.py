@@ -8,10 +8,11 @@ sum(counts.values()) == size.
 
 Extraction cuts each window's token slice once, through the index's
 tokens(); a WindowSet keeps the slices, not the index, and derives
-three views from them, each on first use: window_cf (all the LM
-family reads), stats (N, n(t), M_i, max f, G and each term's window ids
-and in-window frequencies, all that term vectors read) and ContextWindow
-objects (for callers that walk single windows).
+its views from them, each on first use: the window sizes, whose sum is
+the set's one definition of its mass G and mean size, window_cf (all
+the LM family reads), stats (N, n(t), M_i, max f, G and each term's
+window ids and in-window frequencies, all that term vectors read) and
+ContextWindow objects (for callers that walk single windows).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class WindowStats:
     repeats[t][k] = f says it occurs f > 1 times in window ids[t][k];
     keeping only the repeats keeps one list per term.  sizes[i] and
     max_f[i] are window i's size M_i and peak frequency; total_mass is the
-    grand token total G and av_m the mean size.
+    grand token total G and av_m the mean size, both the window set's.
     """
 
     n_windows: int
@@ -92,6 +93,21 @@ class WindowSet:
         return len(self.spans)
 
     @cached_property
+    def sizes(self) -> List[int]:
+        """Each window's size M_i, its token count."""
+        return [len(tokens) for _, _, tokens in self.spans]
+
+    @cached_property
+    def total_mass(self) -> int:
+        """The grand token total G, the sum of the window sizes."""
+        return sum(self.sizes)
+
+    @property
+    def av_m(self) -> float:
+        """The mean window size G / N, or 0.0 for a set with no windows."""
+        return self.total_mass / self.n_windows if self.spans else 0.0
+
+    @cached_property
     def window_cf(self) -> Dict[str, int]:
         """Each term's total count across the windows, in order of first appearance."""
         return Counter(chain.from_iterable(tokens for _, _, tokens in self.spans))
@@ -102,7 +118,6 @@ class WindowSet:
         ids: Dict[str, List[int]] = {}
         repeats: Dict[str, Dict[int, int]] = {}
         get = ids.get
-        sizes: List[int] = []
         max_f: List[int] = []
         for i, (_, _, tokens) in enumerate(self.spans):
             peak = 1
@@ -121,17 +136,15 @@ class WindowSet:
                     f = rep[k] = rep.get(k, 1) + 1
                     if f > peak:
                         peak = f
-            sizes.append(len(tokens))
             max_f.append(peak)
-        n_windows, total = len(sizes), sum(sizes)
         return WindowStats(
-            n_windows=n_windows,
+            n_windows=self.n_windows,
             ids=ids,
             repeats=repeats,
-            sizes=sizes,
+            sizes=self.sizes,
             max_f=max_f,
-            total_mass=total,
-            av_m=(total / n_windows) if n_windows else 0.0,
+            total_mass=self.total_mass,
+            av_m=self.av_m,
         )
 
     @cached_property

@@ -9,7 +9,9 @@ LM combination kernels and the count-pattern comparison against the
 word-by-word references, kld against the word-by-word reference, LM scores
 against the model-level path, the sign of KLD, the independence of every
 score and ranking from how words are spelled, the independence of every
-score from document order and batch membership, and the range of vector
+score from document order, batch membership and documents that hold no
+scoring target, of the window-local vector scores from corpus scale and
+of cosine distance from zero components, and the range of vector
 divergences."""
 
 import dataclasses
@@ -31,7 +33,7 @@ from termdep.evaluation import (
     evaluate,
 )
 from termdep.langmodel import COMBINATIONS, SmoothedLM, kld, laplace_lm, phrase_kld, sgt_lm
-from termdep.perturb import SynonymLexicon, perturb
+from termdep.perturb import SynonymLexicon, perturb, targets
 from termdep.corpus import phrase_occurrences
 from termdep.retrieval import (
     RankedRun,
@@ -42,7 +44,14 @@ from termdep.retrieval import (
     write_run,
 )
 from termdep.scoring import VARIANTS, score_batch
-from termdep.vectors import SCHEMES, build_term_vector, weight
+from termdep.vectors import (
+    SCHEMES,
+    TermVector,
+    build_term_vector,
+    compose_query_vector,
+    cosine_distance,
+    weight,
+)
 from termdep.windows import extract_windows
 
 from oracles import (
@@ -1014,6 +1023,73 @@ def test_scores_ignore_document_order_and_batch_membership(
         assert got == [full[q.qid] for q in sub_batch]
 
 
+# Words no query or synonym draws, so never a scoring target.
+STRANGERS = ("x", "y")
+
+
+# Half the default examples keeps the pair near one batch-membership run.
+@settings(PROPERTY, max_examples=50)
+@given(
+    corpora(),
+    query_batches(),
+    st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)),
+    st.integers(min_value=0, max_value=6),
+    st.data(),
+)
+def test_scores_read_only_documents_holding_a_target(corpus, queries, synonyms, n, data):
+    # Kiela & Clark's measures read a target's context windows and nothing
+    # else: documents that hold no scoring target change no record.
+    docs, index = corpus
+    lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
+    words = [w for w in VOCAB if w not in targets(queries, lexicon)] + list(STRANGERS)
+    extra = data.draw(
+        st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=15), min_size=1, max_size=3)
+    )
+    grown = build_index(docs + [(f"e{i}", tuple(tokens)) for i, tokens in enumerate(extra)])
+    for variant in VARIANTS:
+        want = score_batch(queries, variant, index, lexicon, n=n)
+        assert score_batch(queries, variant, grown, lexicon, n=n) == want, variant
+
+
+# Half the default examples keeps the pair near one batch-membership run.
+@settings(PROPERTY, max_examples=50)
+@given(
+    corpora(),
+    query_batches(),
+    st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from((2, 3, 4)),
+)
+def test_window_local_scores_ignore_corpus_scale(corpus, queries, synonyms, n, k):
+    # Repeating every document k times multiplies N, n(t), cf_t and G by k
+    # and leaves each window's size and counts as they were.  tfidf, ltu and
+    # mi read only ratios of those, so each per-window weight keeps its bits
+    # and a component, the fsum of k copies divided by k * n(t), keeps its
+    # value; its bits too when k is a power of two, else it may move by
+    # one rounding.  atc's normalized weights shrink by sqrt(k), which
+    # cosine cancels up to rounding.  A distance near 0 is 1 - cos, so a
+    # rounding in cos is an absolute, not a relative, error there.  okapi
+    # reads N - n(t) + 0.5, Laplace adds one to every count and SGT loses
+    # its hapaxes to Laplace, so those variants are left out.
+    docs, index = corpus
+    lexicon = SynonymLexicon(entries={h: [s] for h, s in synonyms.items() if s != h})
+    copies = [(f"{doc_id}c{r}", tokens) for r in range(1, k) for doc_id, tokens in docs]
+    scaled = build_index(docs + copies)
+    exact = ("tfidf", "ltu", "mi") if k in (2, 4) else ()
+    for scheme in ("atc", "ltu", "mi", "tfidf"):
+        want = score_batch(queries, f"vector:{scheme}", index, lexicon, n=n)
+        got = score_batch(queries, f"vector:{scheme}", scaled, lexicon, n=n)
+        if scheme in exact:
+            assert got == want, scheme
+            continue
+        assert [dataclasses.replace(s, n_q=None, divergences=[]) for s in got] == [
+            dataclasses.replace(s, n_q=None, divergences=[]) for s in want
+        ]
+        for g, w in zip(got, want):
+            if w.scoreable:
+                assert g.n_q == pytest.approx(w.n_q, rel=1e-12, abs=1e-12), scheme
+
+
 @PROPERTY
 @given(corpora(), query_batches(), st.dictionaries(st.sampled_from(VOCAB), st.sampled_from(VOCAB)))
 def test_vector_divergences_stay_in_cosine_range(corpus, queries, synonyms):
@@ -1106,9 +1182,47 @@ def test_term_vector_equals_per_pair_weight_loop(corpus, target, n):
                 build_term_vector(ws, scheme)
             continue
         got = build_term_vector(ws, scheme).weights
-        want = reference_term_vector(ws, scheme)
+        # The vector keeps the reference's nonzero components, in its order.
+        want = {t: w for t, w in reference_term_vector(ws, scheme).items() if w != 0.0}
         assert got == want
         assert list(got) == list(want)
         if len(target) == 1 and scheme == "atc":
-            # The target is in every window: idf 0, a zero atc norm.
-            assert got[target[0]] == 0.0
+            # The target is in every window: idf 0, a zero atc norm, no component.
+            assert target[0] not in got
+
+
+# Components that may be zero of either sign, or negative, as okapi's are.
+components = st.dictionaries(
+    st.sampled_from("abcde"),
+    st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-8.0, max_value=8.0)),
+    max_size=5,
+)
+
+
+@PROPERTY
+@given(st.lists(components, min_size=1, max_size=3), st.lists(components, min_size=1, max_size=3))
+# Every component zero: the zero-norm fallback, with or without the zeros.
+@example(u=[{"a": 0.0, "b": -0.0}], v=[{"a": 1.0}])
+# Zero products of either sign beside a nonzero one, on both sides.
+@example(
+    u=[{"a": -1.0, "b": 0.0, "c": 2.0}, {"a": 0.0, "b": 3.0, "c": 1.0}],
+    v=[{"a": 0.0, "b": -1.0, "c": 1.0}],
+)
+def test_zero_components_change_no_distance(u, v):
+    # build_term_vector keeps only nonzero components: cosine_distance, of
+    # the vectors or of their compose_query_vector products, must give the
+    # same (distance, degenerate) whichever side keeps its zeros.
+    def forms(weights):
+        sparse = [{t: w for t, w in ws.items() if w != 0.0} for ws in weights]
+        return [
+            [TermVector(f"t{i}", ws) for i, ws in enumerate(side)] for side in (weights, sparse)
+        ]
+
+    pairs = [(a, b) for a in forms(u) for b in forms(v)]
+    direct = {cosine_distance(a[0], b[0]) for a, b in pairs}
+    composed = {
+        cosine_distance(compose_query_vector(a), compose_query_vector(b)) for a, b in pairs
+    }
+    assert len(direct) == 1 and len(composed) == 1
+    if not any(w != 0.0 for w in u[0].values()):
+        assert direct == {(1.0, True)}

@@ -114,10 +114,19 @@ class TestWeightFormulas:
 class TestBuildTermVector:
     def test_single_window_equals_window_weights(self):
         ws = windows_for([("d1", ["a", "b", "b", "c"])], "a", n=3)
-        tv = build_term_vector(ws, "mi")
-        assert set(tv.weights) == {"a", "b", "c"}
-        # One window: the mean is the raw weight itself.
-        np.testing.assert_allclose(tv.weights["b"], math.log(2 * 4 / (2 * 4)))
+        counts = {"a": 1, "b": 2, "c": 1}
+        window = dict(n_t=1, n_windows=1, m_i=4, av_m=4.0, max_f=2, total_mass=4)
+        for scheme in SCHEMES:
+            # One window: the mean is the raw weight itself, and only the
+            # nonzero weights are kept, in order of first appearance.  Every
+            # idf is log(1/1) and every mi weight log(f * 4 / (f * 4)), so
+            # only okapi's are nonzero.
+            dense = {t: weight(scheme, f_it=f, cf_t=f, **window) for t, f in counts.items()}
+            want = {t: w for t, w in dense.items() if w != 0.0}
+            tv = build_term_vector(ws, scheme)
+            assert tv.weights == want
+            assert list(tv.weights) == list(want)
+            assert bool(want) == (scheme == "okapi")
 
     def test_mean_over_windows_containing_term(self):
         # "b" appears in one of two windows; mean over containing windows only.
