@@ -16,10 +16,10 @@ built.  Nothing else refers to the memos, so they are freed when the
 batch returns.  A TermVector holds only its nonzero components, and an
 absent component means 0 to compose_query_vector and cosine_distance;
 under tfidf only a context term's in-window repeats add weight, so most
-context terms have no component.  An LM comparison is one langmodel.phrase_kld call over
-its terms' count tables (and their Good-Turing models); it reads the
-comparison's vocabulary off those tables and works per count pattern,
-not per word.
+context terms have no component.  An LM comparison is one
+langmodel.phrase_kld call over its terms' count tables (and their
+Good-Turing models); it reads the comparison's vocabulary off those
+tables and works per count pattern, not per word.
 select_dependent picks the theta least-compositional scoreable queries
 of a batch, theta being a count of queries.
 """
