@@ -6,9 +6,10 @@ with the same inputs rewrites byte-identical outputs.  Failures exit 2
 with a single `error:` line on stderr; argument errors are caught before
 any input is read.  Only argparse's own usage errors keep its message.
 Outputs are replaced through a temporary file in the target's directory
-(corpus.write_lines), which must be writable; symlinks, devices and
-hard-linked files are written in place.  Nothing is fsynced, and a crash
-between the unlink and the rename can leave an output absent.
+(corpus.write_lines), which must be writable, all of a call's together;
+symlinks, devices and hard-linked files are written in place.  Nothing
+is fsynced, and a crash between the unlink and the rename can leave an
+output absent.
 """
 
 from __future__ import annotations
@@ -152,9 +153,10 @@ def _cmd_score(args) -> int:
         raise ValueError(f"--out {args.out} is the selected.txt that --theta writes")
     index, queries, lexicon = _load_inputs(args)
     scores = _score(args, index, queries, lexicon)
-    write_lines(args.out, _scores_csv(scores))
+    outputs = {args.out: _scores_csv(scores)}
     if args.theta is not None:
-        write_lines(sel_path, (qid + "\n" for qid in _select(scores, args.theta)))
+        outputs[sel_path] = (qid + "\n" for qid in _select(scores, args.theta))
+    write_lines(outputs)
     return 0
 
 
@@ -218,7 +220,7 @@ def _cmd_tune(args) -> int:
     for theta in sorted(set(plan.theta_grid)):
         if theta > len(ordered):
             _select(scores, theta)
-    runs = rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config)
+    runs = rank_mu_grid(queries, index, sorted(set(plan.mu_grid)), config, ("bow", "fd"))
     result = cross_validate_selective([q.qid for q in queries], ordered, runs, qrels, plan)
     payload = {
         "measure": result.measure,
@@ -277,16 +279,18 @@ def _cmd_figure_data(args) -> int:
         (theta, evaluate(read_run(path), qrels).means[args.measure]) for theta, path in sweep
     )
     os.makedirs(args.out, exist_ok=True)
+    outputs = {}
     if compare:
-        write_lines(
-            os.path.join(args.out, "delta.csv"),
-            [f"qid,delta_{args.measure}\n", *(f"{qid},{delta:.6f}\n" for qid, delta in deltas)],
-        )
+        outputs[os.path.join(args.out, "delta.csv")] = [
+            f"qid,delta_{args.measure}\n",
+            *(f"{qid},{delta:.6f}\n" for qid, delta in deltas),
+        ]
     if sweep:
-        write_lines(
-            os.path.join(args.out, "sweep.csv"),
-            [f"theta,mean_{args.measure}\n", *(f"{theta},{value:.6f}\n" for theta, value in rows)],
-        )
+        outputs[os.path.join(args.out, "sweep.csv")] = [
+            f"theta,mean_{args.measure}\n",
+            *(f"{theta},{value:.6f}\n" for theta, value in rows),
+        ]
+    write_lines(outputs)
     return 0
 
 

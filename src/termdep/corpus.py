@@ -17,11 +17,12 @@ looks no term up (`termdep index`) walks no document.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 
 class _Separators(dict):
@@ -86,44 +87,62 @@ def read_lines(path: str) -> Iterator[Tuple[int, str]]:
                 yield lineno, line.rstrip("\n")
 
 
-def write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write the strings `lines`, in order, to `path` as UTF-8, replacing any file there whole.
+def write_lines(path: Union[str, Dict[str, Iterable[str]]], lines: Iterable[str] = ()) -> None:
+    """Write the strings `lines`, in order, to `path` as UTF-8; or, given a
+    dict of paths to lines, write every output of a call together.
 
-    Every output file is written here.  The lines go to a new file beside
-    `path`, which then takes the path's place: the old file is unlinked, not
-    truncated, and the path never holds a partial file.  If anything raises,
-    the new file is removed and the old one is left as it was.  A replaced
-    file keeps its mode, and a new one gets 0o666 less the umask, as with
-    open(path, "w").  A path that is not a regular file with one link (a
-    symlink, a device, a FIFO, a hard-linked file) is written in place.
-    Nothing is fsynced.
+    Every output file is written here.  No target may be a directory.
+    Each output's lines go to a new file beside its path, and only when
+    every new file is whole does each take its path's place: the old file
+    is unlinked, not truncated, and a path never holds a partial file.  If
+    anything raises before then, every new file is removed and every old
+    one is left as it was.  A replaced file keeps its mode, and a new one
+    gets 0o666 less the umask, as with open(path, "w").  A path that is
+    not a regular file with one link (a symlink, a device, a FIFO, a
+    hard-linked file) is written in place, after every new file is whole
+    and before the first takes its place.  Nothing is fsynced.
     """
+    outputs = path if isinstance(path, dict) else {path: lines}
+    for target in outputs:
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+    staged = []  # (new file, path, old file's lstat or None) of each output replaced whole
+    in_place = []  # (path, lines) of each output written in place
     try:
-        old = os.lstat(path)
-    except FileNotFoundError:
-        old = None
-    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        return
-    head, name = os.path.split(path)
-    fresh = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    try:
-        fd = os.open(fresh, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        # Name the output asked for, not the temporary file.
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        if old is not None:
-            os.chmod(fresh, stat.S_IMODE(old.st_mode))
+        for target, body in outputs.items():
+            try:
+                old = os.lstat(target)
+            except FileNotFoundError:
+                old = None
+            if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+                in_place.append((target, list(body)))
+                continue
+            head, name = os.path.split(target)
+            fresh = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+            try:
+                fd = os.open(fresh, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                # Name the output asked for, not the temporary file.
+                raise OSError(exc.errno, exc.strerror, target) from None
+            staged.append((fresh, target, old))
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(body)
+            if old is not None:
+                os.chmod(fresh, stat.S_IMODE(old.st_mode))
+        for target, body in in_place:
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.writelines(body)
+        while staged:
+            fresh, target, old = staged[0]
             # Unlinking first, then renaming onto a free name, spares the flush
             # that some file systems make when a file is truncated or renamed over.
-            os.unlink(path)
-        os.rename(fresh, path)
+            if old is not None:
+                os.unlink(target)
+            os.rename(fresh, target)
+            del staged[0]
     except BaseException:
-        os.unlink(fresh)
+        for fresh, _, _ in staged:
+            os.unlink(fresh)
         raise
 
 

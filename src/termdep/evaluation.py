@@ -19,7 +19,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .corpus import _check_qid, read_lines, write_lines
 from .retrieval import RankedRun
@@ -66,12 +66,15 @@ def load_qrels(path: str) -> Qrels:
     """
     judgments: Dict[Tuple[str, str], int] = {}
     grades: Dict[str, int] = {}  # each distinct grade string is checked once
+    qids: Set[str] = set()  # and each distinct qid, at its first row
     for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected `qid 0 doc_id grade`")
         qid, _, doc_id, grade_s = parts
-        _check_qid(qid, f"{path}:{lineno}")
+        if qid not in qids:
+            _check_qid(qid, f"{path}:{lineno}")
+            qids.add(qid)
         grade = grades.get(grade_s)
         if grade is None:
             grade = grades[grade_s] = _grade(grade_s, f"{path}:{lineno}")
@@ -271,14 +274,14 @@ def cross_validate(
 def cross_validate_selective(
     qids: Sequence[str],
     order: Sequence[str],
-    runs: Iterable[Tuple[float, RankedRun, RankedRun]],
+    runs: Iterable[Tuple[float, Dict[str, RankedRun]]],
     qrels: Qrels,
     plan: CvPlan,
 ) -> CvResult:
     """The fold walk over selective runs, from each mu's bow and fd runs.
 
-    runs yields (mu, bow run, fd run) for every mu of plan.mu_grid, as
-    rank_mu_grid does; each run ranks the whole batch and is scored on
+    runs yields (mu, {"bow": run, "fd": run}) for every mu of plan.mu_grid,
+    as rank_mu_grid does; each run ranks the whole batch and is scored on
     plan.measure alone as it arrives.  The selective run at (mu, theta)
     ranks a query as fd does if it is among the first theta of order, else
     as bow does; a qid not in order is never selected.  Per mu and fold,
@@ -294,10 +297,10 @@ def cross_validate_selective(
     measures = (plan.measure,)
     diagnostics: List[str] = []
     columns: Dict[float, List[Tuple[List[int], List[float], List[float]]]] = {}
-    for mu, bow_run, fd_run in runs:
+    for mu, by_mode in runs:
         diagnostics = []
-        bow = _per_query(bow_run, qrels, measures, diagnostics)
-        fd = _per_query(fd_run, qrels, measures, [])
+        bow = _per_query(by_mode["bow"], qrels, measures, diagnostics)
+        fd = _per_query(by_mode["fd"], qrels, measures, [])
         columns[mu] = []
         for fold in folds:
             members = sorted(

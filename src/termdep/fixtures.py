@@ -48,17 +48,19 @@ class Fixture:
             "qrels": os.path.join(out_dir, "qrels.txt"),
         }
         write_lines(
-            paths["corpus"],
-            (json.dumps({"doc_id": doc_id, "text": text}) + "\n" for doc_id, text in self.docs),
-        )
-        write_lines(paths["queries"], (f"{qid}\t{text}\n" for qid, text in self.queries))
-        write_lines(
-            paths["lexicon"],
-            (f"{head}\t{','.join(synonyms)}\n" for head, synonyms in self.lexicon.items()),
-        )
-        write_lines(
-            paths["qrels"],
-            (f"{qid} 0 {doc_id} {grade}\n" for (qid, doc_id), grade in self.qrels.items()),
+            {
+                paths["corpus"]: (
+                    json.dumps({"doc_id": doc_id, "text": text}) + "\n"
+                    for doc_id, text in self.docs
+                ),
+                paths["queries"]: (f"{qid}\t{text}\n" for qid, text in self.queries),
+                paths["lexicon"]: (
+                    f"{head}\t{','.join(synonyms)}\n" for head, synonyms in self.lexicon.items()
+                ),
+                paths["qrels"]: (
+                    f"{qid} 0 {doc_id} {grade}\n" for (qid, doc_id), grade in self.qrels.items()
+                ),
+            }
         )
         return paths
 

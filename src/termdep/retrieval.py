@@ -10,11 +10,10 @@ Ranking reads the index once per query into a feature table: the
 candidates, their |D|, and per query term and phrase its P(.|C) and a
 count column over the candidates.  None of it depends on mu, so one
 arithmetic pass turns a table and a mu into unigram and mixed scores.
-rank builds the tables and makes one pass; rank_mu_grid builds them once
-and makes one pass per mu of a tuning grid, scoring bow and fd together.
-Both invert every query term of the batch in one pass over the tokens
-before the first table.
-They are the only way to a score: no per-document score view exists.
+rank_mu_grid, the one ranking driver, inverts every query term of the
+batch in one pass over the tokens, builds each table once, then per mu
+makes one pass per table and sorts each distinct score list once.  rank
+is its one-mu, one-mode case.  No other way to a score exists.
 """
 
 from __future__ import annotations
@@ -139,14 +138,8 @@ def _ranked(docs: List[str], scores: List[float], top_k: int) -> List[Tuple[str,
 
 
 def _candidates(query: Query, index: PositionalIndex) -> List[str]:
-    seen: Set[str] = set()
-    out: List[str] = []
-    for t in set(query.terms):
-        for doc_id in index.positions(t):
-            if doc_id not in seen:
-                seen.add(doc_id)
-                out.append(doc_id)
-    return out
+    # Each document holding a query term once, in query-term then posting order.
+    return list(dict.fromkeys(doc_id for t in query.terms for doc_id in index.positions(t)))
 
 
 def rank(
@@ -162,25 +155,8 @@ def rank(
     their rankings are identical across modes by construction.  Ties
     break by doc_id ascending; at most top_k documents per query.
     """
-    selected_set: Set[str] = set(selected) if selected is not None else set()
-    if config.mode == "selective" and selected is None:
-        raise ValueError("selective mode requires a selected qid set")
-    known = {q.qid for q in queries}
-    unknown = selected_set - known
-    if unknown:
-        raise ValueError(f"selected qids not in batch: {sorted(unknown)[:5]}")
-    index.invert(t for q in queries for t in q.terms)
-    run = RankedRun()
-    for query in queries:
-        mode = config.mode
-        if mode == "selective":
-            mode = "fd" if query.qid in selected_set else "bow"
-        table = _FeatureTable(query, index, mode)
-        unigram, mixed = _scores(table, config.mu, config.lambda_t, config.lambda_o)
-        run.results[query.qid] = _ranked(
-            table.docs, unigram if mixed is None else mixed, config.top_k
-        )
-    return run
+    _, runs = next(rank_mu_grid(queries, index, [config.mu], config, (config.mode,), selected))
+    return runs[config.mode]
 
 
 def rank_mu_grid(
@@ -188,28 +164,49 @@ def rank_mu_grid(
     index: PositionalIndex,
     mu_grid: Iterable[float],
     config: RankingConfig,
-) -> Iterator[Tuple[float, RankedRun, RankedRun]]:
-    """Yield (mu, bow run, fd run) for each mu of mu_grid, in its order.
+    modes: Sequence[str],
+    selected: Optional[Iterable[str]] = None,
+) -> Iterator[Tuple[float, Dict[str, RankedRun]]]:
+    """Yield (mu, {mode: run}) for each mu of mu_grid, in its order.
 
-    Each pair equals rank in bow and in fd mode with config's weights and
-    top_k at that mu (config's own mu and mode are not used).  The
-    features are gathered once per query before the first mu; each mu is
-    then one arithmetic pass that scores bow and fd together.  A mu's runs
-    are dropped as the next mu starts, so a caller that drops its own
-    before asking for the next mu holds one mu's runs at a time.
+    modes is bow and at most one of sd, fd and selective, each once.  Each
+    run equals rank in its mode with config's weights and top_k at that mu
+    (config's own mu and mode are not used).  A mu's runs are dropped as
+    the next mu starts, so a caller that drops its own before asking for
+    the next mu holds one mu's runs at a time.
     """
+    phrase_modes = [mode for mode in modes if mode != "bow"]
+    once = len(set(modes)) == len(modes)
+    if not (modes and once and set(modes) <= set(MODES) and len(phrase_modes) <= 1):
+        raise ValueError(
+            f"modes must be bow and at most one of sd, fd and selective, got {list(modes)}"
+        )
+    phrase_mode = phrase_modes[0] if phrase_modes else "bow"
+    selected_set: Set[str] = set(selected) if selected is not None else set()
+    if "selective" in modes and selected is None:
+        raise ValueError("selective mode requires a selected qid set")
+    unknown = selected_set - {q.qid for q in queries}
+    if unknown:
+        raise ValueError(f"selected qids not in batch: {sorted(unknown)[:5]}")
     index.invert(t for q in queries for t in q.terms)
-    tables = [(query.qid, _FeatureTable(query, index, "fd")) for query in queries]
+    tables = []
+    for query in queries:
+        mode = phrase_mode
+        if mode == "selective":
+            mode = "fd" if query.qid in selected_set else "bow"
+        tables.append((query.qid, _FeatureTable(query, index, mode)))
     for mu in mu_grid:
         at_mu = replace(config, mu=mu)
-        bow, fd = RankedRun(), RankedRun()
+        runs = {mode: RankedRun() for mode in modes}
         for qid, table in tables:
             unigram, mixed = _scores(table, at_mu.mu, at_mu.lambda_t, at_mu.lambda_o)
-            bow.results[qid] = _ranked(table.docs, unigram, at_mu.top_k)
-            fd.results[qid] = (
-                bow.results[qid] if mixed is None else _ranked(table.docs, mixed, at_mu.top_k)
-            )
-        yield mu, bow, fd
+            ranked = {}  # by whether the list mixes in the table's phrases
+            for mode, run in runs.items():
+                mixes = mode != "bow" and mixed is not None
+                if mixes not in ranked:
+                    ranked[mixes] = _ranked(table.docs, mixed if mixes else unigram, at_mu.top_k)
+                run.results[qid] = ranked[mixes]
+        yield mu, runs
 
 
 def write_run(run: RankedRun, path: str, tag: str) -> None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import errno
 import hashlib
 import json
 import os
@@ -53,6 +54,11 @@ def retrieval_paths(tmp_path_factory):
 
 def base_flags(paths):
     return ["--corpus", paths["corpus"], "--queries", paths["queries"]]
+
+
+def assert_one_error_for_directory(capsys, path):
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(path)!r}"]
 
 
 def forbid_loading_and_scoring(monkeypatch):
@@ -183,6 +189,16 @@ class TestFixtureCommand:
         out = capsys.readouterr().out
         assert "corpus:" in out and "qrels:" in out
 
+    def test_directory_at_last_output_leaves_every_other_output(self, tmp_path, capsys):
+        # A failed call writes nothing: not a new file, nor over an old one.
+        (tmp_path / "corpus.jsonl").write_bytes(b"an older corpus\n")
+        (tmp_path / "qrels.txt").mkdir()
+        code = main(["fixture", "--kind", "planted", "--out", str(tmp_path)])
+        assert code == 2
+        assert_one_error_for_directory(capsys, tmp_path / "qrels.txt")
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "qrels.txt"]
+        assert (tmp_path / "corpus.jsonl").read_bytes() == b"an older corpus\n"
+
 
 class TestIndexCommand:
     def test_summary_contents(self, planted_paths, tmp_path):
@@ -272,6 +288,29 @@ class TestScoreCommand:
         assert lines[1].startswith("nc1,vector:tfidf,1,true,")
         selected = (tmp_path / "selected.txt").read_text().split()
         assert selected == ["nc1"]
+
+    def test_directory_at_selected_txt_leaves_scores_csv(self, planted_paths, tmp_path, capsys):
+        out = tmp_path / "scores.csv"
+        out.write_bytes(b"older scores\n")
+        (tmp_path / "selected.txt").mkdir()
+        code = main(
+            [
+                "score",
+                *base_flags(planted_paths),
+                "--lexicon",
+                planted_paths["lexicon"],
+                "--variant",
+                "vector:tfidf",
+                "--theta",
+                "1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert_one_error_for_directory(capsys, tmp_path / "selected.txt")
+        assert sorted(os.listdir(tmp_path)) == ["scores.csv", "selected.txt"]
+        assert out.read_bytes() == b"older scores\n"
 
     def test_unscoreable_rows_have_blank_score(self, planted_paths, tmp_path):
         queries = tmp_path / "queries.tsv"
@@ -1053,7 +1092,7 @@ def test_each_batch_call_makes_one_pass_over_the_documents(retrieval_paths, monk
     if call == "rank":
         rank(queries, index, RankingConfig(mode="sd"))
     elif call == "rank_mu_grid":
-        list(rank_mu_grid(queries, index, [500.0, 2000.0], RankingConfig()))
+        list(rank_mu_grid(queries, index, [500.0, 2000.0], RankingConfig(), ("bow", "fd")))
     else:
         score_batch(queries, "lm:laplace:qavg", index, load_lexicon(retrieval_paths["lexicon"]))
     assert len(passes) == 1
@@ -1471,6 +1510,29 @@ class TestFigureDataCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}:1: expected 6 whitespace-separated fields"]
         assert not out.exists()
+
+    def test_directory_at_sweep_csv_leaves_no_delta_csv(
+        self, retrieval_paths, mode_runs, tmp_path, capsys
+    ):
+        (tmp_path / "sweep.csv").mkdir()
+        code = main(
+            [
+                "figure-data",
+                "--qrels",
+                retrieval_paths["qrels"],
+                "--run-a",
+                str(mode_runs["fd"]),
+                "--run-b",
+                str(mode_runs["bow"]),
+                "--sweep",
+                f"3={mode_runs['selective']}",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert_one_error_for_directory(capsys, tmp_path / "sweep.csv")
+        assert os.listdir(tmp_path) == ["sweep.csv"]
 
 
 class TestRerunIntoSameDirectory:

@@ -411,7 +411,7 @@ class TestCrossValidate:
         result = cross_validate(self.QIDS, run_for, qrels, plan)
         assert calls == [(100.0, 0), (100.0, 2), (500.0, 0), (500.0, 2)]
         fd = single_relevant_run({q: 1 for q in self.QIDS})
-        runs = [(mu, single_relevant_run(bow_at[mu]), fd) for mu in sorted(bow_at)]
+        runs = [(mu, {"bow": single_relevant_run(bow_at[mu]), "fd": fd}) for mu in sorted(bow_at)]
         assert result.diagnostics == ["qid q6 has no judgments; dropped"]
         assert cross_validate_selective(self.QIDS, order, runs, qrels, plan) == result
 
@@ -429,16 +429,17 @@ class TestCrossValidate:
         qids = [f"q{k}" for k in range(1, 10)]
         run = single_relevant_run({q: ranks[(k - 1) // 3] for k, q in enumerate(qids, start=1)})
         qrels = qrels_of({(q, f"{q}-rel"): 1 for q in qids})
-        result = cross_validate_selective(qids, [], [(100.0, run, run)], qrels, plan)
+        result = cross_validate_selective(qids, [], [(100.0, {"bow": run, "fd": run})], qrels, plan)
         assert result.fold_scores == [mean] * 3
         # One query per fold: the fold scores are the three values.
         run = single_relevant_run(dict(zip(["q1", "q2", "q3"], ranks)))
-        result = cross_validate_selective(["q1", "q2", "q3"], [], [(100.0, run, run)], qrels, plan)
+        runs = [(100.0, {"bow": run, "fd": run})]
+        result = cross_validate_selective(["q1", "q2", "q3"], [], runs, qrels, plan)
         assert result.fold_scores == values
         assert result.mean_score == mean
 
     def test_selective_too_few_queries_rejected(self):
         plan = CvPlan(mu_grid=(100.0,), theta_grid=(1,))
-        runs = [(100.0, RankedRun(), RankedRun())]
+        runs = [(100.0, {"bow": RankedRun(), "fd": RankedRun()})]
         with pytest.raises(ValueError, match="at least 3"):
             cross_validate_selective(["q1", "q2"], [], runs, qrels_of({}), plan)

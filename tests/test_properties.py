@@ -1,6 +1,7 @@
 """Property tests: the tokenizer against the regex it replaced, the
 feature-table ranking against the per-document loop it replaced, the
-mu-grid runs against rank, selective ranking against its bow and fd lists,
+mu-grid runs of a drawn mode list against that loop, selective ranking
+against its bow and fd lists,
 ingestion-order independence of ranking, the index (frequencies, postings
 inverted in batches or one term at a time, the phrase matcher, phrase
 windows), run-file I/O, the range of metrics on runs read back, a window
@@ -237,12 +238,19 @@ def test_mu_grid_runs_equal_rank_at_every_mu(corpus, queries, mus, top_k, data):
     weights = drawn_weights(data)
     # An unsorted grid that repeats at least one mu.
     grid = data.draw(st.permutations(mus + [data.draw(st.sampled_from(mus))]))
+    # bow, one phrase mode, or both in either order.
+    phrase = data.draw(st.sampled_from(("sd", "fd", "selective")))
+    modes = data.draw(st.sampled_from((["bow"], [phrase], ["bow", phrase], [phrase, "bow"])))
+    selected = data.draw(st.sets(st.sampled_from([q.qid for q in queries])))
     config = RankingConfig(top_k=top_k, **weights)
     seen = []
-    for mu, bow, fd in rank_mu_grid(queries, index, grid, config):
+    for mu, runs in rank_mu_grid(queries, index, grid, config, modes, selected):
         seen.append(mu)
-        for mode, run in (("bow", bow), ("fd", fd)):
-            expected = rank(queries, index, RankingConfig(mu=mu, mode=mode, top_k=top_k, **weights))
+        assert list(runs) == modes
+        for mode, run in runs.items():
+            at_mu = RankingConfig(mu=mu, mode=mode, top_k=top_k, **weights)
+            expected = reference_rank(queries, index, at_mu, selected)
+            # Same float operations in the same order: exact equality.
             assert run.results == expected.results
             assert run.qids() == expected.qids()
     assert seen == grid
@@ -557,7 +565,8 @@ def brute_force_selective_cv(qids, order, qrels, ranks, plan):
 def test_selective_fold_walk_matches_brute_force(case):
     qids, order, qrels, ranks, plan = case
     runs = (
-        (mu, single_relevant_run(bow), single_relevant_run(fd)) for mu, (bow, fd) in ranks.items()
+        (mu, {"bow": single_relevant_run(bow), "fd": single_relevant_run(fd)})
+        for mu, (bow, fd) in ranks.items()
     )
     expected = brute_force_selective_cv(qids, order, qrels, ranks, plan)
     assert cross_validate_selective(qids, order, runs, qrels, plan) == expected

@@ -200,7 +200,7 @@ def attribute_uses(path, attr):
 INVERT_CALLERS = {
     "cli.py": ["_cmd_windows"],
     "corpus.py": ["positions"],
-    "retrieval.py": ["rank", "rank_mu_grid"],
+    "retrieval.py": ["rank_mu_grid"],
     "scoring.py": ["score_batch"],
 }
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from termdep.corpus import Document, PositionalIndex, Query, tokenize
+from termdep import retrieval
 from termdep.fixtures import retrieval_fixture
 from termdep.retrieval import (
     MODES,
@@ -241,20 +242,67 @@ class TestRank:
 class TestRankMuGrid:
     def test_previous_runs_dropped_before_next_mu(self, small_index):
         runs = rank_mu_grid(
-            [make_query("q1", "red tape")], small_index, [100.0, 200.0], RankingConfig()
+            [make_query("q1", "red tape")],
+            small_index,
+            [100.0, 200.0],
+            RankingConfig(),
+            ["bow", "fd"],
         )
-        _, bow, fd = next(runs)
-        refs = [weakref.ref(bow), weakref.ref(fd)]
-        del bow, fd
+        _, by_mode = next(runs)
+        refs = [weakref.ref(run) for run in by_mode.values()]
+        del by_mode
         next(runs)
-        assert [ref() for ref in refs] == [None, None]
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
 
     def test_invalid_mu_rejected(self, small_index):
         runs = rank_mu_grid(
-            [make_query("q1", "red tape")], small_index, [float("nan")], RankingConfig()
+            [make_query("q1", "red tape")], small_index, [float("nan")], RankingConfig(), ["bow"]
         )
         with pytest.raises(ValueError, match="mu"):
             next(runs)
+
+    @pytest.mark.parametrize(
+        "modes", [(), ("sd", "fd"), ("bow", "fd", "selective"), ("bow", "bow"), ("bm25",)]
+    )
+    def test_modes_other_than_bow_and_one_phrase_mode_rejected(self, small_index, modes):
+        runs = rank_mu_grid(
+            [make_query("q1", "red tape")], small_index, [100.0], RankingConfig(), modes
+        )
+        with pytest.raises(ValueError, match="modes must be bow and at most one of"):
+            next(runs)
+
+    @pytest.mark.parametrize(
+        "modes", [("bow",), ("sd",), ("fd",), ("selective",), ("bow", "fd")], ids="+".join
+    )
+    def test_each_distinct_score_list_sorted_once(self, fixture_state, monkeypatch, modes):
+        # rank is the one-mu, one-mode case; tune asks for bow and fd.
+        index, queries = fixture_state
+        queries = [*queries, make_query("single", "tape")]
+        calls = []
+
+        def counting(docs, scores, top_k):
+            calls.append((tuple(docs), tuple(scores)))
+            return ranked(docs, scores, top_k)
+
+        ranked = retrieval._ranked
+        monkeypatch.setattr(retrieval, "_ranked", counting)
+        selected = [q.qid for q in queries[::2]]
+
+        def check_one_mu():
+            # Queries are ranked in batch order, each from its own candidates.
+            expected = [2 if len(modes) > 1 and query.m > 1 else 1 for query in queries]
+            assert len(calls) == sum(expected)
+            for n in expected:
+                chunk, calls[:n] = calls[:n], []
+                assert len({docs for docs, _ in chunk}) == 1
+                assert len({scores for _, scores in chunk}) == n
+
+        if len(modes) == 1:
+            rank(queries, index, RankingConfig(mode=modes[0]), selected)
+            check_one_mu()
+        else:
+            for _ in rank_mu_grid(queries, index, [500.0, 2000.0], RankingConfig(), modes):
+                check_one_mu()
 
 
 class TestModeIdentities:

@@ -135,3 +135,35 @@ def test_replaced_file_keeps_its_mode(tmp_path):
         write_lines(str(target), LINES)
     assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
     assert target.read_bytes() == BYTES
+
+
+def test_outputs_of_one_call_land_together(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_bytes(b"old\n")
+    write_lines({str(old): LINES, str(new): iter(LINES[:1])})
+    assert old.read_bytes() == BYTES and new.read_bytes() == LINES[0].encode("utf-8")
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "old.csv"]
+
+
+@pytest.mark.parametrize("last", ["failing", "directory", "missing directory"])
+def test_failed_later_output_leaves_every_earlier_one(tmp_path, last):
+    # Every new file is written before any takes its path's place.
+    old, new, link = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "link.csv"
+    old.write_bytes(b"previous output\n")
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"linked output\n")
+    link.symlink_to(real)
+    outputs = {str(old): LINES, str(new): LINES, str(link): LINES}
+    if last == "failing":
+        outputs[str(tmp_path / "last.csv")] = failing(LINES, 2)
+    elif last == "directory":
+        (tmp_path / "last.csv").mkdir()
+        outputs[str(tmp_path / "last.csv")] = LINES
+    else:
+        outputs[str(tmp_path / "absent" / "last.csv")] = LINES
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises((RuntimeError, OSError)):
+        write_lines(outputs)
+    assert old.read_bytes() == b"previous output\n"
+    assert real.read_bytes() == b"linked output\n"
+    assert sorted(os.listdir(tmp_path)) == before
